@@ -14,7 +14,6 @@ from .analysis import (
     INFINITE_HEIGHT,
     AnalysisReport,
     analyze_charpoly,
-    denormalize,
     height_from_newton,
     normalize,
     picard_upper_bound,
@@ -23,10 +22,6 @@ from .analysis import (
 from .cyclotomic import (
     CycNum,
     EigenTraces,
-    as_rational,
-    cyc_add,
-    cyc_mul,
-    cyc_neg,
     forward_dft,
     galois_apply,
     inverse_dft,
@@ -58,7 +53,6 @@ from .kodaira import (
 from .polynomials import (
     IntPoly,
     NewtonPolygon,
-    RatPoly,
     cyclotomic_poly,
     divides_with_multiplicity,
     newton_polygon,
@@ -94,22 +88,16 @@ __all__ = [
     "LatticeSummary",
     "MultiPoly",
     "NewtonPolygon",
-    "RatPoly",
     "ReducibleFiberError",
     "WeierstrassModel",
     "Wild11Error",
     "analyze_charpoly",
     "artin_invariant",
-    "as_rational",
     "assemble_charpoly",
     "c4_delta",
     "c4_delta_infinity",
     "classify_fibers",
-    "cyc_add",
-    "cyc_mul",
-    "cyc_neg",
     "cyclotomic_poly",
-    "denormalize",
     "divides_with_multiplicity",
     "fiber_count",
     "fixed_locus_tally",

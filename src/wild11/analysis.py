@@ -6,7 +6,8 @@ Three exact invariants are extracted from the degree-20 polynomial mu_p:
   have absolute value 1;
 * an upper bound for the Picard number: 2 (fiber and zero-section classes)
   plus the number of roots of mu_p of the form p * (root of unity), counted
-  with multiplicity through cyclotomic divisibility of mu~;
+  with multiplicity through divisibility of mu_p by the monic integer
+  polynomials p^phi(k) * Phi_k(T / p);
 * the formal-Brauer height, read off the p-adic Newton polygon: with s_min
   the smallest root valuation, height is 1/(1 - s_min), and s_min = 1 means
   infinite height (Artin-supersingular).
@@ -17,7 +18,8 @@ Likewise, the finer eigenspace-dimension argument restricting the Picard
 number of these families to {2, 12, 22} is not recomputed here; only the
 root-of-unity count enters.
 
-Everything that gates pass/fail is exact rational arithmetic.  The one
+Everything that gates pass/fail is exact integer arithmetic; mu~ is the
+one rational-valued result, built once for the report.  The one
 floating-point computation, the advisory check that the roots of mu~ lie
 on the unit circle, is reported but never used as a gate.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycNum
 from .equivariant import CharPolyResult, expand_eigenspace_product
@@ -34,7 +37,6 @@ from .errors import InconsistencyError
 from .polynomials import (
     IntPoly,
     NewtonPolygon,
-    RatPoly,
     cyclotomic_poly,
     divides_with_multiplicity,
     euler_phi,
@@ -53,37 +55,33 @@ _CYCLOTOMIC_RANGE = range(1, 101)
 UNIT_CIRCLE_TOLERANCE = 1e-9
 
 
-def normalize(mu: IntPoly, p: int) -> RatPoly:
-    """mu~(T) = mu(p T) / p^20; requires mu monic of degree 20."""
+def normalize(mu: IntPoly, p: int) -> tuple[Fraction, ...]:
+    """Coefficients of mu~(T) = mu(p T) / p^20; requires mu monic of degree 20."""
     if mu.degree != V_DIMENSION or not mu.is_monic():
         raise ValueError(f"expected a monic degree-{V_DIMENSION} polynomial, got {mu!r}")
-    return RatPoly([Fraction(c * p**j, p**V_DIMENSION) for j, c in enumerate(mu.coeffs)])
+    return tuple(Fraction(c * p**j, p**V_DIMENSION) for j, c in enumerate(mu.coeffs))
 
 
-def denormalize(mu_tilde: RatPoly, p: int) -> IntPoly:
-    """Inverse of :func:`normalize`: p^20 * mu~(T / p)."""
-    if mu_tilde.degree != V_DIMENSION:
-        raise ValueError(f"expected degree {V_DIMENSION}, got {mu_tilde.degree}")
-    coeffs = [c * p ** (V_DIMENSION - j) for j, c in enumerate(mu_tilde.coeffs)]
-    out = RatPoly(coeffs).to_int()
-    if out is None:
-        raise ValueError("denormalization did not yield integer coefficients")
-    return out
+@lru_cache(maxsize=None)
+def _scaled_cyclotomic(k: int, p: int) -> IntPoly:
+    """The monic p^phi(k) * Phi_k(T / p), whose roots are p * (primitive k-th roots of 1)."""
+    phi = euler_phi(k)
+    return IntPoly([c * p ** (phi - i) for i, c in enumerate(cyclotomic_poly(k).coeffs)])
 
 
 def picard_upper_bound(mu: IntPoly, p: int) -> int:
     """2 + (number of zeroes of mu of the shape p * root of unity).
 
-    Zeroes are counted with multiplicity via cyclotomic divisibility of mu~.
+    Zeroes are counted with multiplicity via divisibility of mu by the monic
+    scaled cyclotomic polynomials in Z[T]; by Gauss's lemma this equals the
+    multiplicity of Phi_k in mu~ over Q.
     """
-    mu_tilde = normalize(mu, p)
     count = 0
     for k in _CYCLOTOMIC_RANGE:
         phi = euler_phi(k)
         if phi > V_DIMENSION:
             continue
-        m = divides_with_multiplicity(cyclotomic_poly(k).to_rat(), mu_tilde)
-        count += m * phi
+        count += divides_with_multiplicity(_scaled_cyclotomic(k, p), mu) * phi
     return 2 + count
 
 
@@ -106,12 +104,13 @@ def height_from_newton(mu: IntPoly, p: int) -> int | float:
     return int(h)
 
 
-def _unit_circle_check(mu_tilde: RatPoly) -> bool:
+def _unit_circle_check(mu: IntPoly, p: int) -> bool:
     """Advisory floating-point check: all roots of mu~ on |z| = 1."""
     import numpy as np
 
-    coeffs = [float(c) for c in reversed(mu_tilde.coeffs)]
-    roots = np.roots(coeffs)
+    # int / int true division rounds the exact mu~ coefficient correctly, once
+    coeffs = [c * p**j / p**V_DIMENSION for j, c in enumerate(mu.coeffs)]
+    roots = np.roots(coeffs[::-1])
     return bool(np.all(np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOLERANCE))
 
 
@@ -121,10 +120,11 @@ def structural_checks(result: CharPolyResult, kind: str, p: int) -> dict[str, bo
     gamma_parity is None for models without the extra order-4 symmetry.
     """
     mu = result.mu
-    mu_tilde = normalize(mu, p)
 
     checks: dict[str, bool | None] = {}
-    checks["functional_equation"] = palindrome_sign(mu_tilde) in (1, -1)
+    # mu~ is (anti)palindromic iff c_j p^j = +-c_{20-j} p^{20-j} for all j
+    scaled = [c * p**j for j, c in enumerate(mu.coeffs)]
+    checks["functional_equation"] = palindrome_sign(scaled) in (1, -1)
 
     if kind == "gamma":
         even = all(c == 0 for j, c in enumerate(mu.coeffs) if j % 2 == 1)
@@ -153,10 +153,10 @@ def structural_checks(result: CharPolyResult, kind: str, p: int) -> dict[str, bo
     det = CycNum((1,))
     for _, b in result.per_eigenspace:
         det = det * b
-    det_value = det.as_rational()
-    checks["determinant"] = det_value is not None and abs(det_value) == Fraction(p) ** V_DIMENSION
+    det_value = det.as_int()
+    checks["determinant"] = det_value is not None and abs(det_value) == p**V_DIMENSION
 
-    checks["unit_circle"] = _unit_circle_check(mu_tilde)
+    checks["unit_circle"] = _unit_circle_check(mu, p)
     return checks
 
 
@@ -164,7 +164,7 @@ def structural_checks(result: CharPolyResult, kind: str, p: int) -> dict[str, bo
 class AnalysisReport:
     """Exact invariants of one surface: mu~, Picard bounds, height, checks."""
 
-    mu_tilde: RatPoly
+    mu_tilde: tuple[Fraction, ...]
     picard_upper: int
     picard_lower: int
     height: int | float

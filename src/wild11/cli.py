@@ -12,19 +12,14 @@ since they would break reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 capability limit, 4 internal
 arithmetic inconsistency.
-
-The environment variable WILD11_THREADS (default: available cores) caps
-the worker threads used to run the two field-level tallies concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,15 +40,6 @@ EXIT_CAPABILITY = 3
 EXIT_INCONSISTENT = 4
 
 _SECTIONS = ("meta", "inputs", "tally", "traces", "eigentraces", "charpoly", "analysis", "fibers", "lattice")
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("WILD11_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = os.cpu_count() or 1
-    return max(1, n)
 
 
 @dataclass
@@ -166,20 +152,11 @@ def _meta() -> dict:
     return {"tool": "wild11", "version": __version__}
 
 
-def run_equivariant_pipeline(kind: str, param: int, p: int, threads: int | None = None):
+def run_equivariant_pipeline(kind: str, param: int, p: int):
     """Tallies at q = p and p^2, eigentraces, and the assembled charpoly."""
-    threads = threads or thread_budget()
     model = make_model(kind, param, p)
-    spec_p = FieldSpec(p)
-    spec_p2 = FieldSpec(p, 2)
-    if threads >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut1 = pool.submit(fixed_locus_tally, model, spec_p)
-            fut2 = pool.submit(fixed_locus_tally, model, spec_p2)
-            tally_p, tally_p2 = fut1.result(), fut2.result()
-    else:
-        tally_p = fixed_locus_tally(model, spec_p)
-        tally_p2 = fixed_locus_tally(model, spec_p2)
+    tally_p = fixed_locus_tally(model, FieldSpec(p))
+    tally_p2 = fixed_locus_tally(model, FieldSpec(p, 2))
     tr_p = traces_from_tally(tally_p)
     tr_p2 = traces_from_tally(tally_p2)
     eigen_p = inverse_dft(tr_p, p)
@@ -188,12 +165,11 @@ def run_equivariant_pipeline(kind: str, param: int, p: int, threads: int | None 
     return model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result
 
 
-def cmd_analyze(kind: str, param: int, p: int, threads: int | None = None) -> Report:
+def cmd_analyze(kind: str, param: int, p: int) -> Report:
     """Full pipeline for one surface: tallies, traces, mu_p, and analysis."""
     start = time.perf_counter()
-    threads = threads or thread_budget()
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
-        kind, param, p, threads
+        kind, param, p
     )
     report_data = analyze_charpoly(result, kind)
     fibers = classify_fibers(model)
@@ -218,7 +194,7 @@ def cmd_analyze(kind: str, param: int, p: int, threads: int | None = None) -> Re
             ],
         },
         analysis={
-            "mu_tilde": [_frac_str(c) for c in report_data.mu_tilde.coeffs],
+            "mu_tilde": [_frac_str(c) for c in report_data.mu_tilde],
             "picard_upper": report_data.picard_upper,
             "picard_lower": report_data.picard_lower,
             "height": _height_json(report_data.height),
@@ -239,20 +215,19 @@ def cmd_analyze(kind: str, param: int, p: int, threads: int | None = None) -> Re
 _SQUARE_CLASSES = ((1, 3, 4, 5, 9), (2, 6, 7, 8, 10))
 
 
-def cmd_table(p: int = 11, threads: int | None = None) -> Report:
+def cmd_table(p: int = 11) -> Report:
     """mu~ for all epsilon, gamma in F_p^*, grouped by square class.
 
     Verifies that members of a square class share one polynomial and that
     exactly four distinct polynomials occur."""
     start = time.perf_counter()
-    threads = threads or thread_budget()
     rows = []
     distinct = set()
     for kind in ("epsilon", "gamma"):
         for members in _SQUARE_CLASSES:
             polys = []
             for value in members:
-                *_, result = run_equivariant_pipeline(kind, value, p, threads)
+                *_, result = run_equivariant_pipeline(kind, value, p)
                 polys.append(analyze_charpoly(result, kind).mu_tilde)
             reference = polys[0]
             for value, poly in zip(members, polys):
@@ -260,13 +235,13 @@ def cmd_table(p: int = 11, threads: int | None = None) -> Report:
                     raise InconsistencyError(
                         f"mu~ for {kind}={value} deviates from its square class"
                     )
-            distinct.add(tuple(reference.coeffs))
+            distinct.add(reference)
             rows.append(
                 {
                     "family": kind,
                     "members": list(members),
-                    "mu_tilde": [_frac_str(c) for c in reference.coeffs],
-                    "mu_tilde_str": poly_str(reference.coeffs),
+                    "mu_tilde": [_frac_str(c) for c in reference],
+                    "mu_tilde_str": poly_str(reference),
                 }
             )
     if len(distinct) != 4:

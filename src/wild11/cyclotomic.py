@@ -16,15 +16,14 @@ gates protect the inversion: the invariant eigenspace must carry a_0 = 2q
 exactly (anything else means the fixed-point tallies are wrong), and every
 a_i must land in Z[zeta] (anything else means an arithmetic bug upstream).
 
-Coordinates are exact rationals throughout; integer-valued coordinates are
-stored as Python ints, which are exact rationals too.  No floating point.
+Every value this pipeline produces is an algebraic integer, so elements
+live in Z[zeta]: coordinates are plain Python ints.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import InconsistencyError
 
@@ -32,25 +31,22 @@ DEGREE = 10  # [Q(zeta_11) : Q]
 ORDER = 11
 
 
-def _normalize(c: Rational) -> Rational:
-    """Prefer int storage for integer values; ints and Fractions mix freely."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, Rational):
-        f = Fraction(c)
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"coordinates must be exact rationals, got {type(c).__name__}")
+def _cyc(coords: tuple[int, ...]) -> "CycNum":
+    """A CycNum from DEGREE int coordinates, without re-validation."""
+    out = object.__new__(CycNum)
+    out.coords = coords
+    return out
 
 
 class CycNum:
-    """An element of Q(zeta_11) in the power basis, coordinates c0..c9."""
+    """An element of Z[zeta_11] in the power basis, int coordinates c0..c9."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords=()):
-        coords = tuple(_normalize(c) for c in coords)
+        coords = tuple(coords)
+        if any(not isinstance(c, int) for c in coords):
+            raise TypeError("CycNum coordinates must be ints")
         if len(coords) > DEGREE:
             raise ValueError(f"at most {DEGREE} coordinates, got {len(coords)}")
         self.coords = coords + (0,) * (DEGREE - len(coords))
@@ -63,21 +59,18 @@ class CycNum:
         return CycNum((-1,) * DEGREE)
 
     @staticmethod
-    def from_rational(x: Rational) -> "CycNum":
-        return CycNum((x,))
-
-    def _coerce(self, other) -> "CycNum | None":
+    def _coerce(other) -> "CycNum | None":
         if isinstance(other, CycNum):
             return other
-        if isinstance(other, Rational):
-            return CycNum.from_rational(other)
+        if isinstance(other, int):
+            return CycNum((other,))
         return None
 
     def __add__(self, other) -> "CycNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return _cyc(tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
 
@@ -85,7 +78,7 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return _cyc(tuple(a - b for a, b in zip(self.coords, o.coords)))
 
     def __rsub__(self, other) -> "CycNum":
         o = self._coerce(other)
@@ -94,24 +87,21 @@ class CycNum:
         return o - self
 
     def __neg__(self) -> "CycNum":
-        return CycNum(tuple(-a for a in self.coords))
+        return _cyc(tuple(-a for a in self.coords))
 
     def __mul__(self, other) -> "CycNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw = [0] * (2 * DEGREE - 1)
+        # exponents are added mod 11 (z^11 = 1), then z^10 is eliminated
+        folded = [0] * ORDER
         for i, x in enumerate(self.coords):
             if x:
                 for j, y in enumerate(o.coords):
                     if y:
-                        raw[i + j] += x * y
-        # fold exponents >= 11 back via z^11 = 1, then kill z^10
-        folded = raw[:ORDER] + [0] * (ORDER - len(raw[:ORDER]))
-        for k in range(ORDER, len(raw)):
-            folded[k - ORDER] += raw[k]
+                        folded[(i + j) % ORDER] += x * y
         top = folded[DEGREE]
-        return CycNum(tuple(folded[i] - top for i in range(DEGREE)))
+        return _cyc(tuple(folded[i] - top for i in range(DEGREE)))
 
     __rmul__ = __mul__
 
@@ -137,33 +127,17 @@ class CycNum:
     def __bool__(self) -> bool:
         return any(self.coords)
 
-    def is_integral(self) -> bool:
-        """True when the element lies in Z[zeta] (all coordinates integers)."""
-        return all(isinstance(c, int) for c in self.coords)
-
-    def as_rational(self) -> Fraction | None:
-        """The rational value if the element lies in Q, else None."""
+    def as_int(self) -> int | None:
+        """The integer value if the element lies in Z, else None."""
         if any(self.coords[1:]):
             return None
-        return Fraction(self.coords[0])
+        return self.coords[0]
 
     def __repr__(self) -> str:
         return f"CycNum({list(self.coords)})"
 
 
 ZETA = CycNum.zeta_power(1)
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_neg(a: CycNum) -> CycNum:
-    return -a
 
 
 def galois_apply(s: int, a: CycNum) -> CycNum:
@@ -180,11 +154,7 @@ def galois_apply(s: int, a: CycNum) -> CycNum:
             tail += a.coords[i]
     if tail:
         out = [c - tail for c in out]
-    return CycNum(tuple(out))
-
-
-def as_rational(a: CycNum) -> Fraction | None:
-    return a.as_rational()
+    return _cyc(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -203,14 +173,11 @@ class EigenTraces:
         if len(self.a) != DEGREE:
             raise ValueError(f"expected {DEGREE} traces, got {len(self.a)}")
 
-    def all_integral(self) -> bool:
-        return all(x.is_integral() for x in self.a)
-
-    def sum_as_rational(self) -> Fraction:
+    def sum_as_int(self) -> int:
         total = CycNum()
         for x in self.a:
             total = total + x
-        value = total.as_rational()
+        value = total.as_int()
         if value is None:
             raise InconsistencyError("sum of eigenspace traces is not rational")
         return value
@@ -267,7 +234,7 @@ def inverse_dft(tr: list[int] | tuple[int, ...], q: int) -> EigenTraces:
             raise InconsistencyError(
                 f"eigenspace trace a_{i} = (1/11)*{coords} is not an algebraic integer"
             )
-        out.append(CycNum(tuple(c // ORDER for c in coords)))
+        out.append(_cyc(tuple(c // ORDER for c in coords)))
     return EigenTraces(q=q, a=tuple(out))
 
 
@@ -277,11 +244,11 @@ def forward_dft(traces: EigenTraces) -> list[int]:
     Exact inverse of :func:`inverse_dft`; used as a self-check."""
     out = []
     for n in range(ORDER):
-        total = CycNum.from_rational(2 * traces.q)  # a_0 contribution
+        total = CycNum((2 * traces.q,))  # a_0 contribution
         for i, a_i in enumerate(traces.a, start=1):
             total = total + CycNum.zeta_power(n * i) * a_i
-        value = total.as_rational()
-        if value is None or value.denominator != 1:
+        value = total.as_int()
+        if value is None:
             raise InconsistencyError(f"reconstructed tr_{n} = {total} is not an integer")
-        out.append(int(value))
+        out.append(value)
     return out

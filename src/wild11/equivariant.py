@@ -119,8 +119,6 @@ class CharPolyResult:
 
 
 def _exact_half(x: CycNum, what: str) -> CycNum:
-    if not x.is_integral():
-        raise InconsistencyError(f"{what} is not integral: {x!r}")
     if any(c % 2 for c in x.coords):
         raise InconsistencyError(f"{what} is not divisible by 2 in Z[zeta]: {x!r}")
     return CycNum(tuple(c // 2 for c in x.coords))
@@ -138,12 +136,10 @@ def expand_eigenspace_product(pairs) -> IntPoly:
         poly = new
     coeffs = []
     for j, c in enumerate(poly):
-        value = c.as_rational()
+        value = c.as_int()
         if value is None:
             raise InconsistencyError(f"coefficient of T^{j} is irrational: {c!r}")
-        if value.denominator != 1:
-            raise InconsistencyError(f"coefficient of T^{j} is not an integer: {value}")
-        coeffs.append(int(value))
+        coeffs.append(value)
     return IntPoly(coeffs)
 
 

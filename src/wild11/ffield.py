@@ -7,13 +7,11 @@ basis of that modulus.  For r = 2 the modulus is always u^2 - n with n the
 smallest quadratic non-residue mod p, so field descriptions are canonical
 and reproducible across runs.
 
-Everything here is immutable and pure, so values may be shared freely
-between concurrent enumeration loops.
+Everything here is immutable and pure, so values may be shared freely.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InconsistencyError
@@ -421,12 +419,3 @@ def quadratic_character(x: FieldElement, spec: FieldSpec | None = None) -> int:
         return 1
     return -1
 
-
-@lru_cache(maxsize=None)
-def base_field(p: int) -> FieldSpec:
-    return FieldSpec(p, 1)
-
-
-@lru_cache(maxsize=None)
-def quadratic_extension(p: int) -> FieldSpec:
-    return FieldSpec(p, 2)

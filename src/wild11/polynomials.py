@@ -1,14 +1,15 @@
-"""Exact univariate polynomials over Z and Q.
+"""Exact univariate polynomials over Z.
 
 Coefficients are stored constant-term first with trailing zeros stripped,
 so the zero polynomial is canonical and equality is structural.  All
 arithmetic is arbitrary precision: characteristic polynomials of Frobenius
 on a K3 surface have constant terms near 11^20, well past 64 bits.
 
-Also provides cyclotomic polynomials, divisibility with multiplicity
-(the root-of-unity detector behind the Picard bound), Newton polygons
-with respect to a prime, and the palindrome test for the Weil functional
-equation.
+Also provides cyclotomic polynomials, divisibility with multiplicity by a
+monic polynomial (the root-of-unity detector behind the Picard bound),
+Newton polygons with respect to a prime, and the palindrome test for the
+Weil functional equation.  Division is only ever by monic divisors, so it
+never leaves Z[T].
 """
 
 from __future__ import annotations
@@ -95,113 +96,32 @@ class IntPoly:
         return acc
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
-        """Quotient self/divisor in Z[T]; raises if division is not exact."""
-        q, r = self.to_rat().divmod(divisor.to_rat())
-        if r:
+        """Quotient self/divisor in Z[T] for a monic divisor; raises if inexact."""
+        quo, rem = _divmod_monic(self.coeffs, divisor)
+        if any(rem):
             raise ValueError(f"{divisor!r} does not divide {self!r}")
-        out = q.to_int()
-        if out is None:
-            raise ValueError(f"quotient of {self!r} by {divisor!r} is not integral")
-        return out
-
-    def to_rat(self) -> "RatPoly":
-        return RatPoly([Fraction(c) for c in self.coeffs])
+        return IntPoly(quo)
 
     def __repr__(self) -> str:
         return f"IntPoly({poly_str(self.coeffs)})"
 
 
-class RatPoly:
-    """Polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        self.coeffs = _strip([Fraction(c) for c in coeffs])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("RatPoly", self.coeffs))
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, divisor: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = len(dcs) - 1
-        inv_lead = 1 / dcs[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c:
-                f = c * inv_lead
-                quo[top - dd] = f
-                for i, d in enumerate(dcs):
-                    rem[top - dd + i] -= f * d
-        return RatPoly(quo), RatPoly(rem[:dd])
-
-    def to_int(self) -> IntPoly | None:
-        """The same polynomial in Z[T], or None if some coefficient is not integral."""
-        if any(c.denominator != 1 for c in self.coeffs):
-            return None
-        return IntPoly([int(c) for c in self.coeffs])
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({poly_str(self.coeffs)})"
+def _divmod_monic(coeffs: Sequence[int], divisor: IntPoly) -> tuple[list[int], list[int]]:
+    """Long division in Z[T] by a monic, non-constant divisor: (quotient, remainder)."""
+    if divisor.degree < 1 or not divisor.is_monic():
+        raise ValueError(f"divisor must be monic and non-constant, got {divisor!r}")
+    dcs = divisor.coeffs
+    dd = len(dcs) - 1
+    rem = list(coeffs)
+    quo = [0] * max(len(rem) - dd, 0)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top]
+        if c:
+            base = top - dd
+            quo[base] = c
+            for i in range(dd):
+                rem[base + i] -= c * dcs[i]
+    return quo, rem[:dd]
 
 
 def poly_str(coeffs: Sequence, var: str = "T") -> str:
@@ -256,21 +176,16 @@ def cyclotomic_poly(k: int) -> IntPoly:
     return num
 
 
-def divides_with_multiplicity(f: RatPoly, g: RatPoly) -> int:
-    """Largest m >= 0 with f^m dividing g, by repeated exact division."""
-    if not f:
-        raise ValueError("divisor must be nonzero")
-    if f.degree == 0:
-        raise ValueError("divisor must be non-constant")
+def divides_with_multiplicity(f: IntPoly, g: IntPoly) -> int:
+    """Largest m >= 0 with f^m dividing g in Z[T], for monic non-constant f."""
     m = 0
-    current = g
-    while current:
-        q, r = current.divmod(f)
-        if r:
-            break
+    current = g.coeffs
+    while True:
+        quo, rem = _divmod_monic(current, f)
+        if not current or any(rem):
+            return m
         m += 1
-        current = q
-    return m
+        current = quo
 
 
 @dataclass(frozen=True)
@@ -330,9 +245,8 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
     return NewtonPolygon(p=p, points=points, hull=tuple(hull), slopes=tuple(slopes))
 
 
-def palindrome_sign(f: RatPoly) -> int | None:
+def palindrome_sign(cs: Sequence) -> int | None:
     """+1 if c_j = c_{d-j} for all j, -1 if c_j = -c_{d-j}, else None."""
-    cs = f.coeffs
     d = len(cs) - 1
     if d < 0:
         return None

@@ -16,7 +16,7 @@ def pipeline():
     def get(kind, param):
         key = (kind, param)
         if key not in cache:
-            cache[key] = run_equivariant_pipeline(kind, param, 11, threads=1)
+            cache[key] = run_equivariant_pipeline(kind, param, 11)
         return cache[key]
 
     return get

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wild11 import (
     CycNum,
@@ -8,15 +10,16 @@ from wild11 import (
     INFINITE_HEIGHT,
     InconsistencyError,
     IntPoly,
-    RatPoly,
     analyze_charpoly,
-    denormalize,
+    cyclotomic_poly,
+    divides_with_multiplicity,
     height_from_newton,
     normalize,
     picard_upper_bound,
     structural_checks,
 )
 from wild11.equivariant import CharPolyResult
+from wild11.polynomials import euler_phi
 from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_SQUARE,
@@ -32,10 +35,44 @@ def _power(base: IntPoly, n: int) -> IntPoly:
     return out
 
 
+def _rat_multiplicity(f, g) -> int:
+    """Reference: largest m with f^m | g in Q[T], by Fraction long division.
+
+    f and g are coefficient sequences, constant term first, with nonzero
+    leading coefficients; a zero g gives 0."""
+    f = [Fraction(c) for c in f]
+    current = [Fraction(c) for c in g]
+    df = len(f) - 1
+    m = 0
+    while any(current):
+        rem = list(current)
+        quo = [Fraction(0)] * max(len(rem) - df, 0)
+        for top in range(len(rem) - 1, df - 1, -1):
+            c = rem[top] / f[-1]
+            quo[top - df] = c
+            for i, d in enumerate(f):
+                rem[top - df + i] -= c * d
+        if any(rem):
+            break
+        m += 1
+        current = quo
+    return m
+
+
+def _picard_reference(mu: IntPoly, p: int) -> int:
+    """2 + sum of phi(k) * (multiplicity of Phi_k in mu~ over Q)."""
+    mu_tilde = normalize(mu, p)
+    return 2 + sum(
+        euler_phi(k) * _rat_multiplicity(cyclotomic_poly(k).coeffs, mu_tilde)
+        for k in range(1, 101)
+        if euler_phi(k) <= 20
+    )
+
+
 def test_normalize_trivial():
     p = 11
     mu = _power(IntPoly([p * p, 0, 1]), 10)  # (T^2 + p^2)^10
-    assert normalize(mu, p) == RatPoly(_power(IntPoly([1, 0, 1]), 10).coeffs)
+    assert normalize(mu, p) == _power(IntPoly([1, 0, 1]), 10).coeffs
 
 
 def test_normalize_requires_monic_degree_20():
@@ -45,18 +82,9 @@ def test_normalize_requires_monic_degree_20():
         normalize(IntPoly([0] * 20 + [2]), 11)
 
 
-def test_normalize_denormalize_round_trip(pipeline):
-    *_, result = pipeline("epsilon", 4)
-    assert denormalize(normalize(result.mu, 11), 11) == result.mu
-
-
 def test_normalize_hits_expected_rows(analyzed):
-    assert analyzed("epsilon", 1).mu_tilde.coeffs == tuple(
-        Fraction(c) for c in MU_TILDE_EPSILON_SQUARE
-    )
-    assert analyzed("gamma", 1).mu_tilde.coeffs == tuple(
-        Fraction(c) for c in MU_TILDE_GAMMA_SQUARE
-    )
+    assert analyzed("epsilon", 1).mu_tilde == tuple(Fraction(c) for c in MU_TILDE_EPSILON_SQUARE)
+    assert analyzed("gamma", 1).mu_tilde == tuple(Fraction(c) for c in MU_TILDE_GAMMA_SQUARE)
 
 
 def test_picard_bound_trivial_supersingular_shape():
@@ -71,6 +99,39 @@ def test_picard_bound_on_computed_surfaces(analyzed):
     for gamma in range(1, 11):
         assert analyzed("gamma", gamma).picard_upper == 2
     assert analyzed("epsilon", 0).picard_upper == 22
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "gamma"])
+@pytest.mark.parametrize("param", range(11))
+def test_picard_bound_matches_rational_reference(pipeline, kind, param):
+    *_, result = pipeline(kind, param)
+    assert picard_upper_bound(result.mu, 11) == _picard_reference(result.mu, 11)
+
+
+def test_picard_bound_mixed_cyclotomic_factors():
+    p = 11
+    # roots p (x2), -p (x4), +-ip (x2 each), and five pairs off the p * (root of unity) locus
+    mu = (
+        _power(IntPoly([-p, 1]), 2)
+        * _power(IntPoly([p, 1]), 4)
+        * _power(IntPoly([p * p, 0, 1]), 2)
+        * _power(IntPoly([p, -1, 1]), 5)
+    )
+    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f_low=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+    g=st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0),
+    m=st.integers(0, 3),
+)
+def test_divides_with_multiplicity_matches_rational_reference(f_low, g, m):
+    f = IntPoly(f_low + [1])  # monic, non-constant
+    h = _power(f, m) * IntPoly(g)
+    found = divides_with_multiplicity(f, h)
+    assert found >= m
+    assert found == _rat_multiplicity(f.coeffs, h.coeffs)
 
 
 def test_height_examples(analyzed):
@@ -151,7 +212,7 @@ def test_unit_circle_advisory_negative():
     p = 11
     off = IntPoly([1, 1]) * IntPoly([p * p * p, 1]) * _power(IntPoly([p * p, 0, 1]), 9)
     # roots -1 and -p^3: after normalization one root has modulus p^2 != 1
-    assert _unit_circle_check(normalize(off, p)) is False
+    assert _unit_circle_check(off, p) is False
 
 
 def test_analyze_charpoly_bundle(pipeline):
@@ -160,7 +221,7 @@ def test_analyze_charpoly_bundle(pipeline):
     assert report.picard_lower == 2
     assert report.picard_upper == 2
     assert report.height == 10
-    assert report.mu_tilde.coeffs[0] == 1
+    assert report.mu_tilde[0] == 1
 
 
 @pytest.mark.parametrize("kind,params", [("epsilon", SQUARES_MOD_11), ("gamma", NONSQUARES_MOD_11)])

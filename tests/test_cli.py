@@ -7,11 +7,9 @@ from wild11.cli import (
     EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_USAGE,
-    cmd_analyze,
     cmd_count,
     cmd_table,
     main,
-    thread_budget,
 )
 
 
@@ -189,23 +187,8 @@ def test_inconsistency_maps_to_exit_code_4(capsys, monkeypatch):
     assert "inconsistency" in err
 
 
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("WILD11_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("WILD11_THREADS", "0")
-    assert thread_budget() == 1
-    monkeypatch.setenv("WILD11_THREADS", "junk")
-    assert thread_budget() >= 1
-
-
-def test_results_independent_of_thread_count():
-    serial = cmd_analyze("epsilon", 3, 11, threads=1)
-    threaded = cmd_analyze("epsilon", 3, 11, threads=4)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_table_within_class_gate():
-    report = cmd_table(11, threads=2)
+    report = cmd_table(11)
     assert len(report.analysis["table"]) == 4
 
 

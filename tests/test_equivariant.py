@@ -16,6 +16,7 @@ from wild11 import (
     traces_from_tally,
 )
 from wild11.analysis import normalize
+from wild11.equivariant import expand_eigenspace_product
 from reference_values import (
     GOLDEN_FIX0_EPS1_Q121,
     GOLDEN_FIX_EPS1_Q11,
@@ -101,7 +102,7 @@ def test_fixtally_shape_check():
 def test_assemble_trivial_forced_example():
     p = 11
     zero = CycNum()
-    minus_2p2 = CycNum.from_rational(-2 * p * p)
+    minus_2p2 = CycNum((-2 * p * p,))
     e_p = EigenTraces(q=p, a=(zero,) * 10)
     e_p2 = EigenTraces(q=p * p, a=(minus_2p2,) * 10)
     result = assemble_charpoly(e_p, e_p2, p)
@@ -129,15 +130,21 @@ def test_assemble_rejects_inexact_halving():
         assemble_charpoly(e_p, e_p2, p)
 
 
+def test_expand_rejects_irrational_coefficient():
+    # T^2 - zeta T: the coefficient of T is -zeta, not in Z
+    with pytest.raises(InconsistencyError, match="irrational"):
+        expand_eigenspace_product([(CycNum.zeta_power(1), CycNum())])
+
+
 def test_golden_mu_eps1(pipeline):
     *_, result = pipeline("epsilon", 1)
     assert result.mu.coeffs == GOLDEN_MU_EPS1
-    assert normalize(result.mu, 11).coeffs == tuple(MU_TILDE_EPSILON_SQUARE)
+    assert normalize(result.mu, 11) == tuple(MU_TILDE_EPSILON_SQUARE)
 
 
 def test_mu_tilde_gamma2(pipeline):
     *_, result = pipeline("gamma", 2)
-    assert normalize(result.mu, 11).coeffs == tuple(MU_TILDE_GAMMA_NONSQUARE)
+    assert normalize(result.mu, 11) == tuple(MU_TILDE_GAMMA_NONSQUARE)
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "gamma"])
@@ -148,7 +155,7 @@ def test_reconstruction_identity(pipeline, kind, q_exp):
     tally = (tally_p, tally_p2)[q_exp - 1]
     eigen = _rest[2 + q_exp - 1]
     q = 11**q_exp
-    assert 1 + 2 * q + eigen.sum_as_rational() + q * q == tally.fix[0]
+    assert 1 + 2 * q + eigen.sum_as_int() + q * q == tally.fix[0]
 
 
 def test_corrupted_tally_trips_invariant_gate():

@@ -5,7 +5,6 @@ import pytest
 
 from wild11 import (
     IntPoly,
-    RatPoly,
     cyclotomic_poly,
     divides_with_multiplicity,
     newton_polygon,
@@ -36,28 +35,31 @@ def test_cyclotomic_product_identity(k):
 
 
 def test_divides_with_multiplicity():
-    f = (T(2) + IntPoly([1])).to_rat()  # T^2 + 1
-    assert divides_with_multiplicity(f, (T(4) - IntPoly([1])).to_rat()) == 1
-    square = (T(2) + IntPoly([1])) * (T(2) + IntPoly([1]))
-    assert divides_with_multiplicity(f, square.to_rat()) == 2
-    assert divides_with_multiplicity((T(1) - IntPoly([1])).to_rat(), f) == 0
-    with pytest.raises(ValueError):
-        divides_with_multiplicity(RatPoly(), f)
+    f = T(2) + IntPoly([1])  # T^2 + 1
+    assert divides_with_multiplicity(f, T(4) - IntPoly([1])) == 1
+    assert divides_with_multiplicity(f, f * f) == 2
+    assert divides_with_multiplicity(T(1) - IntPoly([1]), f) == 0
+    assert divides_with_multiplicity(f, IntPoly([3])) == 0
+    for divisor in (IntPoly(), IntPoly([1]), T(2, 2) + IntPoly([1])):  # zero, constant, non-monic
+        with pytest.raises(ValueError):
+            divides_with_multiplicity(divisor, f)
 
 
 def test_exact_division_round_trip():
     rng = random.Random(7)
     for _ in range(30):
-        f = RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] + [1])
-        g = RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)] + [1])
-        q, r = (g * f).divmod(f)
-        assert q == g
-        assert not r
+        f = IntPoly([rng.randint(-50, 50) for _ in range(4)] + [1])
+        g = IntPoly([rng.randint(-50, 50) for _ in range(5)] + [rng.randint(1, 9)])
+        assert (g * f).exact_div(f) == g
 
 
 def test_int_exact_div_errors():
     with pytest.raises(ValueError):
         (T(2) + IntPoly([1])).exact_div(T(1) - IntPoly([1]))
+    with pytest.raises(ValueError):  # non-monic divisor, even though 2T divides 2T^2
+        T(2, 2).exact_div(T(1, 2))
+    with pytest.raises(ValueError):
+        T(2).exact_div(IntPoly([1]))
 
 
 def test_newton_polygon_examples():
@@ -101,10 +103,10 @@ def test_newton_polygon_sum_rule_random():
 
 
 def test_palindrome_sign():
-    assert palindrome_sign(RatPoly(MU_TILDE_EPSILON_SQUARE)) == 1
-    assert palindrome_sign(RatPoly([-1, 0, 1])) == -1  # T^2 - 1
-    assert palindrome_sign(RatPoly([0, 1, 1])) is None  # T^2 + T
-    assert palindrome_sign(RatPoly()) is None
+    assert palindrome_sign(MU_TILDE_EPSILON_SQUARE) == 1
+    assert palindrome_sign([-1, 0, 1]) == -1  # T^2 - 1
+    assert palindrome_sign([0, 1, 1]) is None  # T^2 + T
+    assert palindrome_sign(()) is None
 
 
 def test_euler_phi():
