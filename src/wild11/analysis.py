@@ -18,6 +18,13 @@ Likewise, the finer eigenspace-dimension argument restricting the Picard
 number of these families to {2, 12, 22} is not recomputed here; only the
 root-of-unity count enters.
 
+The structural checks read mu_p alone, never the eigenspace data it was
+expanded from: the functional equation of mu~; for the gamma kind, that
+mu_p is even (the level-p^2 eigenspace product is the Graeffe transform of
+mu_p, so for even mu_p = nu(T^2) it is nu^2 and adds nothing); integral
+coefficients, which assemble_charpoly has already gated; and |mu_p(0)| =
+p^20, since mu_p(0) is the product of the ten eigenspace determinants.
+
 Everything that gates pass/fail is exact integer arithmetic; mu~ is the
 one rational-valued result, built once for the report.  The one
 floating-point computation, the advisory check that the roots of mu~ lie
@@ -31,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycNum
-from .equivariant import CharPolyResult, expand_eigenspace_product
+from .equivariant import CharPolyResult
 from .errors import InconsistencyError
 from .polynomials import (
     IntPoly,
@@ -114,48 +120,28 @@ def _unit_circle_check(mu: IntPoly, p: int) -> bool:
     return bool(np.all(np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOLERANCE))
 
 
-def structural_checks(result: CharPolyResult, kind: str, p: int) -> dict[str, bool | None]:
-    """Named boolean verdicts; reported, never thrown.
+def structural_checks(mu: IntPoly, kind: str, p: int) -> dict[str, bool | None]:
+    """Named boolean verdicts on mu_p; reported, never thrown.
 
-    gamma_parity is None for models without the extra order-4 symmetry.
+    * functional_equation: mu~ is palindromic or antipalindromic.
+    * gamma_parity: mu_p has no odd-degree terms (None for the epsilon
+      kind).  The level-p^2 product prod_i (T^2 - a_i(p^2) T + b_i^2) has
+      the squared eigenvalues as roots, so it is always the Graeffe
+      transform G with G(T^2) = mu(T) * mu(-T); for even mu = nu(T^2) that
+      is nu^2, and parity is all there is to check.
+    * integral_coefficients: mu_p lies in Z[T].
+    * determinant: |mu_p(0)| = p^20, where mu_p(0) = prod_i b_i is the
+      product of the eigenspace determinants.
+    * unit_circle: the advisory floating-point root check.
     """
-    mu = result.mu
-
     checks: dict[str, bool | None] = {}
     # mu~ is (anti)palindromic iff c_j p^j = +-c_{20-j} p^{20-j} for all j
     scaled = [c * p**j for j, c in enumerate(mu.coeffs)]
     checks["functional_equation"] = palindrome_sign(scaled) in (1, -1)
-
-    if kind == "gamma":
-        even = all(c == 0 for j, c in enumerate(mu.coeffs) if j % 2 == 1)
-        parity = even
-        if even:
-            # mu_p(T) = nu(T^2); the level-p^2 polynomial must equal nu(T)^2
-            nu = IntPoly(mu.coeffs[0::2])
-            level2_pairs = [(a2, b * b) for (_, b), a2 in zip(result.per_eigenspace, result.traces_p2.a)]
-            try:
-                mu_level2 = expand_eigenspace_product(level2_pairs)
-            except InconsistencyError:
-                parity = False
-            else:
-                parity = mu_level2 == nu * nu
-        checks["gamma_parity"] = parity
-    else:
-        checks["gamma_parity"] = None
-
-    recomputed: IntPoly | None
-    try:
-        recomputed = expand_eigenspace_product(result.per_eigenspace)
-    except InconsistencyError:
-        recomputed = None
-    checks["integral_coefficients"] = recomputed == mu
-
-    det = CycNum((1,))
-    for _, b in result.per_eigenspace:
-        det = det * b
-    det_value = det.as_int()
-    checks["determinant"] = det_value is not None and abs(det_value) == p**V_DIMENSION
-
+    checks["gamma_parity"] = not any(mu.coeffs[1::2]) if kind == "gamma" else None
+    # mu exists only once assemble_charpoly's integral-mu gate has passed
+    checks["integral_coefficients"] = True
+    checks["determinant"] = abs(mu.coeffs[0]) == p**V_DIMENSION
     checks["unit_circle"] = _unit_circle_check(mu, p)
     return checks
 
@@ -192,6 +178,6 @@ def analyze_charpoly(result: CharPolyResult, kind: str) -> AnalysisReport:
         picard_upper=picard_upper_bound(result.mu, p),
         picard_lower=2,
         height=height_from_newton(result.mu, p),
-        checks=structural_checks(result, kind, p),
+        checks=structural_checks(result.mu, kind, p),
         newton=newton_polygon(result.mu, p),
     )

@@ -55,7 +55,7 @@ class Report:
     analysis: dict | None = None
     fibers: list | None = None
     lattice: dict | None = None
-    timing_seconds: float = 0.0
+    timing_seconds: float = 0.0  # set by main around the command's dispatch
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {}
@@ -147,6 +147,15 @@ def _fiber_json(fiber) -> dict:
     }
 
 
+def _lattice_json(lattice, p: int) -> dict:
+    return {
+        "rank": lattice.rank,
+        "abs_disc": lattice.abs_disc,
+        "components": list(lattice.components),
+        "artin_invariant": artin_invariant(lattice, p),
+    }
+
+
 def _meta() -> dict:
     # deliberately environment-free so identical invocations stay byte-identical
     return {"tool": "wild11", "version": __version__}
@@ -167,15 +176,11 @@ def run_equivariant_pipeline(kind: str, param: int, p: int):
 
 def cmd_analyze(kind: str, param: int, p: int) -> Report:
     """Full pipeline for one surface: tallies, traces, mu_p, and analysis."""
-    start = time.perf_counter()
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
         kind, param, p
     )
     report_data = analyze_charpoly(result, kind)
     fibers = classify_fibers(model)
-    lattice = trivial_lattice(fibers)
-    sigma = artin_invariant(lattice, p)
-    elapsed = time.perf_counter() - start
     return Report(
         meta=_meta(),
         inputs={"kind": kind, "param": param, "p": p},
@@ -202,13 +207,7 @@ def cmd_analyze(kind: str, param: int, p: int) -> Report:
             "checks": dict(sorted(report_data.checks.items())),
         },
         fibers=[_fiber_json(f) for f in fibers],
-        lattice={
-            "rank": lattice.rank,
-            "abs_disc": lattice.abs_disc,
-            "components": list(lattice.components),
-            "artin_invariant": sigma,
-        },
-        timing_seconds=elapsed,
+        lattice=_lattice_json(trivial_lattice(fibers), p),
     )
 
 
@@ -220,7 +219,6 @@ def cmd_table(p: int = 11) -> Report:
 
     Verifies that members of a square class share one polynomial and that
     exactly four distinct polynomials occur."""
-    start = time.perf_counter()
     rows = []
     distinct = set()
     for kind in ("epsilon", "gamma"):
@@ -246,49 +244,31 @@ def cmd_table(p: int = 11) -> Report:
             )
     if len(distinct) != 4:
         raise InconsistencyError(f"expected 4 distinct polynomials, found {len(distinct)}")
-    elapsed = time.perf_counter() - start
-    return Report(
-        meta=_meta(),
-        inputs={"p": p},
-        analysis={"table": rows},
-        timing_seconds=elapsed,
-    )
+    return Report(meta=_meta(), inputs={"p": p}, analysis={"table": rows})
 
 
 def cmd_fibers(kind: str, param: int | None, p: int) -> Report:
-    start = time.perf_counter()
     model = make_model(kind, param, p)
     fibers = classify_fibers(model)
     return Report(
         meta=_meta(),
         inputs={"kind": kind, "param": model.param, "p": p},
         fibers=[_fiber_json(f) for f in fibers],
-        timing_seconds=time.perf_counter() - start,
     )
 
 
 def cmd_lattice(kind: str, param: int | None, p: int) -> Report:
-    start = time.perf_counter()
     model = make_model(kind, param, p)
     fibers = classify_fibers(model)
-    lattice = trivial_lattice(fibers)
-    sigma = artin_invariant(lattice, p)
     return Report(
         meta=_meta(),
         inputs={"kind": kind, "param": model.param, "p": p},
         fibers=[_fiber_json(f) for f in fibers],
-        lattice={
-            "rank": lattice.rank,
-            "abs_disc": lattice.abs_disc,
-            "components": list(lattice.components),
-            "artin_invariant": sigma,
-        },
-        timing_seconds=time.perf_counter() - start,
+        lattice=_lattice_json(trivial_lattice(fibers), p),
     )
 
 
 def cmd_cover(primes_below: int = 100) -> Report:
-    start = time.perf_counter()
     verified, cofactor = verify_cover_identity()
     from .ffield import is_prime
 
@@ -303,12 +283,10 @@ def cmd_cover(primes_below: int = 100) -> Report:
             "cofactor": repr(cofactor),
             "supersingular_possible": table,
         },
-        timing_seconds=time.perf_counter() - start,
     )
 
 
 def cmd_count(kind: str, param: int | None, q: int) -> Report:
-    start = time.perf_counter()
     p, r = _prime_power(q)
     model = make_model(kind, param, p)
     spec = FieldSpec(p, r)
@@ -317,7 +295,6 @@ def cmd_count(kind: str, param: int | None, q: int) -> Report:
         meta=_meta(),
         inputs={"kind": kind, "param": model.param, "p": p, "q": q},
         analysis={"surface_count": count},
-        timing_seconds=time.perf_counter() - start,
     )
 
 
@@ -393,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         if args.command == "analyze":
             report = cmd_analyze(args.kind, args.param, args.p)
@@ -415,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    report.timing_seconds = time.perf_counter() - start
 
     if args.format == "json":
         text = report.to_json(include_timing=args.timing) + "\n"

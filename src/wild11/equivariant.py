@@ -102,8 +102,6 @@ class CharPolyResult:
     `mu` is the degree-20 integer polynomial, `mu_full` its degree-22
     completion (T - p)^2 * mu for the whole second cohomology, and
     `per_eigenspace` holds the quadratic data (a_i(p), b_i) per eigenspace.
-    The eigenspace traces at both field levels are kept for the structural
-    checks.
 
     Per-eigenspace data is canonical only up to the choice of which
     primitive 11th root of unity is "zeta": a different choice permutes the
@@ -114,8 +112,6 @@ class CharPolyResult:
     mu: IntPoly
     mu_full: IntPoly
     per_eigenspace: tuple[tuple[CycNum, CycNum], ...]
-    traces_p: EigenTraces
-    traces_p2: EigenTraces
 
 
 def _exact_half(x: CycNum, what: str) -> CycNum:
@@ -155,11 +151,4 @@ def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyRe
         pairs.append((a, b))
     mu = expand_eigenspace_product(pairs)
     mu_full = mu * IntPoly((p * p, -2 * p, 1))
-    return CharPolyResult(
-        p=p,
-        mu=mu,
-        mu_full=mu_full,
-        per_eigenspace=tuple(pairs),
-        traces_p=E_p,
-        traces_p2=E_p2,
-    )
+    return CharPolyResult(p=p, mu=mu, mu_full=mu_full, per_eigenspace=tuple(pairs))

@@ -19,7 +19,8 @@ matter how the enumeration is partitioned.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
-verifies that from the discriminant and refuses anything worse.
+verifies that from the discriminant and refuses anything worse, and refuses
+characteristics 2 and 3 outright, where that test is invalid.
 """
 
 from __future__ import annotations
@@ -269,11 +270,16 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
     """#X(F_q): sum of fiber counts over P^1(F_q).
 
     Valid as the point count of the smooth K3 only when every singular fiber
-    is irreducible; refuses with ReducibleFiberError otherwise."""
+    is irreducible; refuses with ReducibleFiberError otherwise.  The tame
+    (v(c4), v(Delta)) irreducibility test is invalid in characteristics 2
+    and 3, which are refused with CapabilityError."""
     if spec.p != model.p:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
-    if model.p == 2:
-        raise CapabilityError("surface counting requires odd characteristic")
+    if model.p in (2, 3):
+        raise CapabilityError(
+            f"surface counting needs characteristic > 3: in characteristic {model.p} "
+            "the fibers are wildly ramified and the (v(c4), v(Delta)) test does not apply"
+        )
     for place in singular_places(model):
         if not _is_irreducible_fiber(place):
             raise ReducibleFiberError(

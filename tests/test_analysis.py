@@ -18,8 +18,9 @@ from wild11 import (
     picard_upper_bound,
     structural_checks,
 )
-from wild11.equivariant import CharPolyResult
-from wild11.polynomials import euler_phi
+from wild11.analysis import _unit_circle_check
+from wild11.equivariant import CharPolyResult, expand_eigenspace_product
+from wild11.polynomials import euler_phi, palindrome_sign
 from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_SQUARE,
@@ -67,6 +68,41 @@ def _picard_reference(mu: IntPoly, p: int) -> int:
         for k in range(1, 101)
         if euler_phi(k) <= 20
     )
+
+
+def _reference_checks(result: CharPolyResult, eigen_p2: EigenTraces, kind: str, p: int) -> dict:
+    """Reference: the structural checks recomputed from the eigenspace data.
+
+    Re-expands the eigenspace product (and, for even gamma polynomials, the
+    level-p^2 product from the q = p^2 eigentraces) and multiplies out the
+    eigenspace determinants, as the checks did before they read mu alone."""
+    mu = result.mu
+    checks = {}
+    scaled = [c * p**j for j, c in enumerate(mu.coeffs)]
+    checks["functional_equation"] = palindrome_sign(scaled) in (1, -1)
+    if kind == "gamma":
+        parity = not any(mu.coeffs[1::2])
+        if parity:
+            nu = IntPoly(mu.coeffs[0::2])
+            level2_pairs = [(a2, b * b) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)]
+            try:
+                parity = expand_eigenspace_product(level2_pairs) == nu * nu
+            except InconsistencyError:
+                parity = False
+        checks["gamma_parity"] = parity
+    else:
+        checks["gamma_parity"] = None
+    try:
+        checks["integral_coefficients"] = expand_eigenspace_product(result.per_eigenspace) == mu
+    except InconsistencyError:
+        checks["integral_coefficients"] = False
+    det = CycNum((1,))
+    for _, b in result.per_eigenspace:
+        det = det * b
+    det_value = det.as_int()
+    checks["determinant"] = det_value is not None and abs(det_value) == p**20
+    checks["unit_circle"] = _unit_circle_check(mu, p)
+    return checks
 
 
 def test_normalize_trivial():
@@ -162,7 +198,7 @@ def test_newton_slopes_on_surfaces(analyzed):
 
 def test_structural_checks_gamma(pipeline):
     *_, result = pipeline("gamma", 1)
-    checks = structural_checks(result, "gamma", 11)
+    checks = structural_checks(result.mu, "gamma", 11)
     assert checks == {
         "functional_equation": True,
         "gamma_parity": True,
@@ -174,9 +210,33 @@ def test_structural_checks_gamma(pipeline):
 
 def test_structural_checks_epsilon(pipeline):
     *_, result = pipeline("epsilon", 1)
-    checks = structural_checks(result, "epsilon", 11)
+    checks = structural_checks(result.mu, "epsilon", 11)
     assert checks["gamma_parity"] is None
     assert all(checks[k] for k in ("functional_equation", "integral_coefficients", "determinant", "unit_circle"))
+
+
+@pytest.mark.parametrize("label", ["epsilon", "gamma"])
+@pytest.mark.parametrize("kind", ["epsilon", "gamma"])
+@pytest.mark.parametrize("param", range(11))
+def test_structural_checks_match_eigenspace_reference(pipeline, kind, param, label):
+    *_, eigen_p2, result = pipeline(kind, param)
+    assert structural_checks(result.mu, label, 11) == _reference_checks(result, eigen_p2, label, 11)
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "gamma"])
+@pytest.mark.parametrize("param", range(11))
+def test_mu_identities_behind_the_checks(pipeline, kind, param):
+    *_, eigen_p2, result = pipeline(kind, param)
+    mu = result.mu
+    assert expand_eigenspace_product(result.per_eigenspace) == mu
+    det = CycNum((1,))
+    for _, b in result.per_eigenspace:
+        det = det * b
+    assert det.as_int() == mu.coeffs[0]
+    if kind == "gamma":
+        nu = IntPoly(mu.coeffs[0::2])
+        level2_pairs = [(a2, b * b) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)]
+        assert expand_eigenspace_product(level2_pairs) == nu * nu
 
 
 def test_structural_checks_negative_control():
@@ -186,29 +246,24 @@ def test_structural_checks_negative_control():
     pairs = tuple((zero, one) for _ in range(10))
     mu = _power(IntPoly([1, 0, 1]), 10)  # (T^2 + 1)^10, consistent with the pairs
     fake = CharPolyResult(
-        p=p,
-        mu=mu,
-        mu_full=mu * IntPoly([p * p, -2 * p, 1]),
-        per_eigenspace=pairs,
-        traces_p=EigenTraces(q=p, a=(zero,) * 10),
-        traces_p2=EigenTraces(q=p * p, a=(CycNum((-2,)),) * 10),
+        p=p, mu=mu, mu_full=mu * IntPoly([p * p, -2 * p, 1]), per_eigenspace=pairs
     )
-    checks = structural_checks(fake, "epsilon", p)
+    checks = structural_checks(fake.mu, "epsilon", p)
     assert checks["determinant"] is False
     assert checks["integral_coefficients"] is True  # the product really is mu
+    eigen_p2 = EigenTraces(q=p * p, a=(CycNum((-2,)),) * 10)
+    assert checks == _reference_checks(fake, eigen_p2, "epsilon", p)
 
 
 def test_gamma_parity_fails_on_epsilon_polynomial(pipeline):
     # the epsilon-family polynomial has odd terms, so the parity check,
     # if it were applied, must come out false
     *_, result = pipeline("epsilon", 1)
-    checks = structural_checks(result, "gamma", 11)
+    checks = structural_checks(result.mu, "gamma", 11)
     assert checks["gamma_parity"] is False
 
 
 def test_unit_circle_advisory_negative():
-    from wild11.analysis import _unit_circle_check
-
     p = 11
     off = IntPoly([1, 1]) * IntPoly([p * p * p, 1]) * _power(IntPoly([p * p, 0, 1]), 9)
     # roots -1 and -p^3: after normalization one root has modulus p^2 != 1

@@ -55,7 +55,7 @@ def test_timing_flag_adds_timing(capsys):
         capsys, "analyze", "--kind", "gamma", "--param", "1", "--format", "json", "--timing"
     )
     assert code == EXIT_OK
-    assert "timing_seconds" in json.loads(out)["meta"]
+    assert json.loads(out)["meta"]["timing_seconds"] > 0
 
 
 def test_table_reproduces_four_rows(capsys):
@@ -115,9 +115,17 @@ def test_count_gamma(capsys):
 
 
 def test_count_refuses_reducible_model(capsys):
-    code, _, err = run_cli(capsys, "count", "--kind", "uniform", "--q", "11")
-    assert code == EXIT_USAGE
-    assert "components" in err
+    for q in ("11", "121"):
+        code, _, err = run_cli(capsys, "count", "--kind", "uniform", "--q", q)
+        assert code == EXIT_USAGE
+        assert "components" in err
+
+
+@pytest.mark.parametrize("kind,q", [("uniform", "9"), ("gamma", "27")])
+def test_count_refuses_characteristic_3(capsys, kind, q):
+    code, _, err = run_cli(capsys, "count", "--kind", kind, "--param", "1", "--q", q)
+    assert code == EXIT_CAPABILITY
+    assert "characteristic 3" in err
 
 
 def test_count_rejects_non_prime_power(capsys):

@@ -199,5 +199,7 @@ def test_char2_brute_force_fiber():
             if (y * y + x * y + x * x * x) % 2 == 0:
                 expected += 1
     assert fiber_count(m, spec.element(0), spec) == expected
-    with pytest.raises(CapabilityError):
-        surface_count(m, spec)
+    # the tame fiber test behind surface_count is invalid in characteristics 2 and 3
+    for kind, param, p, r in (("uniform", None, 2, 1), ("uniform", None, 3, 2), ("gamma", 1, 3, 3)):
+        with pytest.raises(CapabilityError):
+            surface_count(make_model(kind, param, p), FieldSpec(p, r))
