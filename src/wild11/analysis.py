@@ -91,14 +91,14 @@ def picard_upper_bound(mu: IntPoly, p: int) -> int:
     return 2 + count
 
 
-def height_from_newton(mu: IntPoly, p: int) -> int | float:
+def height_from_newton(polygon: NewtonPolygon) -> int | float:
     """Formal-Brauer height from the p-adic Newton polygon of mu.
 
     Returns an integer in [1, 10], or INFINITE_HEIGHT when the smallest root
     valuation is 1 (the supersingular case)."""
-    if mu.degree != V_DIMENSION:
-        raise ValueError(f"expected degree {V_DIMENSION}, got {mu.degree}")
-    polygon = newton_polygon(mu, p)
+    degree = polygon.points[-1][0]
+    if degree != V_DIMENSION:
+        raise ValueError(f"expected degree {V_DIMENSION}, got {degree}")
     s_min = polygon.min_valuation()
     if s_min == 1:
         return INFINITE_HEIGHT
@@ -173,11 +173,12 @@ class AnalysisReport:
 def analyze_charpoly(result: CharPolyResult, kind: str) -> AnalysisReport:
     """Run the full interpretation pipeline on an assembled mu_p."""
     p = result.p
+    polygon = newton_polygon(result.mu, p)
     return AnalysisReport(
         mu_tilde=normalize(result.mu, p),
         picard_upper=picard_upper_bound(result.mu, p),
         picard_lower=2,
-        height=height_from_newton(result.mu, p),
+        height=height_from_newton(polygon),
         checks=structural_checks(result.mu, kind, p),
-        newton=newton_polygon(result.mu, p),
+        newton=polygon,
     )

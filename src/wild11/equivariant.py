@@ -13,9 +13,13 @@ computable entirely over F_q, for q = p or p^2 with p = 11:
   t^q + n = t, and t^q - t equals the trace of c).
 
 So each pair (x, y) in F_q^2 adds exactly 11 to exactly one of the eleven
-buckets.  Lefschetz then turns bucket sizes into integer traces,
-tr_n = Fix_n - 1 - q^2, and the inverse DFT over Q(zeta_11) recovers the
-per-eigenspace traces a_i(q).
+buckets.  The q^2 pairs need not be visited one by one: the trace is
+F_p-linear and p = 11, so the bucket -Tr(y^2) + Tr(w(x)) is the difference
+of a y-trace and an x-trace.  Two 11-bin histograms over F_q (of -Tr(y^2)
+and of -Tr(w(x))) and one cyclic convolution of them give the same bucket
+sizes in O(q) field operations.  Lefschetz then turns bucket sizes into
+integer traces, tr_n = Fix_n - 1 - q^2, and the inverse DFT over
+Q(zeta_11) recovers the per-eigenspace traces a_i(q).
 
 With both field levels in hand, each eigenspace V_i carries Frobenius
 eigenvalues alpha, beta with alpha + beta = a_i(p) and alpha^2 + beta^2 =
@@ -57,7 +61,16 @@ class FixTally:
 
 
 def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
-    """Distribute all (x, y) in F_q^2 over the eleven twisted fixed loci."""
+    """Distribute all (x, y) in F_q^2 over the eleven twisted fixed loci.
+
+    The pair (x, y) adds 11 to bucket n = -Tr(y^2 - w(x)) mod 11, where
+    w(x) = x^3 + e*x^2 (epsilon) or x^3 + g*x (gamma).  Since p = 11 and the
+    trace is F_p-linear, n = t - s with t = -Tr(y^2) and s = -Tr(w(x)).  One
+    pass over F_q builds the histograms h_y[t] and h_w[s]; the number of
+    pairs in bucket n is then the cyclic convolution
+    sum_s h_y[(n + s) mod 11] * h_w[s], which is exactly the count of the
+    q^2 pairs, each still adding 11 to exactly one bucket.
+    """
     if model.kind not in ("epsilon", "gamma"):
         raise CapabilityError(
             f"{model.kind!r} model has no order-11 translation automorphism in this chart"
@@ -71,22 +84,27 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
     if spec.r > 2:
         raise CapabilityError(f"tally supports q = p and q = p^2 only, got r = {spec.r}")
     q = spec.q
-    buckets = [2 * q + 1] * AUTOMORPHISM_ORDER
     neg_trace = spec.neg_trace_table()
-    mul, add, sub, smul, index_of = spec.mul, spec.add, spec.sub, spec.smul, spec.index_of
-    coords = [spec.coords_at(i) for i in range(q)]
-    y_squares = [mul(c, c) for c in coords]
+    mul, add, smul, index_of = spec.mul, spec.add, spec.smul, spec.index_of
     param = model.param or 0
     use_x_square = model.kind == "epsilon"
-    for x in coords:
+    h_y = [0] * AUTOMORPHISM_ORDER
+    h_w = [0] * AUTOMORPHISM_ORDER
+    for i in range(q):
+        x = spec.coords_at(i)
         x2 = mul(x, x)
         w = mul(x2, x)
         if param:
             w = add(w, smul(param, x2 if use_x_square else x))
-        for ysq in y_squares:
-            c = sub(ysq, w)
-            buckets[neg_trace[index_of(c)]] += AUTOMORPHISM_ORDER
-    return FixTally(q=q, fix=tuple(buckets))
+        h_y[neg_trace[index_of(x2)]] += 1
+        h_w[neg_trace[index_of(w)]] += 1
+    fix = tuple(
+        2 * q + 1
+        + AUTOMORPHISM_ORDER
+        * sum(h_y[(n + s) % AUTOMORPHISM_ORDER] * h_w[s] for s in range(AUTOMORPHISM_ORDER))
+        for n in range(AUTOMORPHISM_ORDER)
+    )
+    return FixTally(q=q, fix=fix)
 
 
 def traces_from_tally(tally: FixTally) -> list[int]:

@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InconsistencyError
 
-# Largest supported field size; keeps exhaustive O(q) and O(q^2) loops desk-scale.
+# Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
+# O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
 Q_LIMIT = 1 << 20
 
 MAX_EXTENSION_DEGREE = 4
@@ -285,12 +286,21 @@ class FieldSpec:
         return self._chi
 
     def neg_trace_table(self) -> list[int]:
-        """(- Tr_{F_q/F_p} x) mod p by element index."""
+        """(- Tr_{F_q/F_p} x) mod p by element index.
+
+        The trace is F_p-linear, so with t_j = -Tr(u^j) for the power basis
+        1, u, ..., u^(r-1), the element sum_j c_j u^j has -Tr = sum_j c_j t_j
+        mod p.  Only the r basis traces are computed with trace_to_base; the
+        table is then filled one coordinate at a time, in index order.
+        """
         if self._neg_trace is None:
-            table = []
-            for i in range(self.q):
-                x = FieldElement(self, self.coords_at(i))
-                table.append((-trace_to_base(x)) % self.p)
+            p = self.p
+            table = [0]
+            for j in range(self.r):
+                basis = tuple(int(i == j) for i in range(self.r))
+                t_j = (-trace_to_base(FieldElement(self, basis))) % p
+                # indices c * p^j + k for k < p^j: coordinate j is c
+                table = [(t + c * t_j) % p for c in range(p) for t in table]
             self._neg_trace = table
         return self._neg_trace
 

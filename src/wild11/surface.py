@@ -20,7 +20,9 @@ matter how the enumeration is partitioned.
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant and refuses anything worse, and refuses
-characteristics 2 and 3 outright, where that test is invalid.
+characteristics 2 and 3 outright, where that test is invalid.  The count
+takes O(q^2) field operations, so fields larger than 11^4 are refused up
+front rather than left to run for hours.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .ffield import FieldElement, FieldSpec
 from .fppoly import FpPoly, factor
 
 KINDS = ("epsilon", "gamma", "uniform")
+
+# surface_count does O(q^2) field operations; above q = 11^4 it would run for hours
+COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and the s-chart polynomial)
 _DEGREE_BOUNDS = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
@@ -272,13 +277,19 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
     Valid as the point count of the smooth K3 only when every singular fiber
     is irreducible; refuses with ReducibleFiberError otherwise.  The tame
     (v(c4), v(Delta)) irreducibility test is invalid in characteristics 2
-    and 3, which are refused with CapabilityError."""
+    and 3, which are refused with CapabilityError, as is any q above
+    COUNT_Q_LIMIT, before any fiber is examined."""
     if spec.p != model.p:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
     if model.p in (2, 3):
         raise CapabilityError(
             f"surface counting needs characteristic > 3: in characteristic {model.p} "
             "the fibers are wildly ramified and the (v(c4), v(Delta)) test does not apply"
+        )
+    if spec.q > COUNT_Q_LIMIT:
+        raise CapabilityError(
+            f"surface counting takes O(q^2) field operations; q = {spec.q} exceeds "
+            f"the limit {COUNT_Q_LIMIT}"
         )
     for place in singular_places(model):
         if not _is_irreducible_fiber(place):

@@ -20,7 +20,7 @@ from wild11 import (
 )
 from wild11.analysis import _unit_circle_check
 from wild11.equivariant import CharPolyResult, expand_eigenspace_product
-from wild11.polynomials import euler_phi, palindrome_sign
+from wild11.polynomials import euler_phi, newton_polygon, palindrome_sign
 from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_SQUARE,
@@ -179,14 +179,19 @@ def test_height_examples(analyzed):
 def test_height_ordinary_case():
     p = 11
     mu = IntPoly([p, -1, 1]) * _power(IntPoly([p * p, 0, 1]), 9)
-    assert height_from_newton(mu, p) == 1  # a p-adic unit root
+    assert height_from_newton(newton_polygon(mu, p)) == 1  # a p-adic unit root
 
 
 def test_height_rejects_non_integral_value():
     p = 11
     mu = _power(IntPoly([p * p, 0, 0, 0, 0, 1]), 4)  # slopes 2/5 -> "height" 5/3
     with pytest.raises(InconsistencyError):
-        height_from_newton(mu, p)
+        height_from_newton(newton_polygon(mu, p))
+
+
+def test_height_requires_degree_20():
+    with pytest.raises(ValueError, match="degree 20"):
+        height_from_newton(newton_polygon(IntPoly([11, -1, 1]), 11))
 
 
 def test_newton_slopes_on_surfaces(analyzed):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_count_refuses_characteristic_3(capsys, kind, q):
     code, _, err = run_cli(capsys, "count", "--kind", kind, "--param", "1", "--q", q)
     assert code == EXIT_CAPABILITY
     assert "characteristic 3" in err
+
+
+@pytest.mark.parametrize("q", ["923521", "14653"])  # 31^4, and the first prime above 11^4
+def test_count_refuses_fields_above_11_to_the_4(capsys, q):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "count", "--kind", "epsilon", "--param", "1", "--q", q)
+    assert code == EXIT_CAPABILITY
+    assert "exceeds the limit 14641" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_rejects_non_prime_power(capsys):

@@ -13,6 +13,7 @@ from wild11 import (
     inverse_dft,
     make_model,
     surface_count,
+    trace_to_base,
     traces_from_tally,
 )
 from wild11.analysis import normalize
@@ -39,6 +40,50 @@ def naive_tally_f11(kind, param, bucket_sign=-1):
                 c = (y * y - x * x * x - param * x) % 11
             fix[(bucket_sign * c) % 11] += 11
     return tuple(fix)
+
+
+def _reference_tally(model, spec):
+    """Slow reference: every (x, y) in F_q^2 adds 11 to bucket -Tr(y^2 - w(x))."""
+    q = spec.q
+    buckets = [2 * q + 1] * 11
+    neg_trace = [(-trace_to_base(x)) % spec.p for x in spec.elements()]
+    coords = [spec.coords_at(i) for i in range(q)]
+    y_squares = [spec.mul(c, c) for c in coords]
+    param = model.param or 0
+    for x in coords:
+        x2 = spec.mul(x, x)
+        w = spec.mul(x2, x)
+        if param:
+            w = spec.add(w, spec.smul(param, x2 if model.kind == "epsilon" else x))
+        for ysq in y_squares:
+            buckets[neg_trace[spec.index_of(spec.sub(ysq, w))]] += 11
+    return tuple(buckets)
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "gamma"])
+@pytest.mark.parametrize("param", range(11))
+@pytest.mark.parametrize("r", [1, 2])
+def test_tally_matches_pair_loop_reference(kind, param, r):
+    model = make_model(kind, param, 11)
+    spec = FieldSpec(11, r)
+    assert fixed_locus_tally(model, spec).fix == _reference_tally(model, spec)
+
+
+def test_tally_is_linear_in_q(monkeypatch):
+    spec = FieldSpec(11, 2)
+    calls = []
+    index_of = FieldSpec.index_of
+
+    def counting_index_of(self, coords):
+        if self is spec:
+            calls.append(coords)
+        return index_of(self, coords)
+
+    monkeypatch.setattr(FieldSpec, "index_of", counting_index_of)
+    for kind, param in [("epsilon", 1), ("gamma", 3)]:
+        calls.clear()
+        fixed_locus_tally(make_model(kind, param, 11), spec)
+        assert 0 < len(calls) <= 2 * spec.q
 
 
 @pytest.mark.parametrize("kind,param", [("epsilon", 1), ("epsilon", 0), ("gamma", 1), ("gamma", 7)])

@@ -152,6 +152,28 @@ def test_extension_degrees_3_and_4():
         assert trace_to_base(x) in range(p)
 
 
+@pytest.mark.parametrize(
+    "p,r,modulus",
+    [
+        (11, 1, None),
+        (11, 2, None),
+        (11, 3, None),
+        (5, 4, None),
+        (2, 3, None),
+        (11, 2, (1, 1, 1)),  # u^2 + u + 1: Tr(u) = -1, so the basis traces are not (2, 0)
+        (7, 3, (1, 1, 3, 1)),
+    ],
+)
+def test_neg_trace_table_matches_trace(p, r, modulus):
+    spec = FieldSpec(p, r, modulus)
+    assert spec.neg_trace_table() == [(-trace_to_base(x)) % p for x in spec.elements()]
+
+
+def test_neg_trace_table_basis_traces_can_be_nontrivial():
+    spec = FieldSpec(11, 2, (1, 1, 1))
+    assert spec.neg_trace_table()[11] == 1  # -Tr(u) = -(u + u^11) = -(-1)
+
+
 def test_cross_field_operations_rejected():
     a = FieldSpec(11).element(1)
     b = FieldSpec(11, 2).element(1)
