@@ -17,6 +17,7 @@ arithmetic inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -320,6 +321,7 @@ def _prime_power(q: int) -> tuple[int, int]:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parsing does not mutate it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wild11",

@@ -12,6 +12,7 @@ Everything here is immutable and pure, so values may be shared freely.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InconsistencyError
@@ -126,7 +127,7 @@ class FieldSpec:
     the counting loops use.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_reduction_rows", "_chi", "_neg_trace")
+    __slots__ = ("p", "r", "q", "modulus", "_reduction_rows", "_neg_trace")
 
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -159,7 +160,6 @@ class FieldSpec:
             top = cur[-1]
             cur = tuple((s + top * rl) % p for s, rl in zip(shifted, rel))
         self._reduction_rows = tuple(rows)
-        self._chi: list[int] | None = None
         self._neg_trace: list[int] | None = None
 
     # -- identity ---------------------------------------------------------
@@ -270,20 +270,79 @@ class FieldSpec:
         return self.pow(a, self.p)
 
     # -- cached lookup tables (used by the enumeration loops) ----------------
+    #
+    # The point-count tables are cached per field, so equal FieldSpecs share
+    # one copy: the memoised counters in surface keep every FieldSpec they see
+    # as a cache key, and a copy per instance would be kept alive with it.
 
+    @lru_cache(maxsize=None)
+    def log_tables(self) -> tuple[list[int], list[int]]:
+        """(log, exp) by element index, for the first generator g of F_q^* in index order.
+
+        exp[k] is the index of g^k for 0 <= k < q - 1, and log[exp[k]] = k;
+        log[0] is -1, since zero has no logarithm.  The product of nonzero
+        elements with indices a and b has index exp[(log[a] + log[b]) % (q - 1)].
+        """
+        p, q = self.p, self.q
+        one = self.coords_at(1)
+        # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1
+        cofactors = [
+            (q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)
+        ]
+        g = next(
+            self.coords_at(i)
+            for i in range(1, q)
+            if all(self.pow(self.coords_at(i), c) != one for c in cofactors)
+        )
+        # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
+        # time, adding the multiples of u^j * g by carry-free packed addition
+        pack, unpack = self.packed_tables()
+        times_g = [0]
+        for j in range(self.r):
+            column = self.mul(self.coords_at(p**j), g)
+            multiples = [pack[self.index_of(self.smul(c, column))] for c in range(p)]
+            times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
+        log = [-1] * q
+        exp = []
+        i = 1
+        for k in range(q - 1):
+            exp.append(i)
+            log[i] = k
+            i = times_g[i]
+        return log, exp
+
+    @lru_cache(maxsize=None)
     def chi_table(self) -> list[int]:
-        """Quadratic character by element index; requires odd p."""
+        """Quadratic character by element index; requires odd p.
+
+        Read from the logarithm: chi(g^k) = (-1)^k for the generator g."""
         if self.p == 2:
             raise CapabilityError("quadratic character undefined in characteristic 2")
-        if self._chi is None:
-            chi = [-1] * self.q
-            for i in range(1, self.q):
-                c = self.coords_at(i)
-                sq = self.mul(c, c)
-                chi[self.index_of(sq)] = 1
-            chi[0] = 0
-            self._chi = chi
-        return self._chi
+        chi = [0] * self.q
+        for k, i in enumerate(self.log_tables()[1]):
+            chi[i] = -1 if k & 1 else 1
+        return chi
+
+    @lru_cache(maxsize=None)
+    def packed_tables(self) -> tuple[list[int], list[int]]:
+        """(pack, unpack) for carry-free addition of elements given by index.
+
+        pack[i] reads the coordinates c_j of element i as digits in base
+        2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
+        digit below 2p - 1, so it never carries, and unpack, of size
+        (2p - 1)^r < 2^r q, maps it to the index of the field sum:
+        unpack[pack[a] + pack[b]] is the index of a + b.
+        """
+        p = self.p
+        base = 2 * p - 1
+        pack, unpack = [0], [0]
+        for j in range(self.r):
+            # index c * p^j + k packs to c * base^j + pack[k]; packed d * base^j + s
+            # unpacks to (d mod p) * p^j + unpack[s]
+            bj, pj = base**j, p**j
+            pack = [s + c * bj for c in range(p) for s in pack]
+            unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
+        return pack, unpack
 
     def neg_trace_table(self) -> list[int]:
         """(- Tr_{F_q/F_p} x) mod p by element index.

@@ -15,14 +15,20 @@ Point counting is the independent oracle for everything downstream, so it
 is deliberately naive: enumerate x, add 1 + chi(cubic in x) points per
 fiber (odd characteristic; the substitution y -> y - (a1*x + a3)/2 removes
 the crossed terms first).  Counts are exact integers, and identical no
-matter how the enumeration is partitioned.
+matter how the enumeration is partitioned.  surface_count works on element
+indices: the cubic is completed once per chart, A2, A4 and A6 are
+evaluated at every t in one pass through log/exp tables, and each fiber's
+character sum is one lookup per x in a table indexed by carry-free packed
+sums (FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables
+is used by the equivariant tally; fiber_count keeps the FieldElement path
+for single fibers.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant and refuses anything worse, and refuses
 characteristics 2 and 3 outright, where that test is invalid.  The count
-takes O(q^2) field operations, so fields larger than 11^4 are refused up
-front rather than left to run for hours.
+costs q lookups per distinct fiber, up to q^2 in all, so fields larger than
+11^4 are refused up front (COUNT_Q_LIMIT).
 """
 
 from __future__ import annotations
@@ -36,7 +42,10 @@ from .fppoly import FpPoly, factor
 
 KINDS = ("epsilon", "gamma", "uniform")
 
-# surface_count does O(q^2) field operations; above q = 11^4 it would run for hours
+# surface_count does q lookups per distinct fiber, up to q^2 in all.  Near the
+# limit (Python 3.11, one core of a 2-core x86 host) a count at q = 11^4 (1331
+# distinct fibers) takes about 2 s and at the prime 14639 (every fiber
+# distinct) about 11 s; at 31^4 it would take hours.
 COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and the s-chart polynomial)
@@ -206,55 +215,58 @@ def _completed_cubic(model: WeierstrassModel, chart: str) -> tuple[FpPoly, FpPol
     return A2, A4, A6
 
 
-@lru_cache(maxsize=None)
-def _cubic_linear_part(spec: FieldSpec, a2c: tuple, a4c: tuple) -> tuple:
-    """x^3 + a2*x^2 + a4*x for every x, as coordinate tuples in index order."""
-    mul, add = spec.mul, spec.add
-    use_a2 = any(a2c)
-    use_a4 = any(a4c)
-    out = []
-    for i in range(spec.q):
-        x = spec.coords_at(i)
-        x2 = mul(x, x)
-        w = mul(x2, x)
-        if use_a2:
-            w = add(w, mul(a2c, x2))
-        if use_a4:
-            w = add(w, mul(a4c, x))
-        out.append(w)
-    return tuple(out)
+def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
+    """Index of sum_n coeffs[n] t^n for every t in F_q, in index order.
+
+    The coefficients are element indices (an F_p coefficient c is index c).
+    At t = g^k the term c*t^n is exp[(log c + n*k) % (q - 1)], and the terms
+    add by carry-free packed addition; t = 0 takes the constant term."""
+    m = spec.q - 1
+    log, exp = spec.log_tables()
+    pack, unpack = spec.packed_tables()
+    log_t = log[1:]
+    acc = [0] * m
+    for n, c in enumerate(coeffs):
+        if c:
+            lc = log[c]
+            acc = [unpack[pack[a] + pack[exp[(lc + n * lt) % m]]] for a, lt in zip(acc, log_t)]
+    return [coeffs[0] if coeffs else 0] + acc
 
 
 @lru_cache(maxsize=None)
-def _count_cubic_points(spec: FieldSpec, a2c: tuple, a4c: tuple, a6c: tuple) -> int:
-    """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q."""
+def _packed_chi(spec: FieldSpec) -> list[int]:
+    """chi(a + b) by pack(a) + pack(b), for elements a, b of F_q (odd q)."""
     chi = spec.chi_table()
-    add, index_of = spec.add, spec.index_of
-    total = 0
-    for w in _cubic_linear_part(spec, a2c, a4c):
-        total += chi[index_of(add(w, a6c))]
-    return 1 + spec.q + total
+    return [chi[i] for i in spec.packed_tables()[1]]
 
 
-def _count_fiber_char2(spec: FieldSpec, coeffs: tuple[FieldElement, ...]) -> int:
-    if spec.q > 1 << 10:
-        raise CapabilityError("brute-force characteristic-2 counting capped at q = 1024")
-    a1, a2, a3, a4, a6 = coeffs
-    count = 1
-    for x in spec.elements():
-        rhs = ((x + a2) * x + a4) * x + a6
-        for y in spec.elements():
-            if (y + a1 * x + a3) * y == rhs:
-                count += 1
-    return count
+@lru_cache(maxsize=None)
+def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[int, ...]:
+    """pack(x^3 + a2*x^2 + a4*x) for every x in F_q, with a2 and a4 given by index."""
+    pack = spec.packed_tables()[0]
+    return tuple([pack[w] for w in _values_everywhere((0, a4, a2, 1), spec)])
+
+
+@lru_cache(maxsize=None)
+def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
+    """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q.
+
+    The coefficients are element indices.  Every x is enumerated: the count
+    is 1 + q + sum_x chi(w(x) + a6), one packed lookup per x."""
+    chi = _packed_chi(spec)
+    c = spec.packed_tables()[0][a6]
+    return 1 + spec.q + sum([chi[w + c] for w in _cubic_linear_part(spec, a2, a4)])
 
 
 def fiber_count(model: WeierstrassModel, t0, spec: FieldSpec) -> int:
     """Projective F_q-points of the (possibly singular) Weierstrass cubic at t0.
 
-    t0 is a FieldElement of `spec`, or INFINITY for the fiber at s = 0."""
+    t0 is a FieldElement of `spec`, or INFINITY for the fiber at s = 0.
+    Characteristic 2, where the cubic cannot be completed, is refused."""
     if spec.p != model.p:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
+    if model.p == 2:
+        raise CapabilityError("fiber counting needs odd characteristic to complete the cubic")
     if t0 is INFINITY:
         chart = "infinity"
         t0 = spec.zero()
@@ -262,13 +274,8 @@ def fiber_count(model: WeierstrassModel, t0, spec: FieldSpec) -> int:
         if not isinstance(t0, FieldElement) or t0.spec != spec:
             raise ValueError("t0 must be a FieldElement of the given field (or INFINITY)")
         chart = "affine"
-    if model.p == 2:
-        coeffs = tuple(c.evaluate(t0) for c in model.coefficients(chart))
-        return _count_fiber_char2(spec, coeffs)
     A2, A4, A6 = _completed_cubic(model, chart)
-    return _count_cubic_points(
-        spec, A2.evaluate(t0).coords, A4.evaluate(t0).coords, A6.evaluate(t0).coords
-    )
+    return _count_cubic_points(spec, *(poly.evaluate(t0).index() for poly in (A2, A4, A6)))
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
@@ -298,6 +305,8 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
                 f"v(c4)={place.vc4}; the Weierstrass count would miss components"
             )
     total = fiber_count(model, INFINITY, spec)
-    for t0 in spec.elements():
-        total += fiber_count(model, t0, spec)
+    A2, A4, A6 = _completed_cubic(model, "affine")
+    values = (_values_everywhere(poly.coeffs, spec) for poly in (A2, A4, A6))
+    for a2, a4, a6 in zip(*values):
+        total += _count_cubic_points(spec, a2, a4, a6)
     return total

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wild11 import (
@@ -109,6 +111,40 @@ def test_chi_table_matches_character():
     chi = spec.chi_table()
     for x in spec.elements():
         assert chi[x.index()] == quadratic_character(x)
+
+
+@pytest.mark.parametrize(
+    "p,r,modulus",
+    [(11, 1, None), (11, 2, None), (11, 3, None), (5, 4, None), (7, 2, None), (11, 2, (1, 1, 1))],
+)
+def test_log_tables(p, r, modulus):
+    spec = FieldSpec(p, r, modulus)
+    q = spec.q
+    log, exp = spec.log_tables()
+    assert sorted(exp) == list(range(1, q))  # a permutation of the nonzero indices
+    assert all(log[i] == k for k, i in enumerate(exp))
+    g = spec.coords_at(exp[1])
+    for k in range(q - 1):
+        assert spec.index_of(spec.mul(spec.coords_at(exp[k]), g)) == exp[(k + 1) % (q - 1)]
+    # first generator in index order: g^k generates F_q^* iff gcd(k, q - 1) = 1
+    assert all(math.gcd(log[i], q - 1) > 1 for i in range(1, exp[1]))
+
+
+@pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
+def test_chi_table_matches_character_in_larger_fields(p, r, modulus):
+    spec = FieldSpec(p, r, modulus)
+    chi = spec.chi_table()
+    assert chi == [quadratic_character(x) for x in spec.elements()]
+
+
+def test_packed_tables_add_exhaustively():
+    spec = FieldSpec(3, 3)
+    pack, unpack = spec.packed_tables()
+    assert len(unpack) == 5**3
+    for a in range(spec.q):
+        for b in range(spec.q):
+            expected = spec.index_of(spec.add(spec.coords_at(a), spec.coords_at(b)))
+            assert unpack[pack[a] + pack[b]] == expected
 
 
 def test_field_axioms_exhaustive_f9():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wild11 import (
     INFINITY,
@@ -12,7 +14,11 @@ from wild11 import (
     singular_places,
     surface_count,
 )
+from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
+from wild11.surface import _packed_chi
+
+SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
 
 
 def _fp11():
@@ -190,16 +196,130 @@ def test_singular_places_of_epsilon_model():
 
 
 def test_char2_brute_force_fiber():
+    # the cubic cannot be completed in characteristic 2, so single fibers are refused
     m = make_model("uniform", None, 2)
     spec = FieldSpec(2)
-    # y^2 + xy = x^3 + t^11 at t = 0: points (0,0), (1, ...) plus infinity
-    expected = 1
-    for x in range(2):
-        for y in range(2):
-            if (y * y + x * y + x * x * x) % 2 == 0:
-                expected += 1
-    assert fiber_count(m, spec.element(0), spec) == expected
+    with pytest.raises(CapabilityError):
+        fiber_count(m, spec.element(0), spec)
     # the tame fiber test behind surface_count is invalid in characteristics 2 and 3
     for kind, param, p, r in (("uniform", None, 2, 1), ("uniform", None, 3, 2), ("gamma", 1, 3, 3)):
         with pytest.raises(CapabilityError):
             surface_count(make_model(kind, param, p), FieldSpec(p, r))
+
+
+def _reference_surface_count(model, spec):
+    """Test-only slow reference for surface_count: every fiber on its own.
+
+    Each t goes through FpPoly.evaluate, each x through tuple arithmetic,
+    index_of and a character table built here by squaring every element, so
+    nothing is shared with the index tables of surface_count.  The cubic
+    part x^3 + A2 x^2 + A4 x is kept per (A2, A4) and each count per fiber
+    value, as a memo only; every fiber still sums over every x."""
+    p, q = spec.p, spec.q
+    mul, add, index_of = spec.mul, spec.add, spec.index_of
+    chi = [-1] * q
+    chi[0] = 0
+    for i in range(1, q):
+        x = spec.coords_at(i)
+        chi[index_of(mul(x, x))] = 1
+    inv2 = pow(2, p - 2, p)
+    linear_parts, counts = {}, {}
+
+    def fiber(chart, t):
+        a1, a2, a3, a4, a6 = model.coefficients(chart)
+        completed = (a2 + a1 * a1 * (inv2 * inv2), a4 + a1 * a3 * inv2, a6 + a3 * a3 * (inv2 * inv2))
+        A2, A4, A6 = (poly.evaluate(t).coords for poly in completed)
+        if (A2, A4) not in linear_parts:
+            ws = []
+            for i in range(q):
+                x = spec.coords_at(i)
+                x2 = mul(x, x)
+                ws.append(add(add(mul(x2, x), mul(A2, x2)), mul(A4, x)))
+            linear_parts[A2, A4] = ws
+        if (A2, A4, A6) not in counts:
+            total = sum(chi[index_of(add(w, A6))] for w in linear_parts[A2, A4])
+            counts[A2, A4, A6] = 1 + q + total
+        return counts[A2, A4, A6]
+
+    return fiber("infinity", spec.zero()) + sum(fiber("affine", t) for t in spec.elements())
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("kind,param", SURFACES)
+def test_surface_count_matches_reference(kind, param, r):
+    m = make_model(kind, param, 11)
+    spec = FieldSpec(11, r)
+    assert surface_count(m, spec) == _reference_surface_count(m, spec)
+
+
+@pytest.mark.parametrize("kind,param", [("epsilon", 0), ("epsilon", 1), ("epsilon", 2), ("gamma", 2)])
+def test_surface_count_matches_reference_q1331(kind, param):
+    m = make_model(kind, param, 11)
+    spec = FieldSpec(11, 3)
+    assert surface_count(m, spec) == _reference_surface_count(m, spec)
+
+
+# epsilon has a reducible fiber for every param at p = 5, and gamma 1 at p = 7
+@pytest.mark.parametrize(
+    "kind,param,p,r",
+    [
+        ("gamma", 1, 5, 3),
+        ("gamma", 2, 5, 3),
+        ("epsilon", 1, 7, 2),
+        ("gamma", 3, 7, 2),
+        ("epsilon", 1, 13, 2),
+        ("gamma", 1, 13, 2),
+        ("epsilon", 1, 23, 1),
+        ("gamma", 1, 23, 1),
+    ],
+)
+def test_surface_count_matches_reference_other_fields(kind, param, p, r):
+    m = make_model(kind, param, p)
+    spec = FieldSpec(p, r)
+    assert surface_count(m, spec) == _reference_surface_count(m, spec)
+
+
+_PACKED_SPECS = [
+    FieldSpec(11),
+    FieldSpec(11, 2),
+    FieldSpec(11, 3),
+    FieldSpec(5, 4),
+    FieldSpec(7, 2),
+    FieldSpec(3, 3),
+    FieldSpec(11, 2, (1, 1, 1)),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_PACKED_SPECS), st.data())
+def test_packed_chi_matches_chi_of_sum(spec, data):
+    def element():
+        return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
+
+    a, b = element(), element()
+    pack, unpack = spec.packed_tables()
+    packed_sum = pack[spec.index_of(a)] + pack[spec.index_of(b)]
+    assert unpack[packed_sum] == spec.index_of(spec.add(a, b))
+    assert _packed_chi(spec)[packed_sum] == spec.chi_table()[spec.index_of(spec.add(a, b))]
+
+
+def _power_sum(coeffs, k):
+    """k-th Newton power sum of the roots of a monic polynomial of degree >= k, constant term first."""
+    a = coeffs[::-1]  # T^n + a[1] T^(n-1) + ... + a[n]
+    sums = [len(coeffs) - 1]
+    for m in range(1, k + 1):
+        sums.append(-m * a[m] - sum(a[j] * sums[m - j] for j in range(1, m)))
+    return sums[k]
+
+
+# epsilon 1 and 2 lie in different square classes; at q = 11^3 gamma counts
+# (q + 1)^2 whatever mu is, so gamma is checked at q = 11^4 only
+@pytest.mark.parametrize("kind,param,r", [("epsilon", 1, 3), ("epsilon", 2, 3), ("gamma", 1, 4)])
+def test_count_matches_mu_beyond_the_tally_levels(kind, param, r):
+    # mu is built from the tallies at q = 11 and 121; the count at 11^r checks it
+    mu_full = cmd_analyze(kind, param, 11).charpoly["mu_full"]
+    q = 11**r
+    count = surface_count(make_model(kind, param, 11), FieldSpec(11, r))
+    assert count == 1 + q * q + _power_sum(mu_full, r)
+    if r == 4:
+        assert count == 214271036
