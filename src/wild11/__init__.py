@@ -36,7 +36,6 @@ from .equivariant import (
 )
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError, Wild11Error
 from .ffield import (
-    FieldElement,
     FieldSpec,
     quadratic_character,
     smallest_nonresidue,
@@ -76,7 +75,6 @@ __all__ = [
     "CharPolyResult",
     "CycNum",
     "EigenTraces",
-    "FieldElement",
     "FieldSpec",
     "FiberPlace",
     "FixTally",

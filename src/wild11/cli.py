@@ -29,7 +29,7 @@ from .analysis import INFINITE_HEIGHT, analyze_charpoly
 from .cyclotomic import inverse_dft
 from .equivariant import assemble_charpoly, fixed_locus_tally, traces_from_tally
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
-from .ffield import FieldSpec
+from .ffield import FieldSpec, is_prime
 from .kodaira import artin_invariant, classify_fibers, trivial_lattice
 from .polynomials import poly_str
 from .surface import make_model, surface_count
@@ -271,8 +271,6 @@ def cmd_lattice(kind: str, param: int | None, p: int) -> Report:
 
 def cmd_cover(primes_below: int = 100) -> Report:
     verified, cofactor = verify_cover_identity()
-    from .ffield import is_prime
-
     table = {
         str(q): supersingular_possible(q) for q in range(2, primes_below) if is_prime(q)
     }
@@ -300,22 +298,22 @@ def cmd_count(kind: str, param: int | None, q: int) -> Report:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    r = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        r += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, r
+    """(p, r) with q = p^r and p prime, from the integer r-th roots of q."""
+    for r in range(1, max(q, 1).bit_length()):  # p >= 2, so r <= log2 q
+        p = _integer_root(q, r)
+        if p**r == q and is_prime(p):
+            return p, r
+    raise ValueError(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, r: int) -> int:
+    """floor(n^(1/r)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -137,9 +137,6 @@ class CycNum:
         return f"CycNum({list(self.coords)})"
 
 
-ZETA = CycNum.zeta_power(1)
-
-
 def galois_apply(s: int, a: CycNum) -> CycNum:
     """Image of a under the field automorphism zeta -> zeta^s, gcd(s, 11) = 1."""
     if s % ORDER == 0:

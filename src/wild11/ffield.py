@@ -1,11 +1,12 @@
 """Exact arithmetic in prime fields F_p and small extensions F_{p^r}.
 
-Extensions of degree r <= 4 are supported; the package itself only needs
-r in {1, 2, 3}.  An extension is described by a monic irreducible modulus
-over F_p, and elements are coordinate vectors with respect to the power
-basis of that modulus.  For r = 2 the modulus is always u^2 - n with n the
-smallest quadratic non-residue mod p, so field descriptions are canonical
-and reproducible across runs.
+Extensions of degree r <= 4 are supported: the equivariant tally works
+over F_p and F_{p^2}, and the point count goes up to q = 11^4.  An
+extension is described by a monic irreducible modulus over F_p, and an
+element is its coordinate tuple (c_0, ..., c_{r-1}) in the power basis of
+that modulus, or the index sum_j c_j p^j of that tuple.  For r = 2 the
+modulus is always u^2 - n with n the smallest quadratic non-residue mod p,
+so field descriptions are canonical and reproducible across runs.
 
 Everything here is immutable and pure, so values may be shared freely.
 """
@@ -13,9 +14,11 @@ Everything here is immutable and pure, so values may be shared freely.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
+from .fppoly import FpPoly
+from .polynomials import poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
 # O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
@@ -23,19 +26,36 @@ Q_LIMIT = 1 << 20
 
 MAX_EXTENSION_DEGREE = 4
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2017, "Strong
+# pseudoprimes to twelve prime bases"); the bases up to 37 alone are not.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise CapabilityError(f"primality of {n} is only decided below {_MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -52,52 +72,26 @@ def smallest_nonresidue(p: int) -> int:
     raise InconsistencyError(f"no non-residue found mod {p}")  # unreachable for odd p
 
 
-def _poly_gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while any(b):
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], p - 2, p)
-        shift = len(a) - len(b)
-        factor = a[-1] * inv % p
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            a, b = b, a
-    return a if a else [0]
+def _is_irreducible(f: FpPoly) -> bool:
+    """Whether the monic f has no factor of degree <= deg f / 2 (Rabin 1980).
 
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exhaustive root/factor check, valid for degree <= 4."""
-    deg = len(modulus) - 1
-    if deg < 1 or modulus[-1] != 1:
+    Linear factors are found by a root scan, which for the small p used here
+    is cheaper than a power of t; a factor of degree d >= 2 is a common
+    factor of f and t^(p^d) - t."""
+    if f.degree < 1 or f.lead != 1:
         return False
-    if deg == 1:
+    if f.degree == 1:
         return True
-    for x in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * x + c) % p
-        if acc == 0:
+    if 0 in map(f.evaluate, range(f.p)):
+        return False
+    t = FpPoly.monomial(f.p, 1)
+    for d in range(2, f.degree // 2 + 1):
+        if f.gcd(t.pow_mod(f.p**d, f) - t).degree > 0:
             return False
-    if deg <= 3:
-        return True
-    # degree 4: also exclude a product of two irreducible quadratics
-    for b in range(p):
-        for c in range(p):
-            g = _poly_gcd_modp(list(modulus), [c, b, 1], p)
-            if len(g) - 1 == 2:
-                return False
     return True
 
 
+@lru_cache(maxsize=None)  # a search over up to p^r candidates; its result never changes
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     if r == 1:
         return (0, 1)
@@ -108,26 +102,30 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     # r in {3, 4}: first monic irreducible in the base-p enumeration of
     # lower-coefficient tuples; deterministic, hence reproducible.
     for m in range(p**r):
-        coeffs = []
-        mm = m
-        for _ in range(r):
-            coeffs.append(mm % p)
-            mm //= p
-        cand = tuple(coeffs) + (1,)
-        if _is_irreducible(cand, p):
+        cand = _digits(m, p, r) + (1,)
+        if _is_irreducible(FpPoly(p, cand)):
             return cand
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
-class FieldSpec:
-    """Description of F_q with q = p^r, r <= 4.
+def _digits(index: int, p: int, r: int) -> tuple[int, ...]:
+    """The r base-p digits of index, least significant first."""
+    coords = []
+    for _ in range(r):
+        coords.append(index % p)
+        index //= p
+    return tuple(coords)
 
-    Field operations are exposed both on :class:`FieldElement` wrappers and
-    as raw tuple-coordinate methods (`add`, `mul`, ...); the latter are what
-    the counting loops use.
+
+class FieldSpec:
+    """Description of F_q with q = p^r, r <= 4, and its arithmetic.
+
+    The methods `add`, `mul`, `smul` and `pow` act on coordinate tuples;
+    `index_of` and `coords_at` convert between tuples and indices, the form
+    the cached lookup tables are indexed by.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_reduction_rows", "_neg_trace")
+    __slots__ = ("p", "r", "q", "modulus", "_reduction_rows")
 
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -141,11 +139,12 @@ class FieldSpec:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
         if modulus is None:
             modulus = _canonical_modulus(p, r)
-        modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree r")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
+            if len(modulus) != r + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree r")
+            if not _is_irreducible(FpPoly(p, modulus)):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.r = r
         self.q = q
@@ -160,7 +159,6 @@ class FieldSpec:
             top = cur[-1]
             cur = tuple((s + top * rl) % p for s, rl in zip(shifted, rel))
         self._reduction_rows = tuple(rows)
-        self._neg_trace: list[int] | None = None
 
     # -- identity ---------------------------------------------------------
 
@@ -176,30 +174,9 @@ class FieldSpec:
     def __repr__(self) -> str:
         if self.r == 1:
             return f"FieldSpec(F_{self.p})"
-        return f"FieldSpec(F_{self.q} = F_{self.p}[u]/{_poly_repr(self.modulus)})"
+        return f"FieldSpec(F_{self.q} = F_{self.p}[u]/({poly_str(self.modulus, 'u')}))"
 
-    # -- element construction ---------------------------------------------
-
-    def element(self, value: int | Sequence[int]) -> "FieldElement":
-        if isinstance(value, int):
-            coords = (value % self.p,) + (0,) * (self.r - 1)
-        else:
-            value = tuple(value)
-            if len(value) > self.r:
-                raise ValueError(f"too many coordinates for degree-{self.r} extension")
-            coords = tuple(c % self.p for c in value) + (0,) * (self.r - len(value))
-        return FieldElement(self, coords)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.r)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All q elements, in index order (constant coordinate fastest)."""
-        for i in range(self.q):
-            yield FieldElement(self, self.coords_at(i))
+    # -- coordinates and indices ----------------------------------------------
 
     def index_of(self, coords: Sequence[int]) -> int:
         idx = 0
@@ -208,25 +185,13 @@ class FieldSpec:
         return idx
 
     def coords_at(self, index: int) -> tuple[int, ...]:
-        coords = []
-        for _ in range(self.r):
-            coords.append(index % self.p)
-            index //= self.p
-        return tuple(coords)
+        return _digits(index, self.p, self.r)
 
-    # -- raw coordinate arithmetic ------------------------------------------
+    # -- coordinate arithmetic --------------------------------------------------
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, r = self.p, self.r
@@ -250,9 +215,10 @@ class FieldSpec:
         return tuple(s * x % p for x in a)
 
     def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+        """a^e for e >= 0."""
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = (1,) + (0,) * (self.r - 1)
+            raise ValueError(f"negative exponent {e}")
+        result = self.coords_at(1)
         base = a
         while e:
             if e & 1:
@@ -260,14 +226,6 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
-            raise ZeroDivisionError("inversion of zero field element")
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return self.pow(a, self.p)
 
     # -- cached lookup tables (used by the enumeration loops) ----------------
     #
@@ -344,6 +302,7 @@ class FieldSpec:
             unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
         return pack, unpack
 
+    @lru_cache(maxsize=None)
     def neg_trace_table(self) -> list[int]:
         """(- Tr_{F_q/F_p} x) mod p by element index.
 
@@ -352,139 +311,30 @@ class FieldSpec:
         mod p.  Only the r basis traces are computed with trace_to_base; the
         table is then filled one coordinate at a time, in index order.
         """
-        if self._neg_trace is None:
-            p = self.p
-            table = [0]
-            for j in range(self.r):
-                basis = tuple(int(i == j) for i in range(self.r))
-                t_j = (-trace_to_base(FieldElement(self, basis))) % p
-                # indices c * p^j + k for k < p^j: coordinate j is c
-                table = [(t + c * t_j) % p for c in range(p) for t in table]
-            self._neg_trace = table
-        return self._neg_trace
+        p = self.p
+        table = [0]
+        for j in range(self.r):
+            t_j = (-trace_to_base(self, self.coords_at(p**j))) % p
+            # indices c * p^j + k for k < p^j: coordinate j is c
+            table = [(t + c * t_j) % p for c in range(p) for t in table]
+        return table
 
 
-def _poly_repr(coeffs: Sequence[int], var: str = "u") -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(f"{var}" if c == 1 else f"{c}*{var}")
-        else:
-            terms.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-    return "(" + " + ".join(terms) + ")" if terms else "(0)"
-
-
-class FieldElement:
-    """An element of a :class:`FieldSpec`, as power-basis coordinates in [0, p)."""
-
-    __slots__ = ("spec", "coords")
-
-    def __init__(self, spec: FieldSpec, coords: tuple[int, ...]):
-        self.spec = spec
-        self.coords = coords
-
-    def _coerce(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("elements belong to different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.spec, self.spec.add(self.coords, o.coords))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.spec, self.spec.sub(self.coords, o.coords))
-
-    def __rsub__(self, other: int) -> "FieldElement":
-        return self._coerce(other) - self
-
-    def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(self.spec, self.spec.smul(other % self.spec.p, self.coords))
-        o = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.coords, o.coords))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.coords, self.spec.inv(o.coords)))
-
-    def __rtruediv__(self, other: int) -> "FieldElement":
-        return self._coerce(other) / self
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg(self.coords))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.coords, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.coords))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self.spec.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.coords))
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def index(self) -> int:
-        return self.spec.index_of(self.coords)
-
-    def in_base_field(self) -> bool:
-        return not any(self.coords[1:])
-
-    def __repr__(self) -> str:
-        return f"FieldElement({_poly_repr(self.coords)} in F_{self.spec.q})"
-
-
-def trace_to_base(x: FieldElement, spec: FieldSpec | None = None) -> int:
+def trace_to_base(spec: FieldSpec, x: tuple[int, ...]) -> int:
     """Tr_{F_q/F_p}(x) = sum of x^(p^j), returned as an integer residue mod p."""
-    spec = spec or x.spec
-    if spec != x.spec:
-        raise ValueError("element does not belong to the given field")
-    acc = x.coords
-    img = x.coords
+    acc = img = x
     for _ in range(spec.r - 1):
-        img = spec.frobenius(img)
+        img = spec.pow(img, spec.p)
         acc = spec.add(acc, img)
     if any(acc[1:]):
         raise InconsistencyError(f"trace {acc} has nonzero higher coordinates")
     return acc[0]
 
 
-def quadratic_character(x: FieldElement, spec: FieldSpec | None = None) -> int:
+def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     """0 for x = 0, +1 for a nonzero square in F_q, -1 otherwise (odd p only)."""
-    spec = spec or x.spec
-    if spec != x.spec:
-        raise ValueError("element does not belong to the given field")
     if spec.p == 2:
         raise CapabilityError("quadratic character undefined in characteristic 2")
-    if not x:
+    if not any(x):
         return 0
-    power = spec.pow(x.coords, (spec.q - 1) // 2)
-    if power == (1,) + (0,) * (spec.r - 1):
-        return 1
-    return -1
-
+    return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1

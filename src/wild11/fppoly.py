@@ -142,16 +142,11 @@ class FpPoly:
             e >>= 1
         return result
 
-    def evaluate(self, x):
-        """Evaluate at an int (mod p) or at a field element of characteristic p."""
-        if isinstance(x, int):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % self.p
-            return acc
-        acc = x.spec.zero()
+    def evaluate(self, x: int) -> int:
+        """Value at x in F_p, as a residue in [0, p)."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = (acc * x + c) % self.p
         return acc
 
     __call__ = evaluate

@@ -102,12 +102,9 @@ def _classify_place(vc4: int | None, vdelta: int) -> tuple[str, int]:
     )
 
 
-def classify_fibers(model: WeierstrassModel, p: int | None = None) -> list[KodairaFiber]:
+def classify_fibers(model: WeierstrassModel) -> list[KodairaFiber]:
     """Kodaira types at every singular place, the infinite one first."""
-    if p is None:
-        p = model.p
-    if p != model.p:
-        raise ValueError(f"model has characteristic {model.p}, not {p}")
+    p = model.p
     if p in (2, 3):
         raise CapabilityError(
             f"characteristic {p} is wildly ramified for these models; "
@@ -119,7 +116,7 @@ def classify_fibers(model: WeierstrassModel, p: int | None = None) -> list[Kodai
     ]
 
 
-def wild_delta_report(model: WeierstrassModel, p: int | None = None) -> tuple[FpPoly, int]:
+def wild_delta_report(model: WeierstrassModel) -> tuple[FpPoly, int]:
     """Discriminant bookkeeping for the uniform model in characteristics 2, 3.
 
     Returns (affine Delta over F_p, v_infinity(Delta)).  The affine part
@@ -127,12 +124,8 @@ def wild_delta_report(model: WeierstrassModel, p: int | None = None) -> tuple[Fp
     tame value 2 is wild ramification; no classification is attempted."""
     if model.kind != "uniform":
         raise CapabilityError("wild-characteristic bookkeeping applies to the uniform model only")
-    if p is None:
-        p = model.p
-    if p != model.p:
-        raise ValueError(f"model has characteristic {model.p}, not {p}")
-    if p not in (2, 3):
-        raise ValueError(f"characteristic {p} is not wild here; use classify_fibers")
+    if model.p not in (2, 3):
+        raise ValueError(f"characteristic {model.p} is not wild here; use classify_fibers")
     _, delta = c4_delta(model)
     _, delta_inf = c4_delta_infinity(model)
     return delta, _valuation_at_zero(delta_inf)

@@ -203,12 +203,6 @@ class NewtonPolygon:
     hull: tuple[tuple[int, int], ...]
     slopes: tuple[tuple[Fraction, int], ...]
 
-    def valuations(self) -> list[Fraction]:
-        out = []
-        for v, m in self.slopes:
-            out.extend([v] * m)
-        return out
-
     def min_valuation(self) -> Fraction:
         return self.slopes[0][0]
 

@@ -20,8 +20,9 @@ indices: the cubic is completed once per chart, A2, A4 and A6 are
 evaluated at every t in one pass through log/exp tables, and each fiber's
 character sum is one lookup per x in a table indexed by carry-free packed
 sums (FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables
-is used by the equivariant tally; fiber_count keeps the FieldElement path
-for single fibers.
+is used by the equivariant tally.  fiber_count counts a single fiber, with
+t given by its element index, evaluating A2, A4 and A6 by Horner's rule in
+coordinate arithmetic.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapabilityError, ReducibleFiberError
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldSpec
 from .fppoly import FpPoly, factor
 
 KINDS = ("epsilon", "gamma", "uniform")
@@ -261,21 +262,27 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
 def fiber_count(model: WeierstrassModel, t0, spec: FieldSpec) -> int:
     """Projective F_q-points of the (possibly singular) Weierstrass cubic at t0.
 
-    t0 is a FieldElement of `spec`, or INFINITY for the fiber at s = 0.
-    Characteristic 2, where the cubic cannot be completed, is refused."""
+    t0 is the element index of t in `spec` (0 <= t0 < q), or INFINITY for
+    the fiber at s = 0.  Characteristic 2, where the cubic cannot be
+    completed, is refused."""
     if spec.p != model.p:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
     if model.p == 2:
         raise CapabilityError("fiber counting needs odd characteristic to complete the cubic")
     if t0 is INFINITY:
-        chart = "infinity"
-        t0 = spec.zero()
-    else:
-        if not isinstance(t0, FieldElement) or t0.spec != spec:
-            raise ValueError("t0 must be a FieldElement of the given field (or INFINITY)")
+        chart, t0 = "infinity", 0
+    elif isinstance(t0, int) and 0 <= t0 < spec.q:
         chart = "affine"
-    A2, A4, A6 = _completed_cubic(model, chart)
-    return _count_cubic_points(spec, *(poly.evaluate(t0).index() for poly in (A2, A4, A6)))
+    else:
+        raise ValueError(f"t0 must be an element index in [0, {spec.q}) or INFINITY, got {t0!r}")
+    t = spec.coords_at(t0)
+    values = []
+    for poly in _completed_cubic(model, chart):
+        acc = spec.coords_at(0)
+        for c in reversed(poly.coeffs):
+            acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
+        values.append(spec.index_of(acc))
+    return _count_cubic_points(spec, *values)
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:

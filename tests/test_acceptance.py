@@ -103,10 +103,9 @@ def test_criterion_4_counting_identities():
     ok = ok and surface_count(model, spec3) == 1_774_224
     for spec in (FieldSpec(P), spec3):
         q = spec.q
-        for t in spec.elements():
-            if not t:
-                continue
-            if fiber_count(model, t, spec) + fiber_count(model, -t, spec) != 2 * q + 2:
+        for t in range(1, q):
+            minus_t = spec.index_of(spec.smul(-1, spec.coords_at(t)))
+            if fiber_count(model, t, spec) + fiber_count(model, minus_t, spec) != 2 * q + 2:
                 ok = False
                 break
     elapsed = time.perf_counter() - start
@@ -189,11 +188,14 @@ def _missigned_tally(model, spec) -> FixTally:
     """The tally as computed with the wrong bucket sign n = +Tr(c)."""
     q = spec.q
     fix = [2 * q + 1] * ORDER
-    for x in spec.elements():
-        w = x * x * x + (model.param or 0) * (x * x if model.kind == "epsilon" else x)
-        for y in spec.elements():
-            c = y * y - w
-            fix[trace_to_base(c) % ORDER] += ORDER
+    elements = [spec.coords_at(i) for i in range(q)]
+    for x in elements:
+        x2 = spec.mul(x, x)
+        w = spec.add(spec.mul(x2, x), spec.smul(model.param or 0, x2 if model.kind == "epsilon" else x))
+        minus_w = spec.smul(-1, w)
+        for y in elements:
+            c = spec.add(spec.mul(y, y), minus_w)
+            fix[trace_to_base(spec, c) % ORDER] += ORDER
     return FixTally(q=q, fix=tuple(fix))
 
 

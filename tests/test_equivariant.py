@@ -46,8 +46,8 @@ def _reference_tally(model, spec):
     """Slow reference: every (x, y) in F_q^2 adds 11 to bucket -Tr(y^2 - w(x))."""
     q = spec.q
     buckets = [2 * q + 1] * 11
-    neg_trace = [(-trace_to_base(x)) % spec.p for x in spec.elements()]
     coords = [spec.coords_at(i) for i in range(q)]
+    neg_trace = [(-trace_to_base(spec, x)) % spec.p for x in coords]
     y_squares = [spec.mul(c, c) for c in coords]
     param = model.param or 0
     for x in coords:
@@ -55,8 +55,9 @@ def _reference_tally(model, spec):
         w = spec.mul(x2, x)
         if param:
             w = spec.add(w, spec.smul(param, x2 if model.kind == "epsilon" else x))
+        minus_w = spec.smul(-1, w)
         for ysq in y_squares:
-            buckets[neg_trace[spec.index_of(spec.sub(ysq, w))]] += 11
+            buckets[neg_trace[spec.index_of(spec.add(ysq, minus_w))]] += 11
     return tuple(buckets)
 
 
