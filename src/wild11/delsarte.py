@@ -16,6 +16,7 @@ this needs.
 from __future__ import annotations
 
 from .errors import InconsistencyError
+from .ffield import is_prime
 
 _Exponents = tuple[int, int, int]
 
@@ -151,8 +152,6 @@ def verify_cover_identity() -> tuple[bool, MultiPoly]:
 def supersingular_possible(p: int) -> bool:
     """Whether characteristic p admits a supersingular member: p = 11, or
     some power of p is -1 mod 11 (equivalently p is a non-square mod 11)."""
-    from .ffield import is_prime
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 11:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import FpPoly
+from .fppoly import FpPoly, is_irreducible
 from .polynomials import poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
@@ -72,25 +72,6 @@ def smallest_nonresidue(p: int) -> int:
     raise InconsistencyError(f"no non-residue found mod {p}")  # unreachable for odd p
 
 
-def _is_irreducible(f: FpPoly) -> bool:
-    """Whether the monic f has no factor of degree <= deg f / 2 (Rabin 1980).
-
-    Linear factors are found by a root scan, which for the small p used here
-    is cheaper than a power of t; a factor of degree d >= 2 is a common
-    factor of f and t^(p^d) - t."""
-    if f.degree < 1 or f.lead != 1:
-        return False
-    if f.degree == 1:
-        return True
-    if 0 in map(f.evaluate, range(f.p)):
-        return False
-    t = FpPoly.monomial(f.p, 1)
-    for d in range(2, f.degree // 2 + 1):
-        if f.gcd(t.pow_mod(f.p**d, f) - t).degree > 0:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)  # a search over up to p^r candidates; its result never changes
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     if r == 1:
@@ -103,7 +84,7 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     # lower-coefficient tuples; deterministic, hence reproducible.
     for m in range(p**r):
         cand = _digits(m, p, r) + (1,)
-        if _is_irreducible(FpPoly(p, cand)):
+        if is_irreducible(FpPoly(p, cand)):
             return cand
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
@@ -143,7 +124,7 @@ class FieldSpec:
             modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree r")
-            if not _is_irreducible(FpPoly(p, modulus)):
+            if not is_irreducible(FpPoly(p, modulus)):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.r = r

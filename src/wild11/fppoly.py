@@ -2,9 +2,10 @@
 
 Support module for the Weierstrass-model and fiber-classification code:
 discriminants and c4-covariants live in F_p[t], and fiber classification
-needs their factorizations into monic irreducibles.  Factorization is the
-classical squarefree / distinct-degree / equal-degree pipeline; the
-equal-degree splitting step requires odd p, which covers every use in this
+needs their factorizations into monic irreducibles.  Factorization is
+distinct-degree splitting, which strips every power (p-th powers included)
+of each factor it finds and is also the irreducibility test, then
+equal-degree splitting, which requires odd p; that covers every use in this
 package (classification is only offered for p >= 5).
 
 The splitting step tries candidate polynomials in a fixed enumeration
@@ -17,6 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapabilityError
+from .polynomials import poly_str
 
 
 class FpPoly:
@@ -123,9 +125,6 @@ class FpPoly:
         inv = pow(self.lead, self.p - 2, self.p)
         return self * inv
 
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
-
     def gcd(self, other: "FpPoly") -> "FpPoly":
         a, b = self, other
         while b:
@@ -172,46 +171,15 @@ class FpPoly:
             cur = q
 
     def __repr__(self) -> str:
-        from .polynomials import poly_str
-
         return f"FpPoly(p={self.p}, {poly_str(self.coeffs, 't')})"
 
 
-def _pth_root(f: FpPoly) -> FpPoly:
-    # f = g(t^p) with coefficients in F_p, where c^(1/p) = c
-    return FpPoly(f.p, f.coeffs[:: f.p])
-
-
-def _squarefree_decomposition(f: FpPoly) -> dict[FpPoly, int]:
-    """f monic -> {monic squarefree g: m} with f = prod g^m; characteristic-aware."""
-    out: dict[FpPoly, int] = {}
-    if f.degree <= 0:
-        return out
-    fp = f.derivative()
-    if not fp:
-        for h, m in _squarefree_decomposition(_pth_root(f)).items():
-            out[h] = out.get(h, 0) + m * f.p
-        return out
-    c = f.gcd(fp)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w // y
-        if z.degree > 0:
-            out[z] = out.get(z, 0) + i
-        w = y
-        c = c // y
-        i += 1
-    if c.degree > 0:
-        # remaining part has all multiplicities divisible by p
-        for h, m in _squarefree_decomposition(c).items():
-            out[h] = out.get(h, 0) + m
-    return out
-
-
 def _distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """f monic squarefree -> [(product of irreducible factors of degree d, d)]."""
+    """f monic -> [(product of the distinct irreducible factors of degree d, d)].
+
+    Every power of a factor found at degree d is divided out (the gcd with each
+    quotient, as multiplicities may differ), so f keeps no factor of degree
+    below d and a remainder of degree below 2d is irreducible."""
     p = f.p
     out = []
     t = FpPoly.monomial(p, 1)
@@ -222,7 +190,9 @@ def _distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
         gd = f.gcd(g - t)
         if gd.degree > 0:
             out.append((gd, d))
-            f = f // gd
+            while gd.degree > 0:
+                f //= gd
+                gd = f.gcd(gd)
             g = g % f
         d += 1
     if f.degree > 0:
@@ -230,10 +200,14 @@ def _distinct_degree(f: FpPoly) -> list[tuple[FpPoly, int]]:
     return out
 
 
-def _candidate_polys(p: int):
-    """Monic non-constant polynomials in a fixed deterministic order."""
-    degree = 1
-    while True:
+def is_irreducible(f: FpPoly) -> bool:
+    """Whether f is monic and irreducible over F_p."""
+    return f.lead == 1 and _distinct_degree(f) == [(f, f.degree)]
+
+
+def _candidate_polys(p: int, max_degree: int):
+    """Monic polynomials of degree 1 .. max_degree in a fixed deterministic order."""
+    for degree in range(1, max_degree + 1):
         for m in range(p**degree):
             coeffs = []
             mm = m
@@ -241,7 +215,6 @@ def _candidate_polys(p: int):
                 coeffs.append(mm % p)
                 mm //= p
             yield FpPoly(p, coeffs + [1])
-        degree += 1
 
 
 def _equal_degree(f: FpPoly, d: int) -> list[FpPoly]:
@@ -252,16 +225,14 @@ def _equal_degree(f: FpPoly, d: int) -> list[FpPoly]:
     if p == 2:
         raise CapabilityError("equal-degree splitting not implemented for p = 2")
     half = (p**d - 1) // 2
-    for a in _candidate_polys(p):
-        if a.degree > f.degree:
-            # splitting residues have density >= 1/2, so scanning every monic
-            # polynomial up to deg f cannot come up empty for a genuine product
-            raise RuntimeError(f"equal-degree splitting failed for {f!r}")
+    for a in _candidate_polys(p, f.degree):
         b = a.pow_mod(half, f) - FpPoly.constant(p, 1)
         g = f.gcd(b)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d) + _equal_degree(f // g, d)
-    raise RuntimeError("candidate enumeration exhausted")
+    # splitting residues have density >= 1/2, so scanning every monic
+    # polynomial up to deg f cannot come up empty for a genuine product
+    raise RuntimeError(f"equal-degree splitting failed for {f!r}")
 
 
 def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
@@ -272,12 +243,13 @@ def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    pieces: dict[FpPoly, int] = {}
-    for sqfree, mult in _squarefree_decomposition(f.monic()).items():
-        for prod, d in _distinct_degree(sqfree):
-            for irr in _equal_degree(prod, d):
-                pieces[irr] = pieces.get(irr, 0) + mult
-    return sorted(pieces.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    f = f.monic()
+    pieces = [
+        (irr, f.multiplicity_of(irr))
+        for prod, d in _distinct_degree(f)
+        for irr in _equal_degree(prod, d)
+    ]
+    return sorted(pieces, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 def roots_in_base(f: FpPoly) -> list[int]:

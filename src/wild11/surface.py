@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapabilityError, ReducibleFiberError
-from .ffield import FieldSpec
+from .ffield import FieldSpec, is_prime
 from .fppoly import FpPoly, factor
+from .polynomials import poly_str
 
 KINDS = ("epsilon", "gamma", "uniform")
 
@@ -115,15 +116,11 @@ class FiberPlace:
             return "infinity"
         if isinstance(self.location, int):
             return f"t={self.location}"
-        from .polynomials import poly_str
-
         return poly_str(self.location.coeffs, "t")
 
 
 def make_model(kind: str, param: int | None, p: int) -> WeierstrassModel:
     """Build one of the three families over F_p; param is reduced mod p."""
-    from .ffield import is_prime
-
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if kind not in KINDS:

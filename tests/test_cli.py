@@ -175,6 +175,15 @@ def test_out_file(tmp_path, capsys):
     assert data["inputs"] == {"kind": "epsilon", "param": 2, "p": 11}
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+def test_out_unwritable_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(capsys, "cover-check", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--kind", "gamma", "--param", "3", "--q", "11", "--format", "csv"

@@ -10,8 +10,8 @@ from wild11 import (
     smallest_nonresidue,
     trace_to_base,
 )
-from wild11.ffield import _is_irreducible, is_prime
-from wild11.fppoly import FpPoly
+from wild11.ffield import is_prime
+from wild11.fppoly import FpPoly, is_irreducible
 
 
 def _elements(spec):
@@ -97,7 +97,7 @@ def _reference_is_irreducible(f):
 )
 def test_is_irreducible_matches_trial_division(p, r):
     for f in _monic_polys(p, r):
-        assert _is_irreducible(f) == _reference_is_irreducible(f), f
+        assert is_irreducible(f) == _reference_is_irreducible(f), f
 
 
 def test_spec_construction_errors():

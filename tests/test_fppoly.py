@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from wild11.fppoly import FpPoly, factor, roots_in_base
+from wild11.fppoly import FpPoly, factor, is_irreducible, roots_in_base
+from wild11.surface import c4_delta, make_model
 
 
 def poly(p, *coeffs):
@@ -119,6 +121,54 @@ def test_factor_random_products():
             recovered = dict(factor(f))
             assert recovered == dict(zip(chosen, mults))
             _refactor_check(f)
+
+
+def test_factor_uniform_discriminant_f11():
+    # Delta = 8 t^22 + 10 t^11 = 8 t^11 (t + 4)^11: its derivative vanishes
+    p = 11
+    delta = FpPoly(p, (0,) * 11 + (10,) + (0,) * 10 + (8,))
+    assert c4_delta(make_model("uniform", None, p))[1] == delta
+    assert factor(delta) == [(poly(p, 0, 1), 11), (poly(p, 4, 1), 11)]
+    _refactor_check(delta)
+
+
+def _monic_polys(p, degree):
+    for lower in itertools.product(range(p), repeat=degree):
+        yield FpPoly(p, lower + (1,))
+
+
+def _irreducible_by_trial_division(g):
+    return all(
+        g % h for d in range(1, g.degree // 2 + 1) for h in _monic_polys(g.p, d)
+    )
+
+
+@pytest.mark.parametrize("p,max_degree", [(3, 6), (5, 4), (7, 3)])
+def test_factor_exhaustive_small_fields(p, max_degree):
+    # every monic f of degree 1 .. max_degree, so zero derivatives (t^3 + 1
+    # over F_3) and unequal multiplicities (t^3 (t + 1)) are all covered
+    irreducible = {}
+    for degree in range(1, max_degree + 1):
+        for f in _monic_polys(p, degree):
+            pieces = factor(f)
+            prod = FpPoly.constant(p, 1)
+            for g, m in pieces:
+                assert g.lead == 1 and m >= 1
+                if g not in irreducible:
+                    irreducible[g] = _irreducible_by_trial_division(g)
+                assert irreducible[g], (f, g)
+                for _ in range(m):
+                    prod = prod * g
+            assert prod == f
+            keys = [(g.degree, g.coeffs) for g, _ in pieces]
+            assert keys == sorted(set(keys)), f
+
+
+def test_is_irreducible_requires_monic_nonconstant():
+    p = 5
+    assert is_irreducible(poly(p, 1, 1)) and is_irreducible(poly(p, 2, 0, 1))
+    for f in (FpPoly(p), poly(p, 1), poly(p, 3), poly(p, 1, 2), poly(p, 4, 0, 2)):
+        assert not is_irreducible(f), f
 
 
 def test_multiplicity_of():
