@@ -22,8 +22,9 @@ The structural checks read mu_p alone, never the eigenspace data it was
 expanded from: the functional equation of mu~; for the gamma kind, that
 mu_p is even (the level-p^2 eigenspace product is the Graeffe transform of
 mu_p, so for even mu_p = nu(T^2) it is nu^2 and adds nothing); integral
-coefficients, which assemble_charpoly has already gated; and |mu_p(0)| =
-p^20, since mu_p(0) is the product of the ten eigenspace determinants.
+coefficients, which assemble_charpoly's conjugacy and Newton gates have
+already enforced; and |mu_p(0)| = p^20, since mu_p(0) is the product of
+the ten eigenspace determinants.
 
 Everything that gates pass/fail is exact integer arithmetic; mu~ is the
 one rational-valued result, built once for the report.  The one
@@ -139,7 +140,8 @@ def structural_checks(mu: IntPoly, kind: str, p: int) -> dict[str, bool | None]:
     scaled = [c * p**j for j, c in enumerate(mu.coeffs)]
     checks["functional_equation"] = palindrome_sign(scaled) in (1, -1)
     checks["gamma_parity"] = not any(mu.coeffs[1::2]) if kind == "gamma" else None
-    # mu exists only once assemble_charpoly's integral-mu gate has passed
+    # mu exists only once assemble_charpoly's conjugacy gate and the exact
+    # Newton divisions that build it in Z[T] have passed
     checks["integral_coefficients"] = True
     checks["determinant"] = abs(mu.coeffs[0]) == p**V_DIMENSION
     checks["unit_circle"] = _unit_circle_check(mu, p)

@@ -159,8 +159,8 @@ class EigenTraces:
     """Relative Frobenius traces a_1 .. a_10 over F_q; a[i-1] is a_i.
 
     For tallies produced by honest point counts every a_i lies in Z[zeta]
-    and the multiset {a_1, ..., a_10} is stable under each Galois map
-    zeta -> zeta^s.
+    and a_s = sigma_s(a_1) for each Galois map sigma_s: zeta -> zeta^s
+    (equivariant.check_conjugates).
     """
 
     q: int
@@ -178,14 +178,6 @@ class EigenTraces:
         if value is None:
             raise InconsistencyError("sum of eigenspace traces is not rational")
         return value
-
-    def is_galois_stable(self) -> bool:
-        reference = sorted(x.coords for x in self.a)
-        for s in range(2, ORDER):
-            imaged = sorted(galois_apply(s, x).coords for x in self.a)
-            if imaged != reference:
-                return False
-        return True
 
     def galois_permutation(self, s: int) -> tuple[int, ...] | None:
         """Observed index map under zeta -> zeta^s: position i holds j with

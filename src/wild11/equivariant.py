@@ -25,16 +25,22 @@ With both field levels in hand, each eigenspace V_i carries Frobenius
 eigenvalues alpha, beta with alpha + beta = a_i(p) and alpha^2 + beta^2 =
 a_i(p^2), so its characteristic polynomial is T^2 - a_i(p) T + b_i with
 b_i = (a_i(p)^2 - a_i(p^2)) / 2, a division that must be exact in Z[zeta].
-The product over the ten eigenspaces must collapse to a degree-20
-polynomial with plain integer coefficients; both conditions are enforced
-as hard gates.
+The a_i come from an inverse DFT of integer traces, so a_s = sigma_s(a_1)
+for the Galois map sigma_s: zeta -> zeta^s, at both levels; the conjugacy
+gate demands exactly that.  mu_p, the product over the ten eigenspaces, is
+then the norm from Q(zeta) of T^2 - a_1 T + b_1.  It is read from one
+eigenspace: the power sums s_k = alpha^k + beta^k in Z[zeta] have
+integer traces S_k = Tr(s_k), the power sums of all twenty roots, and
+Newton's identities turn S_1 .. S_20 into the coefficients of mu_p, each
+through a division by k that must be exact in Z (the Newton gate).  All
+three conditions are hard gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum, EigenTraces
+from .cyclotomic import DEGREE, ORDER, CycNum, EigenTraces, galois_apply
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec
 from .polynomials import IntPoly
@@ -139,7 +145,9 @@ def _exact_half(x: CycNum, what: str) -> CycNum:
 
 
 def expand_eigenspace_product(pairs) -> IntPoly:
-    """Expand prod_i (T^2 - a_i T + b_i) over Q(zeta) and demand Z coefficients."""
+    """Expand prod_i (T^2 - a_i T + b_i) over Q(zeta) and demand Z coefficients.
+
+    The slow reference for the norm in :func:`assemble_charpoly`."""
     poly: list[CycNum] = [CycNum((1,))]
     for a, b in pairs:
         new = [CycNum() for _ in range(len(poly) + 2)]
@@ -157,16 +165,52 @@ def expand_eigenspace_product(pairs) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def check_conjugates(traces: EigenTraces) -> None:
+    """Conjugacy gate: a_s = sigma_s(a_1) for s = 2 .. 10, as an inverse DFT
+    of integer traces guarantees."""
+    a_1 = traces.a[0]
+    for s in range(2, ORDER):
+        if traces.a[s - 1] != galois_apply(s, a_1):
+            raise InconsistencyError(
+                f"a_{s}(q={traces.q}) = {traces.a[s - 1]!r} is not the conjugate "
+                f"sigma_{s}(a_1) = {galois_apply(s, a_1)!r}"
+            )
+
+
+def _norm_of_quadratic(a: CycNum, b: CycNum) -> IntPoly:
+    """N_{Q(zeta)/Q}(T^2 - a T + b) from power sums and Newton's identities.
+
+    s_k = alpha^k + beta^k obeys s_k = a s_(k-1) - b s_(k-2) with s_0 = 2 and
+    s_1 = a; summed over the ten conjugates it is the trace S_k = 10 c_0 -
+    (c_1 + ... + c_9).  Then k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i,
+    and every division by k must be exact."""
+    n = 2 * DEGREE
+    s = [CycNum((2,)), a]
+    while len(s) <= n:
+        s.append(a * s[-1] - b * s[-2])
+    traces = [DEGREE * x.coords[0] - sum(x.coords[1:]) for x in s]
+    e = [1]
+    for k in range(1, n + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
+        if total % k:
+            raise InconsistencyError(
+                f"Newton's identity gives {k} * e_{k} = {total}, not divisible by {k}"
+            )
+        e.append(total // k)
+    return IntPoly([(-1) ** k * e[k] for k in range(n, -1, -1)])
+
+
 def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyResult:
     """Combine eigenspace traces at q = p and q = p^2 into the full mu_p."""
     if E_p.q != p:
         raise ValueError(f"first trace set is over q = {E_p.q}, expected {p}")
     if E_p2.q != p * p:
         raise ValueError(f"second trace set is over q = {E_p2.q}, expected {p * p}")
-    pairs = []
-    for i, (a, a_sq) in enumerate(zip(E_p.a, E_p2.a), start=1):
-        b = _exact_half(a * a - a_sq, f"2 * det contribution on eigenspace {i}")
-        pairs.append((a, b))
-    mu = expand_eigenspace_product(pairs)
+    check_conjugates(E_p)
+    check_conjugates(E_p2)
+    a_1 = E_p.a[0]
+    b_1 = _exact_half(a_1 * a_1 - E_p2.a[0], "2 * det contribution on eigenspace 1")
+    pairs = [(a_1, b_1)] + [(a, galois_apply(s, b_1)) for s, a in enumerate(E_p.a[1:], start=2)]
+    mu = _norm_of_quadratic(a_1, b_1)
     mu_full = mu * IntPoly((p * p, -2 * p, 1))
     return CharPolyResult(p=p, mu=mu, mu_full=mu_full, per_eigenspace=tuple(pairs))

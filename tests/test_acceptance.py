@@ -31,7 +31,7 @@ from wild11.analysis import INFINITE_HEIGHT, analyze_charpoly, normalize
 from wild11.cli import run_equivariant_pipeline
 from wild11.cyclotomic import ORDER
 from wild11.delsarte import MultiPoly, supersingular_possible
-from wild11.equivariant import assemble_charpoly
+from wild11.equivariant import assemble_charpoly, check_conjugates
 from wild11.ffield import is_prime
 from reference_values import MU_TILDE_BY_CLASS, SQUARES_MOD_11
 
@@ -143,14 +143,17 @@ def test_criterion_6_structural_suite(all_surfaces):
             q = tally.q
             ok = ok and sum(tally.fix) == 11 * (2 * q + 1) + 11 * q * q
         for eigen in (eigen_p, eigen_p2):
-            ok = ok and eigen.is_galois_stable()
+            try:
+                check_conjugates(eigen)
+            except InconsistencyError:
+                ok = False
         report = analyze_charpoly(result, kind)
         checks = report.checks
         ok = ok and checks["functional_equation"] and checks["integral_coefficients"]
         ok = ok and checks["determinant"]
         if kind == "gamma":
             ok = ok and checks["gamma_parity"] is True
-    _report("6", ok, "integrality, Weil symmetry, gamma parity, det = p^20, tally sums, Galois stability")
+    _report("6", ok, "integrality, Weil symmetry, gamma parity, det = p^20, tally sums, a_s = sigma_s(a_1)")
     assert ok
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import wild11
 
 from wild11.cli import (
     EXIT_CAPABILITY,
@@ -212,6 +218,62 @@ def test_inconsistency_maps_to_exit_code_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "--kind", "epsilon", "--param", "1")
     assert code == EXIT_INCONSISTENT
     assert "inconsistency" in err
+
+
+def test_non_conjugate_eigentraces_exit_4(capsys, monkeypatch):
+    # a_1 and a_2 swapped at both levels: still in Z[zeta] with the same a_0,
+    # but a_2 != sigma_2(a_1), which the conjugacy gate in assemble_charpoly refuses
+    import wild11.cli as cli
+    from wild11 import EigenTraces
+
+    honest = cli.inverse_dft
+
+    def swapped(tr, q):
+        a = honest(tr, q).a
+        return EigenTraces(q=q, a=(a[1], a[0]) + a[2:])
+
+    monkeypatch.setattr(cli, "inverse_dft", swapped)
+    code, out, err = run_cli(
+        capsys, "analyze", "--kind", "epsilon", "--param", "1", "--format", "json"
+    )
+    assert code == EXIT_INCONSISTENT
+    assert out == ""
+    assert err.startswith("inconsistency:")
+    assert "sigma_2(a_1)" in err
+
+
+# Runs each argv through main in one fresh interpreter and prints the exit codes.
+_RUN_ALL = (
+    "import contextlib, io, json, sys\n"
+    "from wild11.cli import main\n"
+    "codes = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        codes.append(main(argv))\n"
+    "print(json.dumps(codes))\n"
+)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**16 + 61])
+def test_fibers_and_lattice_finish_at_huge_primes(p):
+    # nothing in fiber classification may take time linear in p (a root scan
+    # over F_p would run for years); a subprocess timeout turns a hang into a failure
+    surfaces = (["epsilon", "--param", "1"], ["gamma", "--param", "1"], ["uniform"])
+    ops = [
+        [command, "--kind", *surface, "--p", str(p), "--format", "json"]
+        for command in ("fibers", "lattice")
+        for surface in surfaces
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(wild11.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL, json.dumps(ops)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"fibers/lattice at p = {p} did not finish within 30 s")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [EXIT_OK] * len(ops)
 
 
 def test_table_within_class_gate():

@@ -11,6 +11,7 @@ from wild11 import (
     galois_apply,
     inverse_dft,
 )
+from wild11.equivariant import check_conjugates
 from reference_values import GOLDEN_EIGEN_EPS1_Q11, GOLDEN_TR_EPS1_Q11
 
 
@@ -141,7 +142,7 @@ def test_real_tallies_yield_integral_galois_stable_traces(pipeline, kind, param)
     *_, eigen_p, eigen_p2, _ = pipeline(kind, param)
     for traces in (eigen_p, eigen_p2):
         assert all(type(c) is int for a in traces.a for c in a.coords)
-        assert traces.is_galois_stable()
+        check_conjugates(traces)  # raises InconsistencyError unless a_s = sigma_s(a_1)
 
 
 def test_observed_galois_permutation_is_index_scaling(pipeline):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wild11 import (
     CapabilityError,
@@ -10,6 +12,7 @@ from wild11 import (
     IntPoly,
     assemble_charpoly,
     fixed_locus_tally,
+    galois_apply,
     inverse_dft,
     make_model,
     surface_count,
@@ -17,7 +20,7 @@ from wild11 import (
     traces_from_tally,
 )
 from wild11.analysis import normalize
-from wild11.equivariant import expand_eigenspace_product
+from wild11.equivariant import check_conjugates, expand_eigenspace_product
 from reference_values import (
     GOLDEN_FIX0_EPS1_Q121,
     GOLDEN_FIX_EPS1_Q11,
@@ -174,6 +177,41 @@ def test_assemble_rejects_inexact_halving():
     e_p2 = EigenTraces(q=p * p, a=(CycNum((2,)),) * 10)  # 1 - 2 = -1: odd
     with pytest.raises(InconsistencyError, match="divisible by 2"):
         assemble_charpoly(e_p, e_p2, p)
+
+
+def _conjugates(x):
+    return tuple(galois_apply(s, x) for s in range(1, 11))
+
+
+_SMALL_CYC = st.lists(st.integers(-4, 4), min_size=10, max_size=10).map(
+    lambda coords: CycNum(tuple(coords))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a_1=_SMALL_CYC, b_1=_SMALL_CYC)
+def test_norm_matches_eigenspace_product(a_1, b_1):
+    # a_1(p^2) = a_1^2 - 2 b_1 makes the halving return b_1; with a_i, b_i the
+    # conjugates sigma_i(a_1), sigma_i(b_1), the norm is the ten-fold product
+    p = 11
+    e_p = EigenTraces(q=p, a=_conjugates(a_1))
+    e_p2 = EigenTraces(q=p * p, a=_conjugates(a_1 * a_1 - 2 * b_1))
+    result = assemble_charpoly(e_p, e_p2, p)
+    pairs = tuple(zip(_conjugates(a_1), _conjugates(b_1)))
+    assert result.per_eigenspace == pairs
+    assert result.mu == expand_eigenspace_product(pairs)
+
+
+@pytest.mark.parametrize("level", ["p", "p2"])
+def test_conjugacy_gate_rejects_swapped_traces(pipeline, level):
+    *_, eigen_p, eigen_p2, _ = pipeline("epsilon", 1)
+    check_conjugates(eigen_p)
+    check_conjugates(eigen_p2)
+    bad = eigen_p if level == "p" else eigen_p2
+    bad = EigenTraces(q=bad.q, a=(bad.a[1], bad.a[0]) + bad.a[2:])
+    e_p, e_p2 = (bad, eigen_p2) if level == "p" else (eigen_p, bad)
+    with pytest.raises(InconsistencyError, match="conjugate"):
+        assemble_charpoly(e_p, e_p2, 11)
 
 
 def test_expand_rejects_irrational_coefficient():

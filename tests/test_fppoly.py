@@ -132,6 +132,60 @@ def test_factor_uniform_discriminant_f11():
     _refactor_check(delta)
 
 
+def test_factor_gamma2_discriminant_f11_shared_trace():
+    # Delta of gamma 2 over F_11 is the product of the Artin-Schreier factors
+    # t^11 - t + 3 and t^11 - t + 8.  The trace of t on a degree-11 factor is
+    # minus its t^10 coefficient, 0 for both, so the trace split cannot
+    # separate them and the Cantor-Zassenhaus fallback must
+    p = 11
+    delta = poly(p, 5, 0, 8, *(0,) * 9, 6, *(0,) * 9, 8)
+    assert c4_delta(make_model("gamma", 2, p))[1] == delta
+    pieces = factor(delta)
+    as_3, as_8 = poly(p, 3, p - 1, *(0,) * 9, 1), poly(p, 8, p - 1, *(0,) * 9, 1)
+    assert pieces == [(as_3, 1), (as_8, 1)]
+    assert all(g.coeffs[10] == 0 for g, _ in pieces)
+    _refactor_check(delta)
+
+
+def _cantor_zassenhaus_reference(f, d, rng):
+    """Test-only equal-degree splitting: f squarefree with all factors of
+    degree d, split by gcd(f, a^((p^d - 1)/2) - 1) for random a."""
+    if f.degree == d:
+        return [f]
+    p = f.p
+    one = FpPoly.constant(p, 1)
+    while True:
+        a = FpPoly(p, [rng.randrange(p) for _ in range(f.degree)])
+        g = f.gcd(a.pow_mod((p**d - 1) // 2, f) - one)
+        if 0 < g.degree < f.degree:
+            return _cantor_zassenhaus_reference(g, d, rng) + _cantor_zassenhaus_reference(
+                f // g, d, rng
+            )
+
+
+@pytest.mark.parametrize(
+    "p,d", [(p, d) for p in (5, 7, 11, 13, 101) for d in (1, 2, 3)] + [(3001, 1)]
+)
+def test_factor_matches_cantor_zassenhaus_on_equal_degree_products(p, d):
+    # d = 1 covers the root scan (and, at p = 3001, the path above its
+    # limit); d > 1 the trace split, whose quadratic-character pass runs
+    # only for p = 101, and its fallback whenever two factors share a trace
+    rng = random.Random(p * 10 + d)
+    for _ in range(8):
+        chosen = set()
+        target = rng.randint(2, min(6, p))  # F_5 has only 5 monic linears
+        while len(chosen) < target:
+            g = FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+            if _irreducible_by_trial_division(g):
+                chosen.add(g)
+        f = FpPoly.constant(p, 1)
+        for g in chosen:
+            f = f * g
+        expected = sorted(_cantor_zassenhaus_reference(f, d, rng), key=lambda g: g.coeffs)
+        assert sorted(chosen, key=lambda g: g.coeffs) == expected
+        assert factor(f) == [(g, 1) for g in expected]
+
+
 def _monic_polys(p, degree):
     for lower in itertools.product(range(p), repeat=degree):
         yield FpPoly(p, lower + (1,))
