@@ -22,11 +22,10 @@ from .analysis import (
 from .cyclotomic import (
     CycNum,
     EigenTraces,
-    forward_dft,
     galois_apply,
     inverse_dft,
 )
-from .delsarte import MultiPoly, supersingular_possible, verify_cover_identity
+from .delsarte import supersingular_possible, verify_cover_identity
 from .equivariant import (
     CharPolyResult,
     FixTally,
@@ -37,7 +36,6 @@ from .equivariant import (
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError, Wild11Error
 from .ffield import (
     FieldSpec,
-    quadratic_character,
     smallest_nonresidue,
     trace_to_base,
 )
@@ -47,7 +45,6 @@ from .kodaira import (
     artin_invariant,
     classify_fibers,
     trivial_lattice,
-    wild_delta_report,
 )
 from .polynomials import (
     IntPoly,
@@ -84,7 +81,6 @@ __all__ = [
     "IntPoly",
     "KodairaFiber",
     "LatticeSummary",
-    "MultiPoly",
     "NewtonPolygon",
     "ReducibleFiberError",
     "WeierstrassModel",
@@ -99,7 +95,6 @@ __all__ = [
     "divides_with_multiplicity",
     "fiber_count",
     "fixed_locus_tally",
-    "forward_dft",
     "galois_apply",
     "height_from_newton",
     "inverse_dft",
@@ -108,7 +103,6 @@ __all__ = [
     "normalize",
     "palindrome_sign",
     "picard_upper_bound",
-    "quadratic_character",
     "singular_places",
     "smallest_nonresidue",
     "structural_checks",
@@ -118,5 +112,4 @@ __all__ = [
     "traces_from_tally",
     "trivial_lattice",
     "verify_cover_identity",
-    "wild_delta_report",
 ]

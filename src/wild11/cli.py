@@ -157,6 +157,13 @@ def _lattice_json(lattice, p: int) -> dict:
     }
 
 
+def _cofactor_json(coefficient: int, exponents: tuple[int, int, int]) -> str:
+    """The cover cofactor c*u^a v^b w^c, printed as "MultiPoly(...)" so that
+    cover-check's output stays byte-identical."""
+    monomial = "".join(f"{name}^{k}" if k > 1 else name for name, k in zip("uvw", exponents) if k)
+    return f"MultiPoly({coefficient}*{monomial})"
+
+
 def _meta() -> dict:
     # deliberately environment-free so identical invocations stay byte-identical
     return {"tool": "wild11", "version": __version__}
@@ -279,7 +286,7 @@ def cmd_cover(primes_below: int = 100) -> Report:
         inputs={"primes_below": primes_below},
         analysis={
             "cover_verified": verified,
-            "cofactor": repr(cofactor),
+            "cofactor": _cofactor_json(*cofactor),
             "supersingular_possible": table,
         },
     )

@@ -52,13 +52,6 @@ class CycNum:
         self.coords = coords + (0,) * (DEGREE - len(coords))
 
     @staticmethod
-    def zeta_power(k: int) -> "CycNum":
-        k %= ORDER
-        if k < DEGREE:
-            return CycNum((0,) * k + (1,))
-        return CycNum((-1,) * DEGREE)
-
-    @staticmethod
     def _coerce(other) -> "CycNum | None":
         if isinstance(other, CycNum):
             return other
@@ -127,12 +120,6 @@ class CycNum:
     def __bool__(self) -> bool:
         return any(self.coords)
 
-    def as_int(self) -> int | None:
-        """The integer value if the element lies in Z, else None."""
-        if any(self.coords[1:]):
-            return None
-        return self.coords[0]
-
     def __repr__(self) -> str:
         return f"CycNum({list(self.coords)})"
 
@@ -169,15 +156,6 @@ class EigenTraces:
     def __post_init__(self):
         if len(self.a) != DEGREE:
             raise ValueError(f"expected {DEGREE} traces, got {len(self.a)}")
-
-    def sum_as_int(self) -> int:
-        total = CycNum()
-        for x in self.a:
-            total = total + x
-        value = total.as_int()
-        if value is None:
-            raise InconsistencyError("sum of eigenspace traces is not rational")
-        return value
 
     def galois_permutation(self, s: int) -> tuple[int, ...] | None:
         """Observed index map under zeta -> zeta^s: position i holds j with
@@ -225,19 +203,3 @@ def inverse_dft(tr: list[int] | tuple[int, ...], q: int) -> EigenTraces:
             )
         out.append(_cyc(tuple(c // ORDER for c in coords)))
     return EigenTraces(q=q, a=tuple(out))
-
-
-def forward_dft(traces: EigenTraces) -> list[int]:
-    """Reconstruct the integer traces tr_0..tr_10 from eigenspace traces.
-
-    Exact inverse of :func:`inverse_dft`; used as a self-check."""
-    out = []
-    for n in range(ORDER):
-        total = CycNum((2 * traces.q,))  # a_0 contribution
-        for i, a_i in enumerate(traces.a, start=1):
-            total = total + CycNum.zeta_power(n * i) * a_i
-        value = total.as_int()
-        if value is None:
-            raise InconsistencyError(f"reconstructed tr_{n} = {total} is not an integer")
-        out.append(value)
-    return out

@@ -144,27 +144,6 @@ def _exact_half(x: CycNum, what: str) -> CycNum:
     return CycNum(tuple(c // 2 for c in x.coords))
 
 
-def expand_eigenspace_product(pairs) -> IntPoly:
-    """Expand prod_i (T^2 - a_i T + b_i) over Q(zeta) and demand Z coefficients.
-
-    The slow reference for the norm in :func:`assemble_charpoly`."""
-    poly: list[CycNum] = [CycNum((1,))]
-    for a, b in pairs:
-        new = [CycNum() for _ in range(len(poly) + 2)]
-        for i, c in enumerate(poly):
-            new[i] = new[i] + c * b
-            new[i + 1] = new[i + 1] + c * (-a)
-            new[i + 2] = new[i + 2] + c
-        poly = new
-    coeffs = []
-    for j, c in enumerate(poly):
-        value = c.as_int()
-        if value is None:
-            raise InconsistencyError(f"coefficient of T^{j} is irrational: {c!r}")
-        coeffs.append(value)
-    return IntPoly(coeffs)
-
-
 def check_conjugates(traces: EigenTraces) -> None:
     """Conjugacy gate: a_s = sigma_s(a_1) for s = 2 .. 10, as an inverse DFT
     of integer traces guarantees."""

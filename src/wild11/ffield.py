@@ -2,11 +2,13 @@
 
 Extensions of degree r <= 4 are supported: the equivariant tally works
 over F_p and F_{p^2}, and the point count goes up to q = 11^4.  An
-extension is described by a monic irreducible modulus over F_p, and an
-element is its coordinate tuple (c_0, ..., c_{r-1}) in the power basis of
-that modulus, or the index sum_j c_j p^j of that tuple.  For r = 2 the
-modulus is always u^2 - n with n the smallest quadratic non-residue mod p,
-so field descriptions are canonical and reproducible across runs.
+extension is described by its canonical modulus, one fixed monic
+irreducible over F_p per (p, r), and an element is its coordinate tuple
+(c_0, ..., c_{r-1}) in the power basis of that modulus, or the index
+sum_j c_j p^j of that tuple.  For odd p and r = 2 the modulus is u^2 - n
+with n the smallest quadratic non-residue mod p; for r = 3, 4 it is the
+first irreducible in a fixed enumeration.  So field descriptions are
+reproducible across runs.
 
 Everything here is immutable and pure, so values may be shared freely.
 """
@@ -101,6 +103,9 @@ def _digits(index: int, p: int, r: int) -> tuple[int, ...]:
 class FieldSpec:
     """Description of F_q with q = p^r, r <= 4, and its arithmetic.
 
+    The modulus is always the canonical one for (p, r), so two FieldSpecs
+    of the same size describe the same field with the same indices.
+
     The methods `add`, `mul`, `smul` and `pow` act on coordinate tuples;
     `index_of` and `coords_at` convert between tuples and indices, the form
     the cached lookup tables are indexed by.
@@ -108,7 +113,7 @@ class FieldSpec:
 
     __slots__ = ("p", "r", "q", "modulus", "_reduction_rows")
 
-    def __init__(self, p: int, r: int = 1, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, r: int = 1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if r < 1:
@@ -118,14 +123,7 @@ class FieldSpec:
         q = p**r
         if q > Q_LIMIT:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
-        if modulus is None:
-            modulus = _canonical_modulus(p, r)
-        else:
-            modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
-            if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree r")
-            if not is_irreducible(FpPoly(p, modulus)):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        modulus = _canonical_modulus(p, r)
         self.p = p
         self.r = r
         self.q = q
@@ -310,12 +308,3 @@ def trace_to_base(spec: FieldSpec, x: tuple[int, ...]) -> int:
     if any(acc[1:]):
         raise InconsistencyError(f"trace {acc} has nonzero higher coordinates")
     return acc[0]
-
-
-def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
-    """0 for x = 0, +1 for a nonzero square in F_q, -1 otherwise (odd p only)."""
-    if spec.p == 2:
-        raise CapabilityError("quadratic character undefined in characteristic 2")
-    if not any(x):
-        return 0
-    return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1

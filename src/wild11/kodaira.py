@@ -11,8 +11,8 @@ algorithm is unnecessary:
     v(Delta) = 8       -> IV*         v(Delta) = 9  -> III*
     v(Delta) = 10      -> II*
 
-Characteristics 2 and 3 are wildly ramified for the uniform model and are
-refused; only discriminant-degree bookkeeping is offered there.
+Characteristics 2 and 3 are wildly ramified for the uniform model, where
+the table does not apply, so they are refused.
 
 Closed points of degree d > 1 are classified once and weighted by d, so
 component and rank counts match the geometric picture over the algebraic
@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import FpPoly
-from .surface import FiberPlace, WeierstrassModel, c4_delta, c4_delta_infinity, singular_places, _valuation_at_zero
+from .surface import FiberPlace, WeierstrassModel, singular_places
 
 B2 = 22
 
@@ -108,27 +107,12 @@ def classify_fibers(model: WeierstrassModel) -> list[KodairaFiber]:
     if p in (2, 3):
         raise CapabilityError(
             f"characteristic {p} is wildly ramified for these models; "
-            "only wild_delta_report is available"
+            "characteristics 2 and 3 are refused"
         )
     return [
         KodairaFiber(place, *_classify_place(place.vc4, place.vdelta))
         for place in singular_places(model)
     ]
-
-
-def wild_delta_report(model: WeierstrassModel) -> tuple[FpPoly, int]:
-    """Discriminant bookkeeping for the uniform model in characteristics 2, 3.
-
-    Returns (affine Delta over F_p, v_infinity(Delta)).  The affine part
-    degenerates to a unit times t^11 and the excess of v_infinity over the
-    tame value 2 is wild ramification; no classification is attempted."""
-    if model.kind != "uniform":
-        raise CapabilityError("wild-characteristic bookkeeping applies to the uniform model only")
-    if model.p not in (2, 3):
-        raise ValueError(f"characteristic {model.p} is not wild here; use classify_fibers")
-    _, delta = c4_delta(model)
-    _, delta_inf = c4_delta_infinity(model)
-    return delta, _valuation_at_zero(delta_inf)
 
 
 def trivial_lattice(fibers: list[KodairaFiber]) -> LatticeSummary:

@@ -108,7 +108,7 @@ def test_cover_check(capsys):
     assert code == EXIT_OK
     analysis = json.loads(out)["analysis"]
     assert analysis["cover_verified"] is True
-    assert "u^33" in analysis["cofactor"] and "v^22" in analysis["cofactor"]
+    assert analysis["cofactor"] == "MultiPoly(1*u^33v^22)"
     assert analysis["supersingular_possible"]["11"] is True
     assert analysis["supersingular_possible"]["3"] is False
 
@@ -163,9 +163,13 @@ def test_usage_error_from_argparse(capsys):
 
 
 def test_wild_fibers_capability_exit(capsys):
-    code, _, err = run_cli(capsys, "fibers", "--kind", "uniform", "--p", "2")
-    assert code == EXIT_CAPABILITY
-    assert "wild" in err
+    for command in ("fibers", "lattice"):
+        for p in ("2", "3"):
+            code, out, err = run_cli(capsys, command, "--kind", "uniform", "--p", p)
+            assert code == EXIT_CAPABILITY, (command, p)
+            assert out == ""
+            assert "wild" in err and "characteristics 2 and 3 are refused" in err
+            assert "wild_delta_report" not in err  # names no deleted function
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,51 +1,65 @@
+import itertools
+import random
+
 import pytest
 
-from wild11 import MultiPoly, supersingular_possible, verify_cover_identity
-from wild11.delsarte import _substituted_equation, fermat_relation
+from wild11 import supersingular_possible, verify_cover_identity
+from wild11.delsarte import FERMAT_TERMS, _substituted_equation
 from wild11.ffield import is_prime
+
+
+def _cover_sides(u, v, w, t_sign=-1):
+    """Both sides of y^2 + xy - x^3 - t^11 = u^33 v^22 (u^11 + v^11 + w^11 + 1)
+    at one integer point, with (x, y, t) from the cover map."""
+    x = -(u**11) * v**11
+    y = -(u**22) * v**11
+    t = t_sign * w * u**3 * v**2
+    return y * y + x * y - x**3 - t**11, u**33 * v**22 * (u**11 + v**11 + w**11 + 1)
+
+
+def _evaluate(terms, point):
+    u, v, w = point
+    return sum(c * u**a * v**b * w**e for (a, b, e), c in terms.items())
 
 
 def test_cover_identity_verifies_with_expected_cofactor():
     verified, cofactor = verify_cover_identity()
     assert verified
-    assert cofactor == MultiPoly.monomial(1, (33, 22, 0))
+    assert cofactor == (1, (33, 22, 0))  # 1 * u^33 v^22
 
 
 def test_cofactor_reproduces_substituted_equation():
-    _, cofactor = verify_cover_identity()
-    assert cofactor * fermat_relation() == _substituted_equation()
+    _, (coefficient, exponents) = verify_cover_identity()
+    product = {tuple(a + b for a, b in zip(exponents, e)): coefficient for e in FERMAT_TERMS}
+    assert product == _substituted_equation()
+    assert product == {(44, 22, 0): 1, (33, 33, 0): 1, (33, 22, 11): 1, (33, 22, 0): 1}
 
 
 def test_wrong_map_fails():
     # flipping the sign of the t-coordinate breaks the identity (t enters at
     # odd power 11)
-    _, remainder = _substituted_equation(t_sign=+1).divmod_lex(fermat_relation())
-    assert remainder
+    verified, _ = verify_cover_identity(t_sign=+1)
+    assert not verified
+
+
+def test_cover_identity_at_integer_points():
+    # plain integer evaluation, independent of the exponent substitution
+    rng = random.Random(11)
+    points = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(200)]
+    points += [(1, 1, 1), (-1, 2, -3)]
+    substituted = _substituted_equation()
+    for point in points:
+        lhs, rhs = _cover_sides(*point)
+        assert lhs == rhs == _evaluate(substituted, point), point
+    assert any(len(set(_cover_sides(*point, t_sign=+1))) == 2 for point in points)
 
 
 def test_identity_reduces_modulo_small_primes():
     substituted = _substituted_equation()
-    _, cofactor = verify_cover_identity()
-    product = cofactor * fermat_relation()
     for p in (2, 3, 5, 7, 11, 13):
-        assert substituted.reduce_mod(p) == product.reduce_mod(p)
-
-
-def test_multipoly_arithmetic():
-    u = MultiPoly.monomial(1, (1, 0, 0))
-    v = MultiPoly.monomial(1, (0, 1, 0))
-    uv2 = MultiPoly.monomial(2, (1, 1, 0))
-    assert (u + v) * (u - v) == u * u - v * v
-    assert (u + v) ** 2 == u * u + uv2 + v * v
-    assert not (u - u)
-
-
-def test_multipoly_division_properties():
-    f = fermat_relation()
-    g = MultiPoly.monomial(3, (12, 5, 0)) * f + MultiPoly.monomial(2, (0, 0, 1))
-    q, r = g.divmod_lex(f)
-    assert q * f + r == g
-    assert r == MultiPoly.monomial(2, (0, 0, 1))
+        for point in itertools.product(range(p), repeat=3):
+            lhs, rhs = _cover_sides(*point)
+            assert lhs % p == rhs % p == _evaluate(substituted, point) % p, (p, point)
 
 
 @pytest.mark.parametrize("p,expected", [(11, True), (2, True), (3, False), (5, False), (7, True), (23, False)])

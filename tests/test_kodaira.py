@@ -7,10 +7,9 @@ from wild11 import (
     classify_fibers,
     make_model,
     trivial_lattice,
-    wild_delta_report,
 )
 from wild11.kodaira import KodairaFiber, LatticeSummary, _classify_place
-from wild11.surface import INFINITY
+from wild11.surface import INFINITY, c4_delta, c4_delta_infinity
 
 
 def _types_with_degree(fibers):
@@ -63,19 +62,16 @@ def test_wild_characteristics_are_refused():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_wild_delta_report(p):
-    delta, v_inf = wild_delta_report(make_model("uniform", None, p))
+    # the discriminant bookkeeping of the uniform model where classification is refused
+    model = make_model("uniform", None, p)
+    _, delta = c4_delta(model)
+    _, delta_inf = c4_delta_infinity(model)
     # Delta degenerates to a unit times t^11
     assert delta.degree == 11
     assert all(c % p == 0 for c in delta.coeffs[:11])
+    v_inf = next(k for k, c in enumerate(delta_inf.coeffs) if c % p)
     assert v_inf == 13
     assert delta.degree + v_inf == 24  # missing degree sits at infinity as wild ramification
-
-
-def test_wild_delta_report_preconditions():
-    with pytest.raises(ValueError):
-        wild_delta_report(make_model("uniform", None, 5))
-    with pytest.raises(CapabilityError):
-        wild_delta_report(make_model("epsilon", 1, 11))
 
 
 @pytest.mark.parametrize(

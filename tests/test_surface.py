@@ -17,6 +17,7 @@ from wild11 import (
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
 from wild11.surface import _packed_chi
+from references import spec_with_modulus
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
 
@@ -302,7 +303,7 @@ _PACKED_SPECS = [
     FieldSpec(5, 4),
     FieldSpec(7, 2),
     FieldSpec(3, 3),
-    FieldSpec(11, 2, (1, 1, 1)),
+    spec_with_modulus(11, 2, (1, 1, 1)),
 ]
 
 
