@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import FpPoly, is_irreducible
+from .fppoly import is_irreducible, monic_polys
 from .polynomials import poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
@@ -84,10 +84,9 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
         return ((-smallest_nonresidue(p)) % p, 0, 1)
     # r in {3, 4}: first monic irreducible in the base-p enumeration of
     # lower-coefficient tuples; deterministic, hence reproducible.
-    for m in range(p**r):
-        cand = _digits(m, p, r) + (1,)
-        if is_irreducible(FpPoly(p, cand)):
-            return cand
+    for cand in monic_polys(p, r):
+        if is_irreducible(cand):
+            return cand.coeffs
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 

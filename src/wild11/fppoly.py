@@ -5,46 +5,32 @@ discriminants and c4-covariants live in F_p[t], and fiber classification
 needs their factorizations into monic irreducibles.  Factorization is
 distinct-degree splitting, which strips every power (p-th powers included)
 of each factor it finds and is also the irreducibility test, then
-equal-degree splitting, which requires odd p; that covers every use in this
-package (classification is only offered for p >= 5).
+equal-degree splitting.
 
-Distinct-degree splitting keeps the Frobenius powers t^(p^j) it computes,
-and equal-degree splitting reuses them (von zur Gathen and Shoup 1992):
-
-* degree 1, p < ROOT_SCAN_LIMIT: the linear factors are read off a root
-  scan over F_p;
-* degree d > 1: the trace Tr = t + t^p + ... + t^(p^(d-1)) takes one value
-  in F_p on each factor; gcds with Tr + c for every c in F_p (small p) or
-  with the quadratic character of Tr + c for a bounded number of shifts c
-  (larger p) separate factors whose traces differ;
-* the fallback, for degree 1 at p >= ROOT_SCAN_LIMIT and for factors that
-  share one trace (at p = 11, the two Artin-Schreier factors of degree 11
-  of gamma's Delta for a non-square gamma both have trace 0), is
-  Cantor-Zassenhaus splitting (Cantor and Zassenhaus 1981).
-
-Cantor-Zassenhaus tries candidate polynomials in a fixed enumeration order
-instead of sampling, so factorizations are deterministic and output is
-reproducible run to run.
+Equal-degree splitting is one loop.  On an irreducible factor of degree d
+the trace Tr(t) = t + t^p + ... + t^(p^(d-1)), built from the Frobenius
+powers that distinct-degree splitting keeps (von zur Gathen and Shoup 1992),
+and every norm N(a) = a^((p^d - 1)/(p - 1)) take a single value in F_p.
+The loop refines the parts by Tr(t), then by N(a) for the monic a in base-p
+order, until every part has degree d.  For p <= SHIFTS, gcd(part, v + c)
+for every c in F_p separates every value of v; for larger p the quadratic
+character of v + c does, for SHIFTS shifts c, and at c = 0 on N(a) that is
+the Cantor-Zassenhaus test with a (Cantor and Zassenhaus 1981).  For d = 1,
+Tr(t) = t, so the first pass is the root search.  The values come in a fixed
+order instead of being sampled, so factorizations are reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import CapabilityError
+from .errors import InconsistencyError
 from .polynomials import poly_str
 
-# Below this p the linear factors are read by a root scan (up to p
-# evaluations); above it Cantor-Zassenhaus (O(log p) multiplications mod f
-# per split) is cheaper.  Timed on the degree-1 products of Delta for
-# epsilon 1, gamma 1 and uniform at every third prime below 7000 (2-core
-# x86, Python 3.11): summed per 500-wide bin of p the scan wins below 3000,
-# breaks even at 3000-3500 and loses above.
-ROOT_SCAN_LIMIT = 3000
-# Shifts c tried by the trace split, a bound independent of p; for
-# p <= TRACE_SHIFTS they run through all of F_p and gcd(f, Tr + c) separates
-# every trace value without a power.
-TRACE_SHIFTS = 16
+# Shifts c tried on each value v, a bound independent of p; for p <= SHIFTS
+# they run through all of F_p and gcd(f, v + c) separates every value of v
+# without a power.
+SHIFTS = 16
 
 
 class FpPoly:
@@ -235,78 +221,67 @@ def is_irreducible(f: FpPoly) -> bool:
     return f.lead == 1 and _distinct_degree(f)[0] == [(f, f.degree)]
 
 
-def _candidate_polys(p: int, max_degree: int):
-    """Monic polynomials of degree 1 .. max_degree in a fixed deterministic order."""
-    for degree in range(1, max_degree + 1):
-        for m in range(p**degree):
-            coeffs = []
-            mm = m
-            for _ in range(degree):
-                coeffs.append(mm % p)
-                mm //= p
-            yield FpPoly(p, coeffs + [1])
+def monic_polys(p: int, degree: int) -> Iterator[FpPoly]:
+    """The monic polynomials of one degree over F_p, in base-p order of their
+    lower coefficients (the constant term is the least significant digit)."""
+    for m in range(p**degree):
+        lower = []
+        for _ in range(degree):
+            m, c = divmod(m, p)
+            lower.append(c)
+        yield FpPoly(p, lower + [1])
 
 
-def _candidate_split(f: FpPoly, d: int) -> list[FpPoly]:
-    """Cantor-Zassenhaus: split f by gcd(f, a^((p^d - 1)/2) - 1) over candidates a."""
-    if f.degree == d:
-        return [f]
+def _separating_values(f: FpPoly, d: int, frobenius: list[FpPoly]) -> Iterator[FpPoly]:
+    """Tr(t), then N(a) for the monic a of degree 1 .. deg f in base-p order;
+    each takes one value in F_p on every degree-d irreducible factor of f."""
     p = f.p
-    half = (p**d - 1) // 2
-    for a in _candidate_polys(p, f.degree):
-        b = a.pow_mod(half, f) - FpPoly.constant(p, 1)
-        g = f.gcd(b)
-        if 0 < g.degree < f.degree:
-            return _candidate_split(g, d) + _candidate_split(f // g, d)
-    # splitting residues have density >= 1/2, so scanning every monic
-    # polynomial up to deg f cannot come up empty for a genuine product
-    raise RuntimeError(f"equal-degree splitting failed for {f!r}")
+    yield sum(frobenius[1:d], frobenius[0])
+    norm = (p**d - 1) // (p - 1)
+    for degree in range(1, f.degree + 1):
+        for a in monic_polys(p, degree):
+            yield a.pow_mod(norm, f)
 
 
-def _trace_split(f: FpPoly, d: int, trace: FpPoly) -> list[FpPoly]:
-    """Split f by the values in F_p that trace = Tr(t) takes on its factors.
-
-    On an irreducible factor of degree d, t^(p^0) + ... + t^(p^(d-1)) is
-    congruent to the trace of t's residue class, an element of F_p.  For each
-    shift c < TRACE_SHIFTS every part is refined by gcd(part, trace + c) when
-    p <= TRACE_SHIFTS (so every trace value is separated), and otherwise by
-    the quadratic character, gcd(part, (trace + c)^((p-1)/2) - 1).  Factors
-    that share one trace, or that no shift separated, go to _candidate_split."""
-    p = f.p
+def _refine(parts: list[FpPoly], d: int, v: FpPoly) -> list[FpPoly]:
+    """Split the parts by the values in F_p that v takes on their degree-d
+    factors: by gcd(part, v + c), or for p > SHIFTS by the quadratic
+    character of v + c, for each shift c < min(p, SHIFTS)."""
+    p = v.p
     one = FpPoly.constant(p, 1)
-    trace = trace % f
-    parts = [f]
-    for c in range(min(p, TRACE_SHIFTS)):
-        shifted = trace + FpPoly.constant(p, c)
+    for c in range(min(p, SHIFTS)):
+        shifted = v + FpPoly.constant(p, c)
         refined = []
         for part in parts:
-            if part.degree > d and (trace % part).degree > 0:
-                if p > TRACE_SHIFTS:
-                    g = part.gcd(shifted.pow_mod((p - 1) // 2, part) - one)
-                else:
-                    g = part.gcd(shifted)
-                if 0 < g.degree < part.degree:
-                    refined += [g, part // g]
-                    continue
+            if part.degree > d:
+                w = shifted % part
+                if w.degree > 0:
+                    if p > SHIFTS:
+                        w = w.pow_mod((p - 1) // 2, part) - one
+                    g = part.gcd(w)
+                    if 0 < g.degree < part.degree:
+                        refined += [g, part // g]
+                        continue
             refined.append(part)
         parts = refined
-    return [irr for part in parts for irr in _candidate_split(part, d)]
+    return parts
 
 
 def _equal_degree(f: FpPoly, d: int, frobenius: list[FpPoly]) -> list[FpPoly]:
     """Split monic squarefree f, all of whose irreducible factors have degree d.
 
     frobenius[j] is t^(p^j) modulo a multiple of f, for j < d."""
-    if f.degree == d:
-        return [f]
-    p = f.p
-    if p == 2:
-        raise CapabilityError("equal-degree splitting not implemented for p = 2")
-    if d == 1:
-        if p < ROOT_SCAN_LIMIT:
-            return [FpPoly(p, (-x, 1)) for x in roots_in_base(f)]
-        return _candidate_split(f, d)
-    return _trace_split(f, d, sum(frobenius[1:d], frobenius[0]))
+    parts = [f]
+    values = _separating_values(f, d, frobenius)
+    while any(part.degree > d for part in parts):
+        v = next(values, None)
+        if v is None:
+            # every residue class mod f has a monic representative of degree
+            # deg f, so some N(a) separates any two factors (for p > SHIFTS,
+            # by its quadratic character): running out is an arithmetic bug
+            raise InconsistencyError(f"equal-degree splitting found no separating value for {f!r}")
+        parts = _refine(parts, d, v)
+    return parts
 
 
 def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
@@ -325,15 +300,3 @@ def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
         for irr in _equal_degree(prod, d, frobenius)
     ]
     return sorted(pieces, key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-
-def roots_in_base(f: FpPoly) -> list[int]:
-    """Roots of f in F_p, ascending, by an exhaustive scan that stops after
-    deg f roots; factor uses it only for p < ROOT_SCAN_LIMIT."""
-    roots = []
-    for x in range(f.p):
-        if f.evaluate(x) == 0:
-            roots.append(x)
-            if len(roots) == f.degree:
-                break
-    return roots

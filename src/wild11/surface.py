@@ -167,13 +167,6 @@ def c4_delta_infinity(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
     return _c4_delta_from(*model.coefficients("infinity"))
 
 
-def _valuation_at_zero(poly: FpPoly) -> int:
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            return i
-    raise ValueError("valuation at zero of the zero polynomial")
-
-
 def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     """All places of P^1 where Delta vanishes, with (v(Delta), v(c4)) data.
 
@@ -183,9 +176,10 @@ def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
         raise ValueError("discriminant vanishes identically; the model is not elliptic")
     places = []
     c4_inf, delta_inf = c4_delta_infinity(model)
-    v_inf = _valuation_at_zero(delta_inf)
+    s = FpPoly.monomial(model.p, 1)
+    v_inf = delta_inf.multiplicity_of(s)
     if v_inf > 0:
-        vc4_inf = _valuation_at_zero(c4_inf) if c4_inf else None
+        vc4_inf = c4_inf.multiplicity_of(s) if c4_inf else None
         places.append(FiberPlace(INFINITY, 1, v_inf, vc4_inf))
     for g, mult in factor(delta):
         vc4 = c4.multiplicity_of(g) if c4 else None

@@ -246,6 +246,22 @@ def test_non_conjugate_eigentraces_exit_4(capsys, monkeypatch):
     assert "sigma_2(a_1)" in err
 
 
+def test_equal_degree_splitting_without_values_exit_4(capsys, monkeypatch):
+    # Delta of gamma 2 at p = 11 is two degree-11 factors of trace 0; with no
+    # norms N(a) to try after Tr(t) the splitting loop must refuse, not crash
+    import wild11.fppoly as fppoly
+    from wild11 import InconsistencyError
+    from wild11.surface import c4_delta, make_model
+
+    monkeypatch.setattr(fppoly, "monic_polys", lambda p, degree: iter(()))
+    with pytest.raises(InconsistencyError):
+        fppoly.factor(c4_delta(make_model("gamma", 2, 11))[1])
+    code, out, err = run_cli(capsys, "fibers", "--kind", "gamma", "--param", "2", "--p", "11")
+    assert code == EXIT_INCONSISTENT
+    assert out == ""
+    assert err.startswith("inconsistency:")
+
+
 # Runs each argv through main in one fresh interpreter and prints the exit codes.
 _RUN_ALL = (
     "import contextlib, io, json, sys\n"

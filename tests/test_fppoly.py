@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wild11.fppoly import FpPoly, factor, is_irreducible, roots_in_base
+from wild11.fppoly import FpPoly, factor, is_irreducible, monic_polys
 from wild11.surface import c4_delta, make_model
 
 
@@ -63,7 +63,6 @@ def test_factor_artin_schreier_split():
     pieces = factor(f)
     assert len(pieces) == 11
     assert all(g.degree == 1 and m == 1 for g, m in pieces)
-    assert roots_in_base(f) == list(range(11))
     _refactor_check(f)
 
 
@@ -135,8 +134,8 @@ def test_factor_uniform_discriminant_f11():
 def test_factor_gamma2_discriminant_f11_shared_trace():
     # Delta of gamma 2 over F_11 is the product of the Artin-Schreier factors
     # t^11 - t + 3 and t^11 - t + 8.  The trace of t on a degree-11 factor is
-    # minus its t^10 coefficient, 0 for both, so the trace split cannot
-    # separate them and the Cantor-Zassenhaus fallback must
+    # minus its t^10 coefficient, 0 for both, so Tr(t) cannot separate them
+    # and the norm N(t), -3 on one and -8 on the other, must
     p = 11
     delta = poly(p, 5, 0, 8, *(0,) * 9, 6, *(0,) * 9, 8)
     assert c4_delta(make_model("gamma", 2, p))[1] == delta
@@ -167,9 +166,9 @@ def _cantor_zassenhaus_reference(f, d, rng):
     "p,d", [(p, d) for p in (5, 7, 11, 13, 101) for d in (1, 2, 3)] + [(3001, 1)]
 )
 def test_factor_matches_cantor_zassenhaus_on_equal_degree_products(p, d):
-    # d = 1 covers the root scan (and, at p = 3001, the path above its
-    # limit); d > 1 the trace split, whose quadratic-character pass runs
-    # only for p = 101, and its fallback whenever two factors share a trace
+    # d = 1 covers the root search by Tr(t) = t, by gcds for p <= SHIFTS and
+    # by quadratic characters for p = 101 and 3001; d > 1 the trace pass and
+    # the norms after it whenever two factors share a trace
     rng = random.Random(p * 10 + d)
     for _ in range(8):
         chosen = set()
@@ -186,6 +185,39 @@ def test_factor_matches_cantor_zassenhaus_on_equal_degree_products(p, d):
         assert factor(f) == [(g, 1) for g in expected]
 
 
+def test_factor_shared_trace_and_norm_f5():
+    # t^3 + t + 1 and t^3 + 2t + 1 are irreducible over F_5 with trace 0
+    # (minus the t^2 coefficient) and norm N(t) = -1 (minus the constant
+    # term) on both, so only the values N(a) after N(t) can separate them
+    p = 5
+    g1, g2 = poly(p, 1, 1, 0, 1), poly(p, 1, 2, 0, 1)
+    assert _irreducible_by_trial_division(g1) and _irreducible_by_trial_division(g2)
+    f = g1 * g2
+    expected = sorted(_cantor_zassenhaus_reference(f, 3, random.Random(3)), key=lambda g: g.coeffs)
+    assert expected == [g1, g2]
+    assert factor(f) == [(g1, 1), (g2, 1)]
+
+
+@pytest.mark.parametrize("kind,param", [("epsilon", 1), ("gamma", 1), ("uniform", None)])
+@pytest.mark.parametrize("p", [5, 13, 17, 577, 991, 3001, 7919])
+def test_factor_discriminants_across_shift_bound(kind, param, p):
+    # primes on both sides of SHIFTS = 16 and of 3000; gamma 1 at p = 577
+    # has two trace-0 factors of degree 11, which only a norm separates
+    delta = c4_delta(make_model(kind, param, p))[1]
+    pieces = factor(delta)
+    assert all(is_irreducible(g) and m >= 1 for g, m in pieces)
+    _refactor_check(delta)
+
+
+def test_monic_polys_base_p_order():
+    assert [g.coeffs for g in monic_polys(3, 2)] == [
+        (c0, c1, 1) for c1 in range(3) for c0 in range(3)
+    ]
+    assert [g.coeffs for g in monic_polys(7, 1)] == [(c, 1) for c in range(7)]
+    # lazy in p: the norms after Tr(t) may be reached at p = 2^61 - 1
+    assert next(monic_polys(2**61 - 1, 2)).coeffs == (0, 0, 1)
+
+
 def _monic_polys(p, degree):
     for lower in itertools.product(range(p), repeat=degree):
         yield FpPoly(p, lower + (1,))
@@ -197,10 +229,11 @@ def _irreducible_by_trial_division(g):
     )
 
 
-@pytest.mark.parametrize("p,max_degree", [(3, 6), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,max_degree", [(2, 7), (3, 6), (5, 4), (7, 3)])
 def test_factor_exhaustive_small_fields(p, max_degree):
     # every monic f of degree 1 .. max_degree, so zero derivatives (t^3 + 1
-    # over F_3) and unequal multiplicities (t^3 (t + 1)) are all covered
+    # over F_3) and unequal multiplicities (t^3 (t + 1)) are all covered;
+    # over F_2 the splitting values lie in {0, 1} and only gcds separate them
     irreducible = {}
     for degree in range(1, max_degree + 1):
         for f in _monic_polys(p, degree):
