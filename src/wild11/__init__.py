@@ -59,7 +59,6 @@ from .surface import (
     FiberPlace,
     WeierstrassModel,
     c4_delta,
-    c4_delta_infinity,
     fiber_count,
     make_model,
     singular_places,
@@ -89,7 +88,6 @@ __all__ = [
     "artin_invariant",
     "assemble_charpoly",
     "c4_delta",
-    "c4_delta_infinity",
     "classify_fibers",
     "cyclotomic_poly",
     "divides_with_multiplicity",

@@ -98,18 +98,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "CycNum":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        result = CycNum((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         return isinstance(o, CycNum) and self.coords == o.coords

@@ -153,22 +153,6 @@ class FpPoly:
             e >>= 1
         return result
 
-    def evaluate(self, x: int) -> int:
-        """Value at x in F_p, as a residue in [0, p)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    __call__ = evaluate
-
-    def reverse(self, m: int) -> "FpPoly":
-        """s^m * f(1/s); requires deg f <= m."""
-        if self.degree > m:
-            raise ValueError(f"degree {self.degree} exceeds reversal weight {m}")
-        padded = list(self.coeffs) + [0] * (m + 1 - len(self.coeffs))
-        return FpPoly(self.p, padded[::-1])
-
     def multiplicity_of(self, g: "FpPoly") -> int:
         """Largest m with g^m dividing self (self nonzero, g non-constant)."""
         if not self:

@@ -2,14 +2,15 @@
 
 For residue characteristic >= 5 the fiber type at a place is determined by
 the valuations of c4 and Delta alone, so the full iterative reduction
-algorithm is unnecessary:
+algorithm is unnecessary.  One table, _classify_place, gives each type with
+its component count m_v and the |disc| and label of its root lattice:
 
-    v(c4) = 0          -> I_n with n = v(Delta)
-    v(Delta) = 2       -> II          v(Delta) = 3  -> III
-    v(Delta) = 4       -> IV          v(Delta) = 6  -> I0*
-    v(c4) = 2, v >= 7  -> I_{v-6}*
-    v(Delta) = 8       -> IV*         v(Delta) = 9  -> III*
-    v(Delta) = 10      -> II*
+    v(c4) = 0                     -> I_n, n = v(Delta), A_{n-1} (I1: none)
+    v(Delta) = 6, or v(c4) = 2 and v(Delta) >= 7
+                                  -> I_n*, n = v(Delta) - 6, D_{n+4}
+    otherwise by v(Delta) alone (_ADDITIVE):
+        2 -> II       3 -> III, A1      4 -> IV, A2
+        8 -> IV*, E6  9 -> III*, E7    10 -> II*, E8
 
 Characteristics 2 and 3 are wildly ramified for the uniform model, where
 the table does not apply, so they are refused.
@@ -24,44 +25,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import B2
 from .errors import CapabilityError, InconsistencyError
 from .surface import FiberPlace, WeierstrassModel, singular_places
 
-B2 = 22
-
-# type tag -> (component count m_v, |disc| of the root lattice, lattice label)
-_FIBER_DATA = {
-    "II": (1, 1, None),
-    "III": (2, 2, "A1"),
-    "IV": (3, 3, "A2"),
-    "IV*": (7, 3, "E6"),
-    "III*": (8, 2, "E7"),
-    "II*": (9, 1, "E8"),
+# additive types fixed by v(Delta): (type, m_v, |disc| of the root lattice, label)
+_ADDITIVE = {
+    2: ("II", 1, 1, None),
+    3: ("III", 2, 2, "A1"),
+    4: ("IV", 3, 3, "A2"),
+    8: ("IV*", 7, 3, "E6"),
+    9: ("III*", 8, 2, "E7"),
+    10: ("II*", 9, 1, "E8"),
 }
 
 
 @dataclass(frozen=True)
 class KodairaFiber:
+    """A classified place; disc and label describe one geometric fiber."""
+
     place: FiberPlace
     type: str
     components: int
+    disc: int
+    label: str | None
 
     @property
     def degree(self) -> int:
         return self.place.degree
-
-    def lattice_contribution(self) -> tuple[int, str | None]:
-        """(|disc| of the fiber's root lattice, label); per geometric fiber."""
-        if self.type in _FIBER_DATA:
-            _, disc, label = _FIBER_DATA[self.type]
-            return disc, label
-        if self.type.endswith("*"):  # I_n*
-            n = int(self.type[1:-1])
-            return 4, f"D{n + 4}"
-        n = int(self.type[1:])  # I_n
-        if n == 1:
-            return 1, None
-        return n, f"A{n - 1}"
 
 
 @dataclass(frozen=True)
@@ -71,30 +62,19 @@ class LatticeSummary:
     components: tuple[str, ...]
 
 
-def _classify_place(vc4: int | None, vdelta: int) -> tuple[str, int]:
-    """(type tag, component count) from the valuation pair, valid for p >= 5."""
+def _classify_place(vc4: int | None, vdelta: int) -> tuple[str, int, int, str | None]:
+    """(type, m_v, |disc|, label) from the valuation pair, valid for p >= 5."""
     if vdelta <= 0:
         raise ValueError("place is not singular")
     if vc4 == 0:
-        return f"I{vdelta}", vdelta
+        n = vdelta
+        return f"I{n}", n, n, f"A{n - 1}" if n > 1 else None
     # additive reduction; vc4 is None when c4 vanishes identically
-    if vdelta == 2:
-        return "II", 1
-    if vdelta == 3:
-        return "III", 2
-    if vdelta == 4:
-        return "IV", 3
-    if vdelta == 6:
-        return "I0*", 5
-    if vdelta >= 7 and vc4 == 2:
+    if vdelta == 6 or (vdelta >= 7 and vc4 == 2):
         n = vdelta - 6
-        return f"I{n}*", n + 5
-    if vdelta == 8:
-        return "IV*", 7
-    if vdelta == 9:
-        return "III*", 8
-    if vdelta == 10:
-        return "II*", 9
+        return f"I{n}*", n + 5, 4, f"D{n + 4}"
+    if vdelta in _ADDITIVE:
+        return _ADDITIVE[vdelta]
     raise ValueError(
         f"(v(c4), v(Delta)) = ({vc4}, {vdelta}) matches no minimal Kodaira type; "
         "the model is not minimal at this place"
@@ -122,10 +102,9 @@ def trivial_lattice(fibers: list[KodairaFiber]) -> LatticeSummary:
     components: list[str] = []
     for fiber in fibers:
         rank += fiber.degree * (fiber.components - 1)
-        disc, label = fiber.lattice_contribution()
-        abs_disc *= disc**fiber.degree
-        if label is not None:
-            components.extend([label] * fiber.degree)
+        abs_disc *= fiber.disc**fiber.degree
+        if fiber.label is not None:
+            components.extend([fiber.label] * fiber.degree)
     if rank > B2:
         raise InconsistencyError(f"trivial lattice rank {rank} exceeds b_2 = {B2}")
     return LatticeSummary(rank=rank, abs_disc=abs_disc, components=tuple(components))

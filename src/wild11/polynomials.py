@@ -44,10 +44,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -88,12 +84,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
         """Quotient self/divisor in Z[T] for a monic divisor; raises if inexact."""

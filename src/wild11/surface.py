@@ -6,22 +6,26 @@ The families, all fibered over the t-line:
 * gamma kind:    y^2 = x^3 + g*x  + t^11 - t
 * uniform kind:  y^2 + x*y = x^3 + t^11
 
-Models carry a second chart at s = 1/t with x = X/s^4, y = Y/s^6 and the
-equation rescaled by s^12, the K3 normalization; the coefficient transform
-is a_i(t) -> s^(2i) * a_i(1/s), which stays polynomial exactly because of
-the K3 degree bounds deg a_i <= 2i.
+The place t = infinity needs no second chart.  At s = 1/t the K3
+normalization x = X/s^4, y = Y/s^6 sends a_i(t) to s^(2i) * a_i(1/s), a
+polynomial because of the degree bounds deg a_i <= 2i.  c4 and Delta are
+isobaric of weights 4 and 12 in the a_i (a_i has weight i), so in that chart
+they are s^8 * c4(1/s) and s^24 * Delta(1/s): v_inf(c4) = 8 - deg c4 and
+v_inf(Delta) = 24 - deg Delta, and the fiber at s = 0 is the cubic whose
+coefficients are the top coefficients, of t^4, t^8 and t^12, of the
+completed A2, A4 and A6.
 
 Point counting is the independent oracle for everything downstream, so it
 is deliberately naive: enumerate x, add 1 + chi(cubic in x) points per
 fiber (odd characteristic; the substitution y -> y - (a1*x + a3)/2 removes
 the crossed terms first).  Counts are exact integers, and identical no
 matter how the enumeration is partitioned.  surface_count works on element
-indices: the cubic is completed once per chart, A2, A4 and A6 are
-evaluated at every t in one pass through log/exp tables, and each fiber's
-character sum is one lookup per x in a table indexed by carry-free packed
-sums (FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables
-is used by the equivariant tally.  fiber_count counts a single fiber, with
-t given by its element index, evaluating A2, A4 and A6 by Horner's rule in
+indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
+t in one pass through log/exp tables, and each fiber's character sum is one
+lookup per x in a table indexed by carry-free packed sums
+(FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables is
+used by the equivariant tally.  fiber_count counts a single fiber, with t
+given by its element index, evaluating A2, A4 and A6 by Horner's rule in
 coordinate arithmetic.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
@@ -50,25 +54,12 @@ KINDS = ("epsilon", "gamma", "uniform")
 # distinct) about 11 s; at 31^4 it would take hours.
 COUNT_Q_LIMIT = 11**4
 
-# degree bounds deg a_i <= 2i that keep the fibration K3 (and the s-chart polynomial)
+# degree bounds deg a_i <= 2i that keep the fibration K3 (and t = infinity in
+# the top coefficients)
 _DEGREE_BOUNDS = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
 
-
-class _AtInfinity:
-    """Sentinel for the place t = infinity (s = 0 in the second chart)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _AtInfinity()
+# the place t = infinity (s = 0 at s = 1/t), as FiberPlace.location_str prints it
+INFINITY = "infinity"
 
 
 @dataclass(frozen=True)
@@ -81,20 +72,12 @@ class WeierstrassModel:
     a3: FpPoly
     a4: FpPoly
     a6: FpPoly
-    infinity_chart: tuple[FpPoly, FpPoly, FpPoly, FpPoly, FpPoly]
 
     def __post_init__(self):
         for name, bound in _DEGREE_BOUNDS.items():
             poly: FpPoly = getattr(self, name)
             if poly.degree > bound:
                 raise ValueError(f"deg {name} = {poly.degree} exceeds the K3 bound {bound}")
-
-    def coefficients(self, chart: str = "affine") -> tuple[FpPoly, FpPoly, FpPoly, FpPoly, FpPoly]:
-        if chart == "affine":
-            return (self.a1, self.a2, self.a3, self.a4, self.a6)
-        if chart == "infinity":
-            return self.infinity_chart
-        raise ValueError(f"unknown chart {chart!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +95,8 @@ class FiberPlace:
     vc4: int | None
 
     def location_str(self) -> str:
-        if self.location is INFINITY:
-            return "infinity"
+        if self.location == INFINITY:
+            return INFINITY
         if isinstance(self.location, int):
             return f"t={self.location}"
         return poly_str(self.location.coeffs, "t")
@@ -141,13 +124,12 @@ def make_model(kind: str, param: int | None, p: int) -> WeierstrassModel:
             a1, a2, a3, a4, a6 = zero, FpPoly.constant(p, param), zero, zero, t11_minus_t
         else:
             a1, a2, a3, a4, a6 = zero, zero, zero, FpPoly.constant(p, param), t11_minus_t
-    chart = tuple(poly.reverse(2 * i) for poly, i in ((a1, 1), (a2, 2), (a3, 3), (a4, 4), (a6, 6)))
-    return WeierstrassModel(
-        p=p, kind=kind, param=param, a1=a1, a2=a2, a3=a3, a4=a4, a6=a6, infinity_chart=chart
-    )
+    return WeierstrassModel(p=p, kind=kind, param=param, a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
 
 
-def _c4_delta_from(a1: FpPoly, a2: FpPoly, a3: FpPoly, a4: FpPoly, a6: FpPoly):
+def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
+    """Standard covariants c4 and Delta of the model, in F_p[t]."""
+    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -157,30 +139,17 @@ def _c4_delta_from(a1: FpPoly, a2: FpPoly, a3: FpPoly, a4: FpPoly, a6: FpPoly):
     return c4, delta
 
 
-def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
-    """Standard covariants c4 and Delta of the affine chart, in F_p[t]."""
-    return _c4_delta_from(*model.coefficients("affine"))
-
-
-def c4_delta_infinity(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
-    """c4 and Delta of the s = 1/t chart, in F_p[s]."""
-    return _c4_delta_from(*model.coefficients("infinity"))
-
-
 def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     """All places of P^1 where Delta vanishes, with (v(Delta), v(c4)) data.
 
-    Closed points of degree > 1 appear once, carrying their degree."""
+    Closed points of degree > 1 appear once, carrying their degree.  The
+    place at infinity comes first, its valuations read off the degrees."""
     c4, delta = c4_delta(model)
     if not delta:
         raise ValueError("discriminant vanishes identically; the model is not elliptic")
     places = []
-    c4_inf, delta_inf = c4_delta_infinity(model)
-    s = FpPoly.monomial(model.p, 1)
-    v_inf = delta_inf.multiplicity_of(s)
-    if v_inf > 0:
-        vc4_inf = c4_inf.multiplicity_of(s) if c4_inf else None
-        places.append(FiberPlace(INFINITY, 1, v_inf, vc4_inf))
+    if delta.degree < 24:
+        places.append(FiberPlace(INFINITY, 1, 24 - delta.degree, 8 - c4.degree if c4 else None))
     for g, mult in factor(delta):
         vc4 = c4.multiplicity_of(g) if c4 else None
         location: object = (-g.coeffs[0]) % model.p if g.degree == 1 else g
@@ -195,10 +164,10 @@ def _is_irreducible_fiber(place: FiberPlace) -> bool:
     return place.vdelta == 2 and (place.vc4 is None or place.vc4 >= 1)
 
 
-def _completed_cubic(model: WeierstrassModel, chart: str) -> tuple[FpPoly, FpPoly, FpPoly]:
+def _completed_cubic(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FpPoly]:
     """(A2, A4, A6) with y^2 = x^3 + A2 x^2 + A4 x + A6 after removing a1, a3 (odd p)."""
     p = model.p
-    a1, a2, a3, a4, a6 = model.coefficients(chart)
+    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     inv2 = pow(2, p - 2, p)
     inv4 = inv2 * inv2 % p
     A2 = a2 + a1 * a1 * inv4
@@ -260,15 +229,16 @@ def fiber_count(model: WeierstrassModel, t0, spec: FieldSpec) -> int:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
     if model.p == 2:
         raise CapabilityError("fiber counting needs odd characteristic to complete the cubic")
-    if t0 is INFINITY:
-        chart, t0 = "infinity", 0
-    elif isinstance(t0, int) and 0 <= t0 < spec.q:
-        chart = "affine"
-    else:
+    completed = _completed_cubic(model)
+    if t0 == INFINITY:
+        # the top coefficients; an F_p coefficient c is the element index c
+        top = [poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))]
+        return _count_cubic_points(spec, *top)
+    if not (isinstance(t0, int) and 0 <= t0 < spec.q):
         raise ValueError(f"t0 must be an element index in [0, {spec.q}) or INFINITY, got {t0!r}")
     t = spec.coords_at(t0)
     values = []
-    for poly in _completed_cubic(model, chart):
+    for poly in completed:
         acc = spec.coords_at(0)
         for c in reversed(poly.coeffs):
             acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
@@ -303,8 +273,7 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
                 f"v(c4)={place.vc4}; the Weierstrass count would miss components"
             )
     total = fiber_count(model, INFINITY, spec)
-    A2, A4, A6 = _completed_cubic(model, "affine")
-    values = (_values_everywhere(poly.coeffs, spec) for poly in (A2, A4, A6))
+    values = (_values_everywhere(poly.coeffs, spec) for poly in _completed_cubic(model))
     for a2, a4, a6 in zip(*values):
         total += _count_cubic_points(spec, a2, a4, a6)
     return total

@@ -7,11 +7,13 @@ command's path, so they live beside the tests rather than in the package.
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 from wild11 import CapabilityError, CycNum, EigenTraces, FieldSpec, InconsistencyError, IntPoly, ffield
 from wild11.cyclotomic import DEGREE, ORDER
 from wild11.fppoly import FpPoly, is_irreducible
+from wild11.surface import WeierstrassModel
 
 
 def zeta_power(k: int) -> CycNum:
@@ -97,3 +99,17 @@ def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     if not any(x):
         return 0
     return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1
+
+
+def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
+    """The model in the chart s = 1/t: a_i -> s^(2i) * a_i(1/s).
+
+    Each coefficient list is padded to length 2i + 1 and reversed.  The
+    reference for the place at infinity that wild11.singular_places and
+    wild11.fiber_count read off the top coefficients of the affine chart."""
+
+    def reversed_at(i: int) -> FpPoly:
+        poly = getattr(model, f"a{i}")
+        return FpPoly(model.p, (list(poly.coeffs) + [0] * (2 * i + 1 - len(poly.coeffs)))[::-1])
+
+    return dataclasses.replace(model, **{f"a{i}": reversed_at(i) for i in (1, 2, 3, 4, 6)})

@@ -1,8 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
+from wild11 import fppoly
 from wild11.fppoly import FpPoly, factor, is_irreducible, monic_polys
 from wild11.surface import c4_delta, make_model
 
@@ -28,23 +30,6 @@ def test_gcd_basics():
     g = poly(p, 0, 1) * poly(p, 5, 1)
     assert f.gcd(g) == poly(p, 0, 1)
     assert f.gcd(FpPoly(p)) == f.monic()
-
-
-def test_evaluate_at_residues():
-    p = 11
-    f = poly(p, 1, 0, 1)  # t^2 + 1
-    assert f(3) == 10
-    assert [f(x) for x in range(p)] == [(x * x + 1) % p for x in range(p)]
-
-
-def test_reverse():
-    p = 11
-    t11_minus_t = FpPoly(p, (0, p - 1) + (0,) * 9 + (1,))
-    rev = t11_minus_t.reverse(12)
-    # s^12 (1/s^11 - 1/s) = s - s^11
-    assert rev == FpPoly(p, (0, 1) + (0,) * 9 + (p - 1,))
-    with pytest.raises(ValueError):
-        t11_minus_t.reverse(10)
 
 
 def _refactor_check(f):
@@ -207,6 +192,29 @@ def test_factor_discriminants_across_shift_bound(kind, param, p):
     pieces = factor(delta)
     assert all(is_irreducible(g) and m >= 1 for g, m in pieces)
     _refactor_check(delta)
+
+
+def test_factor_needs_the_degree_one_norms():
+    # With two shifts, Tr(t) = t leaves roots of epsilon 1's Delta together
+    # at p = 10^16 + 61 and the norms N(t + k) = t + k separate them.  Norms
+    # of degree 2 alone never would: Delta has root pairs +-r, every t^2 + c
+    # takes one value on a pair, and base-p order tries all p constants c
+    # before t^2 + t.  The cap turns such a hang into a failure.
+    p = 10**16 + 61
+    delta = c4_delta(make_model("epsilon", 1, p))[1]
+    values = fppoly._separating_values
+
+    def capped(f, d, frobenius):
+        for k, v in enumerate(values(f, d, frobenius)):
+            if k == 200:
+                raise AssertionError(f"degree-{d} parts still unsplit after 200 values")
+            yield v
+
+    with mock.patch.object(fppoly, "SHIFTS", 2), mock.patch.object(fppoly, "_separating_values", capped):
+        pieces = factor(delta)
+        _refactor_check(delta)
+    assert [(g.degree, m) for g, m in pieces] == [(1, 1)] * 12 + [(5, 1)] * 2
+    assert all(is_irreducible(g) for g, _ in pieces)
 
 
 def test_monic_polys_base_p_order():

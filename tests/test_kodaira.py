@@ -9,7 +9,8 @@ from wild11 import (
     trivial_lattice,
 )
 from wild11.kodaira import KodairaFiber, LatticeSummary, _classify_place
-from wild11.surface import INFINITY, c4_delta, c4_delta_infinity
+from wild11.surface import INFINITY, c4_delta
+from references import infinity_chart
 
 
 def _types_with_degree(fibers):
@@ -65,7 +66,7 @@ def test_wild_delta_report(p):
     # the discriminant bookkeeping of the uniform model where classification is refused
     model = make_model("uniform", None, p)
     _, delta = c4_delta(model)
-    _, delta_inf = c4_delta_infinity(model)
+    _, delta_inf = c4_delta(infinity_chart(model))
     # Delta degenerates to a unit times t^11
     assert delta.degree == 11
     assert all(c % p == 0 for c in delta.coeffs[:11])
@@ -109,7 +110,7 @@ def test_trivial_lattice_intermediate_configuration():
 
 def test_trivial_lattice_rank_gate():
     fibers = classify_fibers(make_model("uniform", None, 11))
-    inflated = fibers + [KodairaFiber(fibers[1].place, "I11", 11)]
+    inflated = fibers + [KodairaFiber(fibers[1].place, "I11", 11, 11, "A10")]
     with pytest.raises(InconsistencyError):
         trivial_lattice(inflated)
 
@@ -122,24 +123,32 @@ def test_artin_invariant_cases():
 
 
 def test_classify_place_table():
-    assert _classify_place(0, 1) == ("I1", 1)
-    assert _classify_place(0, 11) == ("I11", 11)
-    assert _classify_place(1, 2) == ("II", 1)
-    assert _classify_place(1, 3) == ("III", 2)
-    assert _classify_place(2, 4) == ("IV", 3)
-    assert _classify_place(2, 6) == ("I0*", 5)
-    assert _classify_place(2, 8) == ("I2*", 7)
-    assert _classify_place(3, 8) == ("IV*", 7)
-    assert _classify_place(3, 9) == ("III*", 8)
-    assert _classify_place(4, 10) == ("II*", 9)
-    assert _classify_place(None, 2) == ("II", 1)
+    assert _classify_place(0, 1) == ("I1", 1, 1, None)
+    assert _classify_place(0, 2) == ("I2", 2, 2, "A1")
+    assert _classify_place(0, 11) == ("I11", 11, 11, "A10")
+    assert _classify_place(1, 2) == ("II", 1, 1, None)
+    assert _classify_place(1, 3) == ("III", 2, 2, "A1")
+    assert _classify_place(2, 4) == ("IV", 3, 3, "A2")
+    assert _classify_place(2, 6) == ("I0*", 5, 4, "D4")
+    assert _classify_place(None, 6) == ("I0*", 5, 4, "D4")
+    assert _classify_place(2, 7) == ("I1*", 6, 4, "D5")
+    assert _classify_place(2, 8) == ("I2*", 7, 4, "D6")
+    assert _classify_place(3, 8) == ("IV*", 7, 3, "E6")
+    assert _classify_place(None, 8) == ("IV*", 7, 3, "E6")
+    assert _classify_place(3, 9) == ("III*", 8, 2, "E7")
+    assert _classify_place(2, 10) == ("I4*", 9, 4, "D8")
+    assert _classify_place(4, 10) == ("II*", 9, 1, "E8")
+    assert _classify_place(None, 2) == ("II", 1, 1, None)
+    for vc4, vdelta in ((4, 12), (3, 7), (1, 1), (None, 5)):
+        with pytest.raises(ValueError):
+            _classify_place(vc4, vdelta)  # non-minimal or impossible
     with pytest.raises(ValueError):
-        _classify_place(4, 12)  # non-minimal
+        _classify_place(0, 0)  # not singular
 
 
 def test_lattice_contribution_labels():
     fibers = classify_fibers(make_model("uniform", None, 11))
     i11 = next(f for f in fibers if f.type == "I11")
-    assert i11.lattice_contribution() == (11, "A10")
+    assert (i11.components, i11.disc, i11.label) == (11, 11, "A10")
     ii = next(f for f in fibers if f.type == "II")
-    assert ii.lattice_contribution() == (1, None)
+    assert (ii.components, ii.disc, ii.label) == (1, 1, None)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wild11 import (
@@ -7,8 +7,8 @@ from wild11 import (
     CapabilityError,
     FieldSpec,
     ReducibleFiberError,
+    WeierstrassModel,
     c4_delta,
-    c4_delta_infinity,
     fiber_count,
     make_model,
     singular_places,
@@ -17,7 +17,7 @@ from wild11 import (
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
 from wild11.surface import _packed_chi
-from references import spec_with_modulus
+from references import infinity_chart, spec_with_modulus
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
 
@@ -59,7 +59,8 @@ def test_make_model_validation():
 def test_infinity_chart_of_epsilon_model():
     # a2 -> eps * s^4, a6 -> s - s^11
     m = make_model("epsilon", 3, 11)
-    a1s, a2s, a3s, a4s, a6s = m.infinity_chart
+    chart = infinity_chart(m)
+    a1s, a2s, a3s, a4s, a6s = chart.a1, chart.a2, chart.a3, chart.a4, chart.a6
     assert a2s == FpPoly(11, (0, 0, 0, 0, 3))
     assert a6s == FpPoly(11, (0, 1) + (0,) * 9 + (10,))
     assert not a1s and not a3s and not a4s
@@ -98,9 +99,56 @@ def test_uniform_discriminant_formula():
 def test_discriminant_total_degree_is_24(kind, param):
     m = make_model(kind, param, 11)
     _, delta = c4_delta(m)
-    _, delta_inf = c4_delta_infinity(m)
+    _, delta_inf = c4_delta(infinity_chart(m))
     v_inf = next(i for i, c in enumerate(delta_inf.coeffs) if c)
     assert delta.degree + v_inf == 24
+
+
+def _reference_place_at_infinity(model):
+    """[(v(Delta), v(c4))] at s = 0 on the reference chart, or [] when Delta(0) != 0 there."""
+    c4_s, delta_s = c4_delta(infinity_chart(model))
+    s = FpPoly.monomial(model.p, 1)
+    v_delta = delta_s.multiplicity_of(s)
+    return [(v_delta, c4_s.multiplicity_of(s) if c4_s else None)] if v_delta else []
+
+
+def _place_at_infinity(model):
+    return [(pl.vdelta, pl.vc4) for pl in singular_places(model) if pl.location == INFINITY]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 577, 991])
+@pytest.mark.parametrize(
+    "kind,param", [("epsilon", 0), ("epsilon", 1), ("gamma", 0), ("gamma", 2), ("uniform", None)]
+)
+def test_place_at_infinity_matches_reference_chart(kind, param, p):
+    # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4, against the s-chart
+    m = make_model(kind, param, p)
+    assert _place_at_infinity(m) == _reference_place_at_infinity(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 13]), st.data())
+def test_place_at_infinity_of_random_models(p, data):
+    # every a_i may be nonzero and of any degree up to 2i, so the weights of
+    # a1 and a3 and the top coefficients of the completed cubic all count
+    full = data.draw(st.booleans())  # full-length a_i bring v_inf(Delta) = 1 and 2
+
+    def coefficient(i):
+        length = 2 * i + 1 if full else data.draw(st.integers(0, 2 * i + 1))
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)))
+
+    model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
+    assume(c4_delta(model)[1])
+    assert _place_at_infinity(model) == _reference_place_at_infinity(model)
+    # the fiber at s = 0, counted on the raw equation of the reference chart
+    chart = infinity_chart(model)
+    a1, a2, a3, a4, a6 = (a.coeffs[0] if a else 0 for a in (chart.a1, chart.a2, chart.a3, chart.a4, chart.a6))
+    affine = sum(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+        for x in range(p)
+        for y in range(p)
+    )
+    assert fiber_count(model, INFINITY, FieldSpec(p)) == 1 + affine
 
 
 def test_fiber_at_infinity_is_cuspidal():
@@ -242,7 +290,7 @@ def _reference_surface_count(model, spec):
     linear_parts, counts = {}, {}
 
     def fiber(chart, t):
-        a1, a2, a3, a4, a6 = model.coefficients(chart)
+        a1, a2, a3, a4, a6 = chart.a1, chart.a2, chart.a3, chart.a4, chart.a6
         completed = (a2 + a1 * a1 * (inv2 * inv2), a4 + a1 * a3 * inv2, a6 + a3 * a3 * (inv2 * inv2))
         A2, A4, A6 = (_evaluate(poly, t, spec) for poly in completed)
         if (A2, A4) not in linear_parts:
@@ -258,7 +306,7 @@ def _reference_surface_count(model, spec):
         return counts[A2, A4, A6]
 
     elements = [spec.coords_at(i) for i in range(q)]
-    return fiber("infinity", elements[0]) + sum(fiber("affine", t) for t in elements)
+    return fiber(infinity_chart(model), elements[0]) + sum(fiber(model, t) for t in elements)
 
 
 @pytest.mark.parametrize("r", [1, 2])
