@@ -4,19 +4,21 @@ Three exact invariants are extracted from the degree-20 polynomial mu_p:
 
 * the unit-normalized polynomial mu~(T) = mu_p(p T) / p^20, whose roots all
   have absolute value 1;
-* an upper bound for the Picard number: 2 (fiber and zero-section classes)
-  plus the number of roots of mu_p of the form p * (root of unity), counted
-  with multiplicity through divisibility of mu_p by the monic integer
-  polynomials p^phi(k) * Phi_k(T / p);
+* the Picard number over the algebraic closure of F_p: 2 (fiber and
+  zero-section classes) plus the number of roots of mu_p of the form
+  p * (root of unity), counted with multiplicity through divisibility of
+  mu_p by the monic integer polynomials p^phi(k) * Phi_k(T / p);
 * the formal-Brauer height, read off the p-adic Newton polygon: with s_min
   the smallest root valuation, height is 1/(1 - s_min), and s_min = 1 means
   infinite height (Artin-supersingular).
 
-The Picard bound is exactly that, a bound; equality would follow from the
-Tate conjecture for elliptic K3 surfaces, which this code never assumes.
-Likewise, the finer eigenspace-dimension argument restricting the Picard
-number of these families to {2, 12, 22} is not recomputed here; only the
-root-of-unity count enters.
+The root-of-unity count is the Picard number over the algebraic closure,
+not only a bound: the Tate conjecture is a theorem for elliptic K3 surfaces
+over finite fields (Artin and Swinnerton-Dyer, Invent. Math. 20, 1973), and
+it gives rho over the closure as that count.  The report keeps the name
+picard_upper.  The finer eigenspace-dimension argument restricting the
+Picard number of these families to {2, 12, 22} is not recomputed here; only
+the root-of-unity count enters.
 
 The structural checks read mu_p alone, never the eigenspace data it was
 expanded from: the functional equation of mu~; for the gamma kind, that

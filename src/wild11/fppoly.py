@@ -4,15 +4,16 @@ Support module for the Weierstrass-model and fiber-classification code:
 discriminants and c4-covariants live in F_p[t], and fiber classification
 needs their factorizations into monic irreducibles.  Factorization is
 distinct-degree splitting, which strips every power (p-th powers included)
-of each factor it finds and is also the irreducibility test, then
-equal-degree splitting.
+of each factor it finds, reading the multiplicity off its chain of gcds, and
+is also the irreducibility test, then equal-degree splitting.
 
 Equal-degree splitting is one loop.  On an irreducible factor of degree d
-the trace Tr(t) = t + t^p + ... + t^(p^(d-1)), built from the Frobenius
-powers that distinct-degree splitting keeps (von zur Gathen and Shoup 1992),
-and every norm N(a) = a^((p^d - 1)/(p - 1)) take a single value in F_p.
-The loop refines the parts by Tr(t), then by N(a) for the monic a in base-p
-order, until every part has degree d.  For p <= SHIFTS, gcd(part, v + c)
+the trace Tr(t) = t + t^p + ... + t^(p^(d-1)) and the norm N(t) = t * t^p *
+... * t^(p^(d-1)), both built from the Frobenius powers that distinct-degree
+splitting keeps (von zur Gathen and Shoup 1992), and every norm
+N(a) = a^((p^d - 1)/(p - 1)) take a single value in F_p.  The loop refines
+the parts by Tr(t), then by N(t), then by N(a) for the other monic a in
+base-p order, until every part has degree d.  For p <= SHIFTS, gcd(part, v + c)
 for every c in F_p separates every value of v; for larger p the quadratic
 character of v + c does, for SHIFTS shifts c, and at c = 0 on N(a) that is
 the Cantor-Zassenhaus test with a (Cantor and Zassenhaus 1981).  For d = 1,
@@ -22,6 +23,7 @@ order instead of being sampled, so factorizations are reproducible.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
@@ -149,8 +151,9 @@ class FpPoly:
         while e:
             if e & 1:
                 result = result * base % mod
-            base = base * base % mod
             e >>= 1
+            if e:
+                base = base * base % mod
         return result
 
     def multiplicity_of(self, g: "FpPoly") -> int:
@@ -170,14 +173,16 @@ class FpPoly:
         return f"FpPoly(p={self.p}, {poly_str(self.coeffs, 't')})"
 
 
-def _distinct_degree(f: FpPoly) -> tuple[list[tuple[FpPoly, int]], list[FpPoly]]:
-    """f monic -> ([(product of the distinct irreducible factors of degree d, d)],
-    frobenius), where frobenius[j] is t^(p^j) modulo a multiple of every
-    product of degree-d factors with d > j.
+def _distinct_degree(f: FpPoly) -> tuple[list[tuple[FpPoly, int, int]], list[FpPoly]]:
+    """f monic -> ([(product of the distinct irreducible factors of degree d
+    and multiplicity m, d, m)], frobenius), where frobenius[j] is t^(p^j)
+    modulo a multiple of every product of degree-d factors with d > j.
 
-    Every power of a factor found at degree d is divided out (the gcd with each
-    quotient, as multiplicities may differ), so f keeps no factor of degree
-    below d and a remainder of degree below 2d is irreducible."""
+    Every power of a factor found at degree d is divided out: gd_k, the gcd
+    of gd_(k-1) with the quotient, is the product of the degree-d factors of
+    multiplicity at least k, so gd_k // gd_(k+1) is those of multiplicity k.
+    f keeps no factor of degree below d, and a remainder of degree below 2d
+    is irreducible of multiplicity 1."""
     p = f.p
     out = []
     t = FpPoly.monomial(p, 1)
@@ -189,20 +194,24 @@ def _distinct_degree(f: FpPoly) -> tuple[list[tuple[FpPoly, int]], list[FpPoly]]
         frobenius.append(g)
         gd = f.gcd(g - t)
         if gd.degree > 0:
-            out.append((gd, d))
+            m = 0
             while gd.degree > 0:
                 f //= gd
-                gd = f.gcd(gd)
+                m += 1
+                next_gd = f.gcd(gd)
+                if next_gd.degree < gd.degree:
+                    out.append((gd // next_gd, d, m))
+                gd = next_gd
             g = g % f
         d += 1
     if f.degree > 0:
-        out.append((f, f.degree))
+        out.append((f, f.degree, 1))
     return out, frobenius
 
 
 def is_irreducible(f: FpPoly) -> bool:
     """Whether f is monic and irreducible over F_p."""
-    return f.lead == 1 and _distinct_degree(f)[0] == [(f, f.degree)]
+    return f.lead == 1 and _distinct_degree(f)[0] == [(f, f.degree, 1)]
 
 
 def monic_polys(p: int, degree: int) -> Iterator[FpPoly]:
@@ -218,13 +227,18 @@ def monic_polys(p: int, degree: int) -> Iterator[FpPoly]:
 
 def _separating_values(f: FpPoly, d: int, frobenius: list[FpPoly]) -> Iterator[FpPoly]:
     """Tr(t), then N(a) for the monic a of degree 1 .. deg f in base-p order;
-    each takes one value in F_p on every degree-d irreducible factor of f."""
+    each takes one value in F_p on every degree-d irreducible factor of f.
+    N(t), the first norm, is the product of the Frobenius powers mod f."""
     p = f.p
     yield sum(frobenius[1:d], frobenius[0])
+    t = FpPoly.monomial(p, 1)
     norm = (p**d - 1) // (p - 1)
     for degree in range(1, f.degree + 1):
         for a in monic_polys(p, degree):
-            yield a.pow_mod(norm, f)
+            if a == t:
+                yield reduce(lambda n, x: n * x % f, frobenius[1:d], t % f)
+            else:
+                yield a.pow_mod(norm, f)
 
 
 def _refine(parts: list[FpPoly], d: int, v: FpPoly) -> list[FpPoly]:
@@ -271,16 +285,16 @@ def _equal_degree(f: FpPoly, d: int, frobenius: list[FpPoly]) -> list[FpPoly]:
 def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
     """Factor nonzero f into monic irreducibles: [(g, multiplicity)], sorted.
 
-    The unit leading coefficient is discarded; callers that need it use
-    f.lead directly.
+    Each (product, d, m) of the distinct-degree pass splits into its degree-d
+    factors, all of multiplicity m.  The unit leading coefficient is
+    discarded; callers that need it use f.lead directly.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    f = f.monic()
-    products, frobenius = _distinct_degree(f)
+    products, frobenius = _distinct_degree(f.monic())
     pieces = [
-        (irr, f.multiplicity_of(irr))
-        for prod, d in products
+        (irr, m)
+        for prod, d, m in products
         for irr in _equal_degree(prod, d, frobenius)
     ]
     return sorted(pieces, key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -3,6 +3,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wild11 import fppoly
 from wild11.fppoly import FpPoly, factor, is_irreducible, monic_polys
@@ -156,15 +158,8 @@ def test_factor_matches_cantor_zassenhaus_on_equal_degree_products(p, d):
     # the norms after it whenever two factors share a trace
     rng = random.Random(p * 10 + d)
     for _ in range(8):
-        chosen = set()
         target = rng.randint(2, min(6, p))  # F_5 has only 5 monic linears
-        while len(chosen) < target:
-            g = FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
-            if _irreducible_by_trial_division(g):
-                chosen.add(g)
-        f = FpPoly.constant(p, 1)
-        for g in chosen:
-            f = f * g
+        chosen, f = _equal_degree_product(p, d, target, rng)
         expected = sorted(_cantor_zassenhaus_reference(f, d, rng), key=lambda g: g.coeffs)
         assert sorted(chosen, key=lambda g: g.coeffs) == expected
         assert factor(f) == [(g, 1) for g in expected]
@@ -285,3 +280,110 @@ def test_factor_ignores_unit_scalars():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(FpPoly(11))
+
+
+def _squarefree(f):
+    # over the perfect field F_p, f' = 0 makes f a p-th power
+    derivative = FpPoly(f.p, [i * c for i, c in enumerate(f.coeffs)][1:])
+    return bool(derivative) and f.gcd(derivative).degree == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+def test_factor_multiplicities_match_multiplicity_of(p, data):
+    # products of powers g^m with m up to p + 2, so p-th powers and
+    # multiplicities above p occur; the g need not be irreducible or distinct
+    f = FpPoly.constant(p, 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        lower = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+        m = data.draw(st.integers(1, p + 2))
+        for _ in range(m):
+            f = f * FpPoly(p, lower + [1])
+    products, _ = fppoly._distinct_degree(f)
+    prod = FpPoly.constant(p, 1)
+    for i, (g, d, m) in enumerate(products):
+        assert g.lead == 1 and g.degree % d == 0 and _squarefree(g), (f, g)
+        assert all(g.gcd(h).degree == 0 for h, _, _ in products[i + 1 :]), (f, g)
+        for _ in range(m):
+            prod = prod * g
+    assert prod == f
+    pieces = factor(f)
+    assert all(f.multiplicity_of(g) == m for g, m in pieces), f
+    _refactor_check(f)
+
+
+_ARTIN_SCHREIER_GAMMAS = (2, 6, 7, 8, 10)
+
+
+def _equal_degree_product(p, d, count, rng):
+    """count distinct monic irreducibles of degree d drawn by rng, and their product."""
+    chosen = set()
+    while len(chosen) < count:
+        g = FpPoly(p, [rng.randrange(p) for _ in range(d)] + [1])
+        if _irreducible_by_trial_division(g):
+            chosen.add(g)
+    f = FpPoly.constant(p, 1)
+    for g in chosen:
+        f = f * g
+    return chosen, f
+
+
+@pytest.mark.parametrize(
+    "f",
+    [c4_delta(make_model("gamma", param, 11))[1].monic() for param in _ARTIN_SCHREIER_GAMMAS]
+    + [
+        _equal_degree_product(p, d, 3, random.Random(p + d))[1]
+        for p in (5, 13, 577, 3001)
+        for d in (2, 3)
+    ],
+    ids=lambda f: f"p{f.p}-deg{f.degree}",
+)
+def test_norm_of_t_is_the_product_of_the_frobenius_powers(f):
+    # the loop's N(t) = prod_(j<d) t^(p^j) mod f against the power of t it
+    # replaces, and every value after it against the norms by pow_mod in
+    # base-p order, so the sequence of values is the one before the product
+    p = f.p
+    [(prod, d, m)], frobenius = fppoly._distinct_degree(f)
+    assert (prod, m) == (f, 1) and f.degree > d
+    norm = (p**d - 1) // (p - 1)
+    values = list(itertools.islice(fppoly._separating_values(f, d, frobenius), 8))
+    assert values[0] == sum(frobenius[1:d], frobenius[0])
+    monics = itertools.chain.from_iterable(monic_polys(p, k) for k in range(1, f.degree + 1))
+    expected = [a.pow_mod(norm, f) for a in itertools.islice(monics, 7)]
+    assert values[1] == FpPoly.monomial(p, 1).pow_mod(norm, f) == expected[0]
+    assert values[1:] == expected
+
+
+@pytest.mark.parametrize("p", [2, 11, 577])
+def test_pow_mod_matches_repeated_multiplication(p):
+    # e = 0 and e = 1 are the exponents whose only squaring is skipped
+    rng = random.Random(p)
+    mod = FpPoly(p, [rng.randrange(p) for _ in range(5)] + [1])
+    base = FpPoly(p, [rng.randrange(p) for _ in range(8)] + [1])
+    expected = FpPoly.constant(p, 1)
+    for e in range(65):
+        assert base.pow_mod(e, mod) == expected, e
+        expected = expected * base % mod
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("gamma", param) for param in _ARTIN_SCHREIER_GAMMAS] + [("epsilon", 0)]
+)
+def test_factor_work_count_on_discriminants_f11(kind, param):
+    # multiplicities come from the distinct-degree gcd chain and N(t) from
+    # the Frobenius powers: no trial division by a factor, and no power mod
+    # Delta above the Frobenius step t -> t^p (epsilon 0 has
+    # Delta = (t^11 - t)^2, the five gammas two trace-0 factors of degree 11)
+    p = 11
+    delta = c4_delta(make_model(kind, param, p))[1]
+    with mock.patch.object(
+        FpPoly, "pow_mod", autospec=True, side_effect=FpPoly.pow_mod
+    ) as pow_mod, mock.patch.object(
+        FpPoly, "multiplicity_of", autospec=True, side_effect=FpPoly.multiplicity_of
+    ) as multiplicity_of:
+        pieces = factor(delta)
+    assert multiplicity_of.call_count == 0
+    assert pow_mod.call_count > 0
+    assert max(call.args[1] for call in pow_mod.call_args_list) <= p
+    degrees = [(g.degree, m) for g, m in pieces]
+    assert degrees == ([(1, 2)] * 11 if kind == "epsilon" else [(11, 1)] * 2)
