@@ -5,10 +5,15 @@ Subcommands: analyze (full equivariant pipeline for one surface), table
 lattice (Kodaira classification and Shioda-Tate bookkeeping), cover-check
 (the Fermat-cover identity), and count (exact point counts).
 
+Each cmd_* returns its report sections as a plain dict of JSON-ready
+values, in display order.  main runs the command the parser names,
+prepends the meta section and renders the report once, as JSON, CSV or
+text.
+
 Output is deterministic: identical invocations produce byte-identical
 JSON with sorted keys, integers as integers and rationals as exact
-"num/den" strings.  Timings are measured but only included on request,
-since they would break reproducibility.
+"num/den" strings.  Timings are measured but only included with
+--timing, since they would break reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 capability limit, 4 internal
 arithmetic inconsistency.
@@ -21,8 +26,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .analysis import INFINITE_HEIGHT, analyze_charpoly
@@ -40,57 +43,29 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_INCONSISTENT = 4
 
-_SECTIONS = ("meta", "inputs", "tally", "traces", "eigentraces", "charpoly", "analysis", "fibers", "lattice")
 
-
-@dataclass
-class Report:
-    """One command's result, already in JSON-ready exact form."""
-
-    meta: dict
-    inputs: dict
-    tally: dict | None = None
-    traces: dict | None = None
-    eigentraces: dict | None = None
-    charpoly: dict | None = None
-    analysis: dict | None = None
-    fibers: list | None = None
-    lattice: dict | None = None
-    timing_seconds: float = 0.0  # set by main around the command's dispatch
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {}
-        for name in _SECTIONS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if include_timing:
-            out["meta"] = dict(out["meta"], timing_seconds=self.timing_seconds)
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2)
-
-    def to_csv(self, include_timing: bool = False) -> str:
-        lines = ["key,value"]
-        for path, value in _flatten(self.to_json_dict(include_timing)):
-            text = str(value).replace('"', '""')
-            if "," in text or '"' in str(value):
-                text = f'"{text}"'
-            lines.append(f"{path},{text}")
-        return "\n".join(lines) + "\n"
-
-    def to_text(self, include_timing: bool = False) -> str:
+def _render(report: dict, fmt: str, timing: float | None) -> str:
+    """The report as JSON, CSV or text; timing, when given, goes into meta
+    (JSON, CSV) or onto a closing [timing] line (text)."""
+    if fmt == "text":
         lines = []
-        for name in _SECTIONS:
-            value = getattr(self, name)
-            if value is None:
-                continue
+        for name, value in report.items():
             lines.append(f"[{name}]")
             lines.extend(_render_text(value, indent=2))
-        if include_timing:
-            lines.append(f"[timing] {self.timing_seconds:.3f} s")
+        if timing is not None:
+            lines.append(f"[timing] {timing:.3f} s")
         return "\n".join(lines) + "\n"
+    if timing is not None:
+        report = dict(report, meta=dict(report["meta"], timing_seconds=timing))
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    lines = ["key,value"]
+    for path, value in _flatten(report):
+        text = str(value).replace('"', '""')
+        if "," in text or '"' in str(value):
+            text = f'"{text}"'
+        lines.append(f"{path},{text}")
+    return "\n".join(lines) + "\n"
 
 
 def _flatten(value, prefix: str = ""):
@@ -129,10 +104,6 @@ def _render_text(value, indent: int) -> list[str]:
     return lines
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def _height_json(height) -> object:
     return "infinity" if height == INFINITE_HEIGHT else int(height)
 
@@ -164,11 +135,6 @@ def _cofactor_json(coefficient: int, exponents: tuple[int, int, int]) -> str:
     return f"MultiPoly({coefficient}*{monomial})"
 
 
-def _meta() -> dict:
-    # deliberately environment-free so identical invocations stay byte-identical
-    return {"tool": "wild11", "version": __version__}
-
-
 def run_equivariant_pipeline(kind: str, param: int, p: int):
     """Tallies at q = p and p^2, eigentraces, and the assembled charpoly."""
     model = make_model(kind, param, p)
@@ -182,47 +148,53 @@ def run_equivariant_pipeline(kind: str, param: int, p: int):
     return model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result
 
 
-def cmd_analyze(kind: str, param: int, p: int) -> Report:
+def _fiber_sections(model, lattice: bool) -> dict:
+    """The fibers section, and the lattice section when asked for."""
+    fibers = classify_fibers(model)
+    sections = {"fibers": [_fiber_json(f) for f in fibers]}
+    if lattice:
+        sections["lattice"] = _lattice_json(trivial_lattice(fibers), model.p)
+    return sections
+
+
+def cmd_analyze(kind: str, param: int, p: int) -> dict:
     """Full pipeline for one surface: tallies, traces, mu_p, and analysis."""
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
         kind, param, p
     )
     report_data = analyze_charpoly(result, kind)
-    fibers = classify_fibers(model)
-    return Report(
-        meta=_meta(),
-        inputs={"kind": kind, "param": param, "p": p},
-        tally={"p": list(tally_p.fix), "p2": list(tally_p2.fix)},
-        traces={"p": tr_p, "p2": tr_p2},
-        eigentraces={
+    return {
+        "inputs": {"kind": kind, "param": param, "p": p},
+        "tally": {"p": list(tally_p.fix), "p2": list(tally_p2.fix)},
+        "traces": {"p": tr_p, "p2": tr_p2},
+        "eigentraces": {
             "p": [list(a.coords) for a in eigen_p.a],
             "p2": [list(a.coords) for a in eigen_p2.a],
             "galois_permutation_s2": list(eigen_p.galois_permutation(2) or ()),
         },
-        charpoly={
+        "charpoly": {
             "mu": list(result.mu.coeffs),
             "mu_full": list(result.mu_full.coeffs),
             "per_eigenspace": [
                 {"a": list(a.coords), "b": list(b.coords)} for a, b in result.per_eigenspace
             ],
         },
-        analysis={
-            "mu_tilde": [_frac_str(c) for c in report_data.mu_tilde],
+        "analysis": {
+            "mu_tilde": [str(c) for c in report_data.mu_tilde],
             "picard_upper": report_data.picard_upper,
             "picard_lower": report_data.picard_lower,
             "height": _height_json(report_data.height),
-            "newton_slopes": [[_frac_str(v), m] for v, m in report_data.newton.slopes],
+            "newton_slopes": [[str(v), m] for v, m in report_data.newton.slopes],
             "checks": dict(sorted(report_data.checks.items())),
         },
-        fibers=[_fiber_json(f) for f in fibers],
-        lattice=_lattice_json(trivial_lattice(fibers), p),
-    )
+        **_fiber_sections(model, lattice=True),
+    }
 
 
 _SQUARE_CLASSES = ((1, 3, 4, 5, 9), (2, 6, 7, 8, 10))
 
 
-def cmd_table(p: int = 11) -> Report:
+def cmd_table(p: int = 11) -> dict:
     """mu~ for all epsilon, gamma in F_p^*, grouped by square class.
 
     Verifies that members of a square class share one polynomial and that
@@ -246,62 +218,43 @@ def cmd_table(p: int = 11) -> Report:
                 {
                     "family": kind,
                     "members": list(members),
-                    "mu_tilde": [_frac_str(c) for c in reference],
+                    "mu_tilde": [str(c) for c in reference],
                     "mu_tilde_str": poly_str(reference),
                 }
             )
     if len(distinct) != 4:
         raise InconsistencyError(f"expected 4 distinct polynomials, found {len(distinct)}")
-    return Report(meta=_meta(), inputs={"p": p}, analysis={"table": rows})
+    return {"inputs": {"p": p}, "analysis": {"table": rows}}
 
 
-def cmd_fibers(kind: str, param: int | None, p: int) -> Report:
+def cmd_fibers(kind: str, param: int | None, p: int, lattice: bool = False) -> dict:
+    """Kodaira types of the singular fibers (the fibers command); with
+    lattice, also the trivial lattice (the lattice command)."""
     model = make_model(kind, param, p)
-    fibers = classify_fibers(model)
-    return Report(
-        meta=_meta(),
-        inputs={"kind": kind, "param": model.param, "p": p},
-        fibers=[_fiber_json(f) for f in fibers],
-    )
+    inputs = {"kind": kind, "param": model.param, "p": p}
+    return {"inputs": inputs, **_fiber_sections(model, lattice)}
 
 
-def cmd_lattice(kind: str, param: int | None, p: int) -> Report:
-    model = make_model(kind, param, p)
-    fibers = classify_fibers(model)
-    return Report(
-        meta=_meta(),
-        inputs={"kind": kind, "param": model.param, "p": p},
-        fibers=[_fiber_json(f) for f in fibers],
-        lattice=_lattice_json(trivial_lattice(fibers), p),
-    )
-
-
-def cmd_cover(primes_below: int = 100) -> Report:
+def cmd_cover() -> dict:
     verified, cofactor = verify_cover_identity()
-    table = {
-        str(q): supersingular_possible(q) for q in range(2, primes_below) if is_prime(q)
-    }
-    return Report(
-        meta=_meta(),
-        inputs={"primes_below": primes_below},
-        analysis={
+    primes_below = 100
+    table = {str(q): supersingular_possible(q) for q in range(2, primes_below) if is_prime(q)}
+    return {
+        "inputs": {"primes_below": primes_below},
+        "analysis": {
             "cover_verified": verified,
             "cofactor": _cofactor_json(*cofactor),
             "supersingular_possible": table,
         },
-    )
+    }
 
 
-def cmd_count(kind: str, param: int | None, q: int) -> Report:
+def cmd_count(kind: str, param: int | None, q: int) -> dict:
     p, r = _prime_power(q)
     model = make_model(kind, param, p)
-    spec = FieldSpec(p, r)
-    count = surface_count(model, spec)
-    return Report(
-        meta=_meta(),
-        inputs={"kind": kind, "param": model.param, "p": p, "q": q},
-        analysis={"surface_count": count},
-    )
+    count = surface_count(model, FieldSpec(p, r))
+    inputs = {"kind": kind, "param": model.param, "p": p, "q": q}
+    return {"inputs": inputs, "analysis": {"surface_count": count}}
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -335,62 +288,52 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wild11 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(sp):
+    def finish(sp, run):
+        """The output flags every command shares, and the command main runs."""
         sp.add_argument("--format", choices=("json", "text", "csv"), default="text")
         sp.add_argument("--out", type=str, default=None, help="write output to a file")
         sp.add_argument("--timing", action="store_true", help="include timing in the output")
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("analyze", help="tallies, traces, mu_p and its analysis for one surface")
     sp.add_argument("--kind", required=True, choices=("epsilon", "gamma"))
     sp.add_argument("--param", required=True, type=int)
     sp.add_argument("--p", type=int, default=11)
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_analyze(a.kind, a.param, a.p))
 
     sp = sub.add_parser("table", help="mu~ for all twenty surfaces, grouped by square class")
     sp.add_argument("--p", type=int, default=11)
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_table(a.p))
 
     sp = sub.add_parser("fibers", help="Kodaira types of all singular fibers")
     sp.add_argument("--kind", required=True, choices=("epsilon", "gamma", "uniform"))
     sp.add_argument("--param", type=int, default=None)
     sp.add_argument("--p", type=int, required=True)
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_fibers(a.kind, a.param, a.p))
 
     sp = sub.add_parser("lattice", help="trivial Shioda-Tate lattice and Artin invariant")
     sp.add_argument("--kind", required=True, choices=("epsilon", "gamma", "uniform"))
     sp.add_argument("--param", type=int, default=None)
     sp.add_argument("--p", type=int, required=True)
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_fibers(a.kind, a.param, a.p, lattice=True))
 
     sp = sub.add_parser("cover-check", help="verify the degree-11 Fermat cover identity")
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_cover())
 
     sp = sub.add_parser("count", help="exact point count of a surface over F_q")
     sp.add_argument("--kind", required=True, choices=("epsilon", "gamma", "uniform"))
     sp.add_argument("--param", type=int, default=None)
     sp.add_argument("--q", type=int, required=True)
-    add_output_flags(sp)
+    finish(sp, lambda a: cmd_count(a.kind, a.param, a.q))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        if args.command == "analyze":
-            report = cmd_analyze(args.kind, args.param, args.p)
-        elif args.command == "table":
-            report = cmd_table(args.p)
-        elif args.command == "fibers":
-            report = cmd_fibers(args.kind, args.param, args.p)
-        elif args.command == "lattice":
-            report = cmd_lattice(args.kind, args.param, args.p)
-        elif args.command == "cover-check":
-            report = cmd_cover()
-        else:
-            report = cmd_count(args.kind, args.param, args.q)
+        sections = args.run(args)
     except (ValueError, ReducibleFiberError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -400,14 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    report.timing_seconds = time.perf_counter() - start
-
-    if args.format == "json":
-        text = report.to_json(include_timing=args.timing) + "\n"
-    elif args.format == "csv":
-        text = report.to_csv(include_timing=args.timing)
-    else:
-        text = report.to_text(include_timing=args.timing)
+    elapsed = time.perf_counter() - start
+    # meta is deliberately environment-free so identical invocations stay byte-identical
+    report = {"meta": {"tool": "wild11", "version": __version__}, **sections}
+    text = _render(report, args.format, elapsed if args.timing else None)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -25,15 +25,14 @@ _Exponents = tuple[int, int, int]
 # u^11 + v^11 + w^11 + 1, every coefficient 1
 FERMAT_TERMS: tuple[_Exponents, ...] = ((11, 0, 0), (0, 11, 0), (0, 0, 11), (0, 0, 0))
 
+# (x, y, t) = (-u^11 v^11, -u^22 v^11, -w u^3 v^2), each coordinate a
+# (sign, exponents of u, v, w) monomial
+COVER_MAP = ((-1, (11, 11, 0)), (-1, (22, 11, 0)), (-1, (3, 2, 1)))
 
-def _substituted_equation(t_sign: int = -1) -> dict[_Exponents, int]:
-    """y^2 + x*y - x^3 - t^11 under the monomial cover map, as {exponents: coefficient}.
 
-    t_sign flips the sign of the t-coordinate of the map; -1 is the correct
-    cover, +1 exists as a negative control."""
-    x = (-1, (11, 11, 0))
-    y = (-1, (22, 11, 0))
-    t = (t_sign, (3, 2, 1))
+def _substituted_equation() -> dict[_Exponents, int]:
+    """y^2 + x*y - x^3 - t^11 under COVER_MAP, as {exponents: coefficient}."""
+    x, y, t = COVER_MAP
     terms: dict[_Exponents, int] = {}
     for coefficient, factors in ((1, (y, y)), (1, (x, y)), (-1, (x, x, x)), (-1, (t,) * 11)):
         for sign, _ in factors:
@@ -43,7 +42,7 @@ def _substituted_equation(t_sign: int = -1) -> dict[_Exponents, int]:
     return {e: c for e, c in terms.items() if c}
 
 
-def verify_cover_identity(t_sign: int = -1) -> tuple[bool, tuple[int, _Exponents]]:
+def verify_cover_identity() -> tuple[bool, tuple[int, _Exponents]]:
     """Check that the substituted equation is a monomial times the Fermat relation.
 
     A monomial multiple of u^11 + v^11 + w^11 + 1 has the multiple itself,
@@ -51,7 +50,7 @@ def verify_cover_identity(t_sign: int = -1) -> tuple[bool, tuple[int, _Exponents
     the cofactor, and one comparison with cofactor * Fermat decides the
     identity.  Returns (verified, (coefficient, exponents) of the cofactor).
     The identity is over Z, so it reduces correctly modulo every prime."""
-    equation = _substituted_equation(t_sign)
+    equation = _substituted_equation()
     lowest = min(equation, key=sum)
     coefficient = equation[lowest]
     product = {tuple(a + b for a, b in zip(lowest, e)): coefficient for e in FERMAT_TERMS}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import wild11
 
+from wild11 import CapabilityError, InconsistencyError, ReducibleFiberError
 from wild11.cli import (
     EXIT_CAPABILITY,
     EXIT_INCONSISTENT,
@@ -211,6 +213,69 @@ def test_text_format_mentions_key_results(capsys):
     assert "height: 10" in out
 
 
+# SHA-256 of stdout; bench/golden.json pins the JSON output, these pin the
+# text and CSV renderers
+TEXT_AND_CSV_PINS = {
+    "analyze --kind epsilon --param 1 --format text": "a09ac8f205181d7be34f5ed5ded385f188c443027ab921a4309cb2ca72ec6634",
+    "analyze --kind epsilon --param 1 --format csv": "2fd9857dc0a25c1a7447de82b8da00fd70a18547b201841c4ff5314b297c806b",
+    "analyze --kind gamma --param 2 --format text": "b36a5876b5f32e2378df0c8fdef466afb3ec9aaa99524f2843c8b265e435a94a",
+    "analyze --kind gamma --param 2 --format csv": "d0caca69832f453039a43445a8e36881e4a5f8dac9bd4b2cb58ef2a7c255e004",
+    "table --format text": "62caaefb4591352f270af23605c6a4d8d7c5828b71ff3137f60e5505cd9bfc6e",
+    "table --format csv": "cb1311b7ce18af614b807f238e79c788c4231e9f52760732d958ca2110b63ff0",
+    "fibers --kind uniform --p 11 --format text": "5fc5145e75cc37bdb47097cfe0022af49b385975d26383cfd2f1519f377de168",
+    "fibers --kind uniform --p 11 --format csv": "789e87c3a2a454866612c6f5fde77bb4786317ed9fc736f2b6a81134cb6a973d",
+    "lattice --kind epsilon --param 1 --p 13 --format text": "c9e8d5f693154cf2db4b7d62286f31a87012c55f9635174367de075fbae3f952",
+    "lattice --kind epsilon --param 1 --p 13 --format csv": "41674887d4a4296cc9c996eff390feb5dcd786dee4f6123d5319a40c22a51912",
+    "cover-check --format text": "5c9370d3019f5347c9e9c041b6a96c3a5d964d7c5e164311fdc396d646bd521a",
+    "cover-check --format csv": "7ce3a7bf9571e0f0e50f89bd32641f7d6fa5055e9880f3e0d9605e873340d4d8",
+    "count --kind gamma --param 1 --q 121 --format text": "8ad2f5dba7865c604ee38adc1c4e5463d6ef15749bc3c9df8ef8212fd2bbb875",
+    "count --kind gamma --param 1 --q 121 --format csv": "f70af2d14bead7f0a64d40c203bdbcf3928bf10560fe122571b96bb33851e886",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_AND_CSV_PINS))
+def test_text_and_csv_output_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_AND_CSV_PINS[argv]
+
+
+# The first library call of each subcommand, and the exit code and stderr
+# prefix that each exception raised there must map to
+_FIRST_CALLS = {
+    "analyze --kind epsilon --param 1": "make_model",
+    "table": "make_model",
+    "fibers --kind uniform --p 11": "make_model",
+    "lattice --kind uniform --p 11": "make_model",
+    "cover-check": "verify_cover_identity",
+    "count --kind gamma --param 1 --q 11": "make_model",
+}
+_EXIT_CONTRACT = [
+    (ValueError, EXIT_USAGE, "error: "),
+    (ReducibleFiberError, EXIT_USAGE, "error: "),
+    (CapabilityError, EXIT_CAPABILITY, "unsupported: "),
+    (InconsistencyError, EXIT_INCONSISTENT, "inconsistency: "),
+]
+
+
+@pytest.mark.parametrize("error,exit_code,prefix", _EXIT_CONTRACT, ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("command", sorted(_FIRST_CALLS))
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, command, error, exit_code, prefix):
+    import wild11.cli as cli
+
+    def boom(*args, **kwargs):
+        raise error("forced for the exit-code contract")
+
+    monkeypatch.setattr(cli, _FIRST_CALLS[command], boom)
+    target = tmp_path / "report.out"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, *command.split(), *extra)
+        assert code == exit_code
+        assert out == ""
+        assert err.startswith(prefix + "forced for the exit-code contract")
+    assert not target.exists()
+
+
 def test_inconsistency_maps_to_exit_code_4(capsys, monkeypatch):
     import wild11.cli as cli
     from wild11 import InconsistencyError
@@ -298,7 +363,7 @@ def test_fibers_and_lattice_finish_at_huge_primes(p):
 
 def test_table_within_class_gate():
     report = cmd_table(11)
-    assert len(report.analysis["table"]) == 4
+    assert len(report["analysis"]["table"]) == 4
 
 
 def test_count_gamma_q121_matches_tally(capsys):
@@ -308,4 +373,4 @@ def test_count_gamma_q121_matches_tally(capsys):
 
     report = cmd_count("gamma", 1, 121)
     tally = fixed_locus_tally(make_model("gamma", 1, 11), FieldSpec(11, 2))
-    assert report.analysis["surface_count"] == tally.fix[0]
+    assert report["analysis"]["surface_count"] == tally.fix[0]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from wild11 import supersingular_possible, verify_cover_identity
+from wild11 import delsarte
 from wild11.delsarte import FERMAT_TERMS, _substituted_equation
 from wild11.ffield import is_prime
 
@@ -35,11 +36,13 @@ def test_cofactor_reproduces_substituted_equation():
     assert product == {(44, 22, 0): 1, (33, 33, 0): 1, (33, 22, 11): 1, (33, 22, 0): 1}
 
 
-def test_wrong_map_fails():
+def test_wrong_map_fails(monkeypatch):
     # flipping the sign of the t-coordinate breaks the identity (t enters at
     # odd power 11)
-    verified, _ = verify_cover_identity(t_sign=+1)
-    assert not verified
+    x, y, (sign, exponents) = delsarte.COVER_MAP
+    monkeypatch.setattr(delsarte, "COVER_MAP", (x, y, (-sign, exponents)))
+    verified, _ = verify_cover_identity()
+    assert verified is False
 
 
 def test_cover_identity_at_integer_points():

@@ -382,7 +382,7 @@ def _power_sum(coeffs, k):
 @pytest.mark.parametrize("kind,param,r", [("epsilon", 1, 3), ("epsilon", 2, 3), ("gamma", 1, 4)])
 def test_count_matches_mu_beyond_the_tally_levels(kind, param, r):
     # mu is built from the tallies at q = 11 and 121; the count at 11^r checks it
-    mu_full = cmd_analyze(kind, param, 11).charpoly["mu_full"]
+    mu_full = cmd_analyze(kind, param, 11)["charpoly"]["mu_full"]
     q = 11**r
     count = surface_count(make_model(kind, param, 11), FieldSpec(11, r))
     assert count == 1 + q * q + _power_sum(mu_full, r)
