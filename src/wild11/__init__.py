@@ -48,7 +48,6 @@ from .kodaira import (
 )
 from .polynomials import (
     IntPoly,
-    NewtonPolygon,
     cyclotomic_poly,
     divides_with_multiplicity,
     newton_polygon,
@@ -80,7 +79,6 @@ __all__ = [
     "IntPoly",
     "KodairaFiber",
     "LatticeSummary",
-    "NewtonPolygon",
     "ReducibleFiberError",
     "WeierstrassModel",
     "Wild11Error",

@@ -184,7 +184,7 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
             "picard_upper": report_data.picard_upper,
             "picard_lower": report_data.picard_lower,
             "height": _height_json(report_data.height),
-            "newton_slopes": [[str(v), m] for v, m in report_data.newton.slopes],
+            "newton_slopes": [[str(v), m] for v, m in report_data.newton_slopes],
             "checks": dict(sorted(report_data.checks.items())),
         },
         **_fiber_sections(model, lattice=True),

@@ -149,16 +149,10 @@ class EigenTraces:
         """Observed index map under zeta -> zeta^s: position i holds j with
         sigma_s(a_{i+1}) = a_{j+1}.  None if some image has no match; when
         traces repeat, the lowest matching index is reported."""
-        perm = []
-        for x in self.a:
-            img = galois_apply(s, x)
-            for j, y in enumerate(self.a):
-                if y == img:
-                    perm.append(j)
-                    break
-            else:
-                return None
-        return tuple(perm)
+        try:
+            return tuple(self.a.index(galois_apply(s, x)) for x in self.a)
+        except ValueError:
+            return None
 
 
 def inverse_dft(tr: list[int] | tuple[int, ...], q: int) -> EigenTraces:

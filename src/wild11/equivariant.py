@@ -46,8 +46,6 @@ from .ffield import FieldSpec
 from .polynomials import IntPoly
 from .surface import WeierstrassModel
 
-AUTOMORPHISM_ORDER = 11
-
 
 @dataclass(frozen=True)
 class FixTally:
@@ -62,8 +60,8 @@ class FixTally:
     fix: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.fix) != AUTOMORPHISM_ORDER:
-            raise ValueError(f"expected {AUTOMORPHISM_ORDER} buckets, got {len(self.fix)}")
+        if len(self.fix) != ORDER:
+            raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
 
 
 def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
@@ -81,7 +79,7 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
         raise CapabilityError(
             f"{model.kind!r} model has no order-11 translation automorphism in this chart"
         )
-    if model.p != AUTOMORPHISM_ORDER:
+    if model.p != ORDER:
         raise CapabilityError(
             f"the translation t -> t+1 has order 11 only in characteristic 11, not {model.p}"
         )
@@ -94,8 +92,8 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
     mul, add, smul, index_of = spec.mul, spec.add, spec.smul, spec.index_of
     param = model.param or 0
     use_x_square = model.kind == "epsilon"
-    h_y = [0] * AUTOMORPHISM_ORDER
-    h_w = [0] * AUTOMORPHISM_ORDER
+    h_y = [0] * ORDER
+    h_w = [0] * ORDER
     for i in range(q):
         x = spec.coords_at(i)
         x2 = mul(x, x)
@@ -105,10 +103,8 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
         h_y[neg_trace[index_of(x2)]] += 1
         h_w[neg_trace[index_of(w)]] += 1
     fix = tuple(
-        2 * q + 1
-        + AUTOMORPHISM_ORDER
-        * sum(h_y[(n + s) % AUTOMORPHISM_ORDER] * h_w[s] for s in range(AUTOMORPHISM_ORDER))
-        for n in range(AUTOMORPHISM_ORDER)
+        2 * q + 1 + ORDER * sum(h_y[(n + s) % ORDER] * h_w[s] for s in range(ORDER))
+        for n in range(ORDER)
     )
     return FixTally(q=q, fix=fix)
 

@@ -6,15 +6,14 @@ arithmetic is arbitrary precision: characteristic polynomials of Frobenius
 on a K3 surface have constant terms near 11^20, well past 64 bits.
 
 Also provides cyclotomic polynomials, divisibility with multiplicity by a
-monic polynomial (the root-of-unity detector behind the Picard bound),
-Newton polygons with respect to a prime, and the palindrome test for the
-Weil functional equation.  Division is only ever by monic divisors, so it
-never leaves Z[T].
+monic polynomial (the root-of-unity detector behind the Picard bound), the
+Newton slopes at a prime as plain (valuation, multiplicity) pairs, and the
+palindrome test for the Weil functional equation.  Division is only ever
+by monic divisors, so it never leaves Z[T].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -178,25 +177,6 @@ def divides_with_multiplicity(f: IntPoly, g: IntPoly) -> int:
         current = quo
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Newton polygon of a polynomial at a prime p.
-
-    `points` are (j, v_p(c_j)) for nonzero coefficients, `hull` the lower
-    convex hull, and `slopes` the multiset of root valuations (negated hull
-    slopes), stored as (valuation, multiplicity) pairs with valuations
-    weakly increasing.
-    """
-
-    p: int
-    points: tuple[tuple[int, int], ...]
-    hull: tuple[tuple[int, int], ...]
-    slopes: tuple[tuple[Fraction, int], ...]
-
-    def min_valuation(self) -> Fraction:
-        return self.slopes[0][0]
-
-
 def _vp(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -205,8 +185,13 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
-    """Root-valuation data of f at p; requires a nonzero constant term."""
+def newton_polygon(f: IntPoly, p: int) -> tuple[tuple[Fraction, int], ...]:
+    """The p-adic Newton slopes of f: ((valuation, multiplicity), ...).
+
+    Each pair is one segment of the lower convex hull of the points
+    (j, v_p(c_j)): the valuation of its roots (the negated hull slope) and
+    their number (the segment's length).  Valuations strictly increase, and
+    the multiplicities sum to deg f.  Requires a nonzero constant term."""
     if not f:
         raise ValueError("Newton polygon of the zero polynomial is undefined")
     if f.coeffs[0] == 0:
@@ -222,11 +207,8 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
-    slopes.sort(key=lambda sm: sm[0])
-    return NewtonPolygon(p=p, points=points, hull=tuple(hull), slopes=tuple(slopes))
+    segments = zip(hull, hull[1:])
+    return tuple(sorted((Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in segments))
 
 
 def palindrome_sign(cs: Sequence) -> int | None:

@@ -24,9 +24,8 @@ indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
 t in one pass through log/exp tables, and each fiber's character sum is one
 lookup per x in a table indexed by carry-free packed sums
 (FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables is
-used by the equivariant tally.  fiber_count counts a single fiber, with t
-given by its element index, evaluating A2, A4 and A6 by Horner's rule in
-coordinate arithmetic.
+used by the equivariant tally.  fiber_count counts the fiber at infinity,
+the cubic of those top coefficients.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
@@ -219,31 +218,20 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     return 1 + spec.q + sum([chi[w + c] for w in _cubic_linear_part(spec, a2, a4)])
 
 
-def fiber_count(model: WeierstrassModel, t0, spec: FieldSpec) -> int:
-    """Projective F_q-points of the (possibly singular) Weierstrass cubic at t0.
+def fiber_count(model: WeierstrassModel, spec: FieldSpec) -> int:
+    """Projective F_q-points of the (possibly singular) cubic fiber at t = infinity.
 
-    t0 is the element index of t in `spec` (0 <= t0 < q), or INFINITY for
-    the fiber at s = 0.  Characteristic 2, where the cubic cannot be
-    completed, is refused."""
+    The fiber at s = 0 has the top coefficients, of t^4, t^8 and t^12, of
+    the completed A2, A4 and A6.  Characteristic 2, where the cubic cannot
+    be completed, is refused."""
     if spec.p != model.p:
         raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
     if model.p == 2:
         raise CapabilityError("fiber counting needs odd characteristic to complete the cubic")
     completed = _completed_cubic(model)
-    if t0 == INFINITY:
-        # the top coefficients; an F_p coefficient c is the element index c
-        top = [poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))]
-        return _count_cubic_points(spec, *top)
-    if not (isinstance(t0, int) and 0 <= t0 < spec.q):
-        raise ValueError(f"t0 must be an element index in [0, {spec.q}) or INFINITY, got {t0!r}")
-    t = spec.coords_at(t0)
-    values = []
-    for poly in completed:
-        acc = spec.coords_at(0)
-        for c in reversed(poly.coeffs):
-            acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
-        values.append(spec.index_of(acc))
-    return _count_cubic_points(spec, *values)
+    # an F_p coefficient c is the element index c
+    top = [poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))]
+    return _count_cubic_points(spec, *top)
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
@@ -272,7 +260,7 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
                 f"fiber at {place.location_str()} has v(Delta)={place.vdelta}, "
                 f"v(c4)={place.vc4}; the Weierstrass count would miss components"
             )
-    total = fiber_count(model, INFINITY, spec)
+    total = fiber_count(model, spec)
     values = (_values_everywhere(poly.coeffs, spec) for poly in _completed_cubic(model))
     for a2, a4, a6 in zip(*values):
         total += _count_cubic_points(spec, a2, a4, a6)

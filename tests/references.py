@@ -13,7 +13,7 @@ from unittest import mock
 from wild11 import CapabilityError, CycNum, EigenTraces, FieldSpec, InconsistencyError, IntPoly, ffield
 from wild11.cyclotomic import DEGREE, ORDER
 from wild11.fppoly import FpPoly, is_irreducible
-from wild11.surface import WeierstrassModel
+from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
 
 def zeta_power(k: int) -> CycNum:
@@ -113,3 +113,26 @@ def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
         return FpPoly(model.p, (list(poly.coeffs) + [0] * (2 * i + 1 - len(poly.coeffs)))[::-1])
 
     return dataclasses.replace(model, **{f"a{i}": reversed_at(i) for i in (1, 2, 3, 4, 6)})
+
+
+def horner(poly: FpPoly, t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
+    """poly in F_p[t] at the coordinate tuple t of spec, by Horner's rule."""
+    acc = spec.coords_at(0)
+    for c in reversed(poly.coeffs):
+        acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
+    return acc
+
+
+def fiber_count_at(model: WeierstrassModel, t0: int, spec: FieldSpec) -> int:
+    """Projective F_q-points of the (possibly singular) Weierstrass cubic at a finite t.
+
+    t0 is the element index of t in `spec` (0 <= t0 < q), a field of the
+    model's odd characteristic.  A2, A4 and A6 are evaluated at t by
+    Horner's rule in coordinate arithmetic, one fiber at a time: the
+    per-fiber reference for wild11.surface_count, which evaluates them at
+    every t at once through log/exp tables."""
+    if not (isinstance(t0, int) and 0 <= t0 < spec.q):
+        raise ValueError(f"t0 must be an element index in [0, {spec.q}), got {t0!r}")
+    t = spec.coords_at(t0)
+    values = [spec.index_of(horner(poly, t, spec)) for poly in _completed_cubic(model)]
+    return _count_cubic_points(spec, *values)

@@ -62,8 +62,11 @@ def _rat_multiplicity(f, g) -> int:
 
 
 def _picard_reference(mu: IntPoly, p: int) -> int:
-    """2 + sum of phi(k) * (multiplicity of Phi_k in mu~ over Q)."""
-    mu_tilde = normalize(mu, p)
+    """2 + sum of phi(k) * (multiplicity of Phi_k in mu~ over Q).
+
+    mu~ is built here, not by normalize, so the reference shares no code
+    with picard_upper_bound's rescaling."""
+    mu_tilde = [Fraction(c * p**j, p**20) for j, c in enumerate(mu.coeffs)]
     return 2 + sum(
         euler_phi(k) * _rat_multiplicity(cyclotomic_poly(k).coeffs, mu_tilde)
         for k in range(1, 101)
@@ -157,6 +160,34 @@ def test_picard_bound_mixed_cyclotomic_factors():
     assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 12
 
 
+def _scaled_cyclotomic(k: int, p: int) -> IntPoly:
+    """The monic p^phi(k) * Phi_k(T / p), whose roots are p times the primitive k-th roots of 1."""
+    phi = euler_phi(k)
+    return IntPoly([c * p ** (phi - i) for i, c in enumerate(cyclotomic_poly(k).coeffs)])
+
+
+@st.composite
+def _mu_with_cyclotomic_factors(draw):
+    """(p, mu): a monic degree-20 mu = (scaled cyclotomic powers) * (random monic cofactor)."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    mu = IntPoly([1])
+    ks = [k for k in range(1, 67) if euler_phi(k) <= 20]
+    for k, e in draw(st.lists(st.tuples(st.sampled_from(ks), st.integers(1, 4)), max_size=5)):
+        f = _power(_scaled_cyclotomic(k, p), e)
+        if mu.degree + f.degree <= 20:
+            mu = mu * f
+    n = 20 - mu.degree
+    cofactor = draw(st.lists(st.integers(-p * p, p * p), min_size=n, max_size=n))
+    return p, mu * IntPoly(cofactor + [1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_mu_with_cyclotomic_factors())
+def test_picard_bound_matches_rational_reference_random(case):
+    p, mu = case
+    assert picard_upper_bound(mu, p) == _picard_reference(mu, p)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     f_low=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
@@ -197,9 +228,9 @@ def test_height_requires_degree_20():
 
 def test_newton_slopes_on_surfaces(analyzed):
     report = analyzed("epsilon", 5)
-    assert report.newton.slopes == ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
+    assert report.newton_slopes == ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
     degenerate = analyzed("epsilon", 0)
-    assert degenerate.newton.slopes == ((Fraction(1), 20),)
+    assert degenerate.newton_slopes == ((Fraction(1), 20),)
 
 
 def test_structural_checks_gamma(pipeline):

@@ -66,9 +66,9 @@ def test_newton_polygon_examples():
     p = 11
     double_root = (T(1) - IntPoly([p])) * (T(1) - IntPoly([p]))
     np1 = newton_polygon(double_root, p)
-    assert np1.slopes == ((Fraction(1), 2),)
+    assert np1 == ((Fraction(1), 2),)
     np2 = newton_polygon(IntPoly([p, -1, 1]), p)  # T^2 - T + p
-    assert np2.slopes == ((Fraction(0), 1), (Fraction(1), 1))
+    assert np2 == ((Fraction(0), 1), (Fraction(1), 1))
     with pytest.raises(ValueError):
         newton_polygon(IntPoly([0, 1]), p)
     with pytest.raises(ValueError):
@@ -77,8 +77,7 @@ def test_newton_polygon_examples():
 
 def test_newton_polygon_of_golden_mu():
     np_mu = newton_polygon(IntPoly(list(GOLDEN_MU_EPS1)), 11)
-    assert np_mu.slopes == ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
-    assert np_mu.hull == ((0, 20), (10, 9), (20, 0))
+    assert np_mu == ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
 
 
 def test_newton_polygon_sum_rule_random():
@@ -96,10 +95,10 @@ def test_newton_polygon_sum_rule_random():
     for _ in range(40):
         coeffs = [rng.randint(1, 4) * p ** rng.randint(0, 4) for _ in range(6)]
         f = IntPoly(coeffs)
-        polygon = newton_polygon(f, p)
-        total = sum(v * m for v, m in polygon.slopes)
+        slopes = newton_polygon(f, p)
+        total = sum(v * m for v, m in slopes)
         assert total == val(f.coeffs[0]) - val(f.coeffs[-1])
-        assert sum(m for _, m in polygon.slopes) == f.degree
+        assert sum(m for _, m in slopes) == f.degree
 
 
 def test_palindrome_sign():
