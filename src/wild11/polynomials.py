@@ -1,15 +1,17 @@
-"""Exact univariate polynomials over Z.
+"""Exact univariate polynomials over Z, as plain integer tuples.
 
-Coefficients are stored constant-term first with trailing zeros stripped,
-so the zero polynomial is canonical and equality is structural.  All
-arithmetic is arbitrary precision: characteristic polynomials of Frobenius
-on a K3 surface have constant terms near 11^20, well past 64 bits.
+A polynomial in Z[T] is a tuple of ints, constant term first, with a
+nonzero leading coefficient; () is the zero polynomial, so equality is
+tuple equality.  Python ints are arbitrary precision: characteristic
+polynomials of Frobenius on a K3 surface have constant terms near 11^20,
+well past 64 bits.
 
-Also provides cyclotomic polynomials, divisibility with multiplicity by a
-monic polynomial (the root-of-unity detector behind the Picard bound), the
-Newton slopes at a prime as plain (valuation, multiplicity) pairs, and the
-palindrome test for the Weil functional equation.  Division is only ever
-by monic divisors, so it never leaves Z[T].
+Provides the product, cyclotomic polynomials, divisibility with
+multiplicity by a monic polynomial (the root-of-unity detector behind the
+Picard bound), the Newton slopes at a prime as plain (valuation,
+multiplicity) pairs, and the palindrome test for the Weil functional
+equation.  Division is only ever by monic divisors, so it never leaves
+Z[T].
 """
 
 from __future__ import annotations
@@ -19,88 +21,23 @@ from functools import lru_cache
 from typing import Sequence
 
 
-def _strip(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product a * b in Z[T]; () is the zero polynomial."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
-class IntPoly:
-    """Polynomial with exact integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int] = ()):
-        if any(not isinstance(c, int) for c in coeffs):
-            raise TypeError("IntPoly coefficients must be ints")
-        self.coeffs = _strip(list(coeffs))
-
-    @staticmethod
-    def monomial(degree: int, c: int = 1) -> "IntPoly":
-        return IntPoly((0,) * degree + (c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPoly | int") -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, divisor: "IntPoly") -> "IntPoly":
-        """Quotient self/divisor in Z[T] for a monic divisor; raises if inexact."""
-        quo, rem = _divmod_monic(self.coeffs, divisor)
-        if any(rem):
-            raise ValueError(f"{divisor!r} does not divide {self!r}")
-        return IntPoly(quo)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({poly_str(self.coeffs)})"
-
-
-def _divmod_monic(coeffs: Sequence[int], divisor: IntPoly) -> tuple[list[int], list[int]]:
+def _divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], list[int]]:
     """Long division in Z[T] by a monic, non-constant divisor: (quotient, remainder)."""
-    if divisor.degree < 1 or not divisor.is_monic():
-        raise ValueError(f"divisor must be monic and non-constant, got {divisor!r}")
-    dcs = divisor.coeffs
-    dd = len(dcs) - 1
+    if len(divisor) < 2 or divisor[-1] != 1:
+        raise ValueError(f"divisor must be monic and non-constant, got {tuple(divisor)}")
+    dd = len(divisor) - 1
     rem = list(coeffs)
     quo = [0] * max(len(rem) - dd, 0)
     for top in range(len(rem) - 1, dd - 1, -1):
@@ -109,7 +46,7 @@ def _divmod_monic(coeffs: Sequence[int], divisor: IntPoly) -> tuple[list[int], l
             base = top - dd
             quo[base] = c
             for i in range(dd):
-                rem[base + i] -= c * dcs[i]
+                rem[base + i] -= c * divisor[i]
     return quo, rem[:dd]
 
 
@@ -154,21 +91,24 @@ def euler_phi(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> IntPoly:
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """The k-th cyclotomic polynomial, by exact division of T^k - 1."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    num = IntPoly.monomial(k) - IntPoly([1])
+    num = (-1,) + (0,) * (k - 1) + (1,)
     for d in range(1, k):
         if k % d == 0:
-            num = num.exact_div(cyclotomic_poly(d))
+            quo, rem = _divmod_monic(num, cyclotomic_poly(d))
+            if any(rem):
+                raise ValueError(f"Phi_{d} does not divide {poly_str(num)}")
+            num = tuple(quo)
     return num
 
 
-def divides_with_multiplicity(f: IntPoly, g: IntPoly) -> int:
+def divides_with_multiplicity(f: Sequence[int], g: Sequence[int]) -> int:
     """Largest m >= 0 with f^m dividing g in Z[T], for monic non-constant f."""
     m = 0
-    current = g.coeffs
+    current = g
     while True:
         quo, rem = _divmod_monic(current, f)
         if not current or any(rem):
@@ -185,7 +125,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def newton_polygon(f: IntPoly, p: int) -> tuple[tuple[Fraction, int], ...]:
+def newton_polygon(f: Sequence[int], p: int) -> tuple[tuple[Fraction, int], ...]:
     """The p-adic Newton slopes of f: ((valuation, multiplicity), ...).
 
     Each pair is one segment of the lower convex hull of the points
@@ -194,9 +134,9 @@ def newton_polygon(f: IntPoly, p: int) -> tuple[tuple[Fraction, int], ...]:
     the multiplicities sum to deg f.  Requires a nonzero constant term."""
     if not f:
         raise ValueError("Newton polygon of the zero polynomial is undefined")
-    if f.coeffs[0] == 0:
+    if f[0] == 0:
         raise ValueError("constant term vanishes; factor out T first")
-    points = tuple((j, _vp(c, p)) for j, c in enumerate(f.coeffs) if c != 0)
+    points = tuple((j, _vp(c, p)) for j, c in enumerate(f) if c != 0)
     hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:

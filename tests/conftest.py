@@ -31,7 +31,7 @@ def analyzed(pipeline):
         key = (kind, param)
         if key not in cache:
             result = pipeline(kind, param)[-1]
-            cache[key] = analyze_charpoly(result, kind)
+            cache[key] = analyze_charpoly(result)
         return cache[key]
 
     return get

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from unittest import mock
 
-from wild11 import CapabilityError, CycNum, EigenTraces, FieldSpec, InconsistencyError, IntPoly, ffield
+from wild11 import CapabilityError, CycNum, EigenTraces, FieldSpec, InconsistencyError, ffield
 from wild11.cyclotomic import DEGREE, ORDER
 from wild11.fppoly import FpPoly, is_irreducible
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
@@ -58,7 +58,7 @@ def forward_dft(traces: EigenTraces) -> list[int]:
     return out
 
 
-def expand_eigenspace_product(pairs) -> IntPoly:
+def expand_eigenspace_product(pairs) -> tuple[int, ...]:
     """Expand prod_i (T^2 - a_i T + b_i) over Q(zeta) and demand Z coefficients.
 
     The reference for the norm in wild11.assemble_charpoly."""
@@ -76,7 +76,7 @@ def expand_eigenspace_product(pairs) -> IntPoly:
         if value is None:
             raise InconsistencyError(f"coefficient of T^{j} is irrational: {c!r}")
         coeffs.append(value)
-    return IntPoly(coeffs)
+    return tuple(coeffs)
 
 
 def spec_with_modulus(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:

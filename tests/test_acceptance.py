@@ -26,7 +26,7 @@ from wild11 import (
     trivial_lattice,
     verify_cover_identity,
 )
-from wild11.analysis import INFINITE_HEIGHT, analyze_charpoly, normalize
+from wild11.analysis import INFINITE_HEIGHT, analyze_charpoly, normalize, structural_checks
 from wild11.cli import run_equivariant_pipeline
 from wild11.cyclotomic import ORDER
 from wild11.delsarte import supersingular_possible
@@ -75,9 +75,9 @@ def test_criterion_1_table_reproduction(all_surfaces):
 def test_criterion_2_picard_bounds(all_surfaces, degenerate_member):
     runs, _ = all_surfaces
     ok = all(
-        analyze_charpoly(run[-1], kind).picard_upper == 2 for (kind, _), run in runs.items()
+        analyze_charpoly(run[-1]).picard_upper == 2 for run in runs.values()
     )
-    ok = ok and analyze_charpoly(degenerate_member[-1], "epsilon").picard_upper == 22
+    ok = ok and analyze_charpoly(degenerate_member[-1]).picard_upper == 22
     _report("2", ok, "picard_upper = 2 for all eps, gamma in F_11^x and 22 for eps = 0")
     assert ok
 
@@ -86,10 +86,10 @@ def test_criterion_3_heights(all_surfaces, degenerate_member):
     runs, _ = all_surfaces
     expected_slopes = ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
     ok = True
-    for (kind, _), run in runs.items():
-        report = analyze_charpoly(run[-1], kind)
+    for run in runs.values():
+        report = analyze_charpoly(run[-1])
         ok = ok and report.height == 10 and report.newton_slopes == expected_slopes
-    degenerate = analyze_charpoly(degenerate_member[-1], "epsilon")
+    degenerate = analyze_charpoly(degenerate_member[-1])
     ok = ok and degenerate.height == INFINITE_HEIGHT
     _report("3", ok, "height 10 with slopes {9/10 x10, 11/10 x10}; infinity for eps = 0")
     assert ok
@@ -147,8 +147,7 @@ def test_criterion_6_structural_suite(all_surfaces):
                 check_conjugates(eigen)
             except InconsistencyError:
                 ok = False
-        report = analyze_charpoly(result, kind)
-        checks = report.checks
+        checks = structural_checks(result.mu, kind, P)
         ok = ok and checks["functional_equation"] and checks["integral_coefficients"]
         ok = ok and checks["determinant"]
         if kind == "gamma":

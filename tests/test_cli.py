@@ -52,6 +52,32 @@ def test_analyze_degenerate_member(capsys):
     assert data["analysis"]["height"] == "infinity"
 
 
+def test_analyze_echoes_the_reduced_parameter(capsys):
+    # --param 12 analyses the surface with parameter 12 mod 11 = 1, and says so
+    args = ("analyze", "--kind", "epsilon", "--p", "11", "--format", "json", "--param")
+    code, out12, _ = run_cli(capsys, *args, "12")
+    assert code == EXIT_OK
+    assert json.loads(out12)["inputs"]["param"] == 1
+    assert run_cli(capsys, *args, "1")[1] == out12
+
+
+def test_table_never_imports_numpy():
+    # numpy serves only analyze's advisory unit-circle check, which table never prints
+    script = (
+        "import contextlib, io, sys\n"
+        "from wild11.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['table', '--format', 'json'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wild11.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_OK), "False"]
+
+
 def test_json_output_is_deterministic(capsys):
     args = ("analyze", "--kind", "gamma", "--param", "2", "--format", "json")
     _, out1, _ = run_cli(capsys, *args)
