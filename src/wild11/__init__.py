@@ -20,7 +20,6 @@ from .analysis import (
     structural_checks,
 )
 from .cyclotomic import (
-    CycNum,
     EigenTraces,
     galois_apply,
     inverse_dft,
@@ -67,7 +66,6 @@ __all__ = [
     "AnalysisReport",
     "CapabilityError",
     "CharPolyResult",
-    "CycNum",
     "EigenTraces",
     "FieldSpec",
     "FiberPlace",

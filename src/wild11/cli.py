@@ -168,16 +168,14 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
         "tally": {"p": list(tally_p.fix), "p2": list(tally_p2.fix)},
         "traces": {"p": tr_p, "p2": tr_p2},
         "eigentraces": {
-            "p": [list(a.coords) for a in eigen_p.a],
-            "p2": [list(a.coords) for a in eigen_p2.a],
+            "p": [list(a) for a in eigen_p.a],
+            "p2": [list(a) for a in eigen_p2.a],
             "galois_permutation_s2": list(eigen_p.galois_permutation(2) or ()),
         },
         "charpoly": {
             "mu": list(result.mu),
             "mu_full": list(result.mu_full),
-            "per_eigenspace": [
-                {"a": list(a.coords), "b": list(b.coords)} for a, b in result.per_eigenspace
-            ],
+            "per_eigenspace": [{"a": list(a), "b": list(b)} for a, b in result.per_eigenspace],
         },
         "analysis": {
             "mu_tilde": [str(c) for c in report_data.mu_tilde],

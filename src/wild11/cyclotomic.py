@@ -1,9 +1,13 @@
-"""Exact arithmetic in Q(zeta_11) and recovery of eigenspace traces.
+"""Exact arithmetic in Z[zeta_11] and recovery of eigenspace traces.
 
-Elements are written in the power basis 1, z, ..., z^9 of the degree-10
-cyclotomic field, with z a fixed primitive 11th root of unity; z^10 is
-eliminated through z^10 = -(1 + z + ... + z^9).  This representation is
-unique, so equality is coordinate-wise.
+An element of Z[zeta_11] is a tuple of DEGREE = 10 ints, its coordinates
+in the power basis 1, z, ..., z^9 of the degree-10 cyclotomic field, with
+z a fixed primitive 11th root of unity; z^10 is eliminated through
+z^10 = -(1 + z + ... + z^9).  This representation is unique, so equality
+is tuple equality.  Sums are coordinate-wise; the power basis itself is
+known only to this module: the product (:func:`cyc_mul`), the trace to Q
+(:func:`cyc_trace`), the Galois action (:func:`galois_apply`) and the
+DFT inversion below, which builds the elements.
 
 The central operation is :func:`inverse_dft`: given the eleven integer
 traces tr_n of (automorphism^n . Frobenius) on degree-2 cohomology, it
@@ -31,119 +35,57 @@ DEGREE = 10  # [Q(zeta_11) : Q]
 ORDER = 11
 
 
-def _cyc(coords: tuple[int, ...]) -> "CycNum":
-    """A CycNum from DEGREE int coordinates, without re-validation."""
-    out = object.__new__(CycNum)
-    out.coords = coords
-    return out
+def cyc_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a * b in Z[zeta]."""
+    # exponents are added mod 11 (z^11 = 1), then z^10 is eliminated
+    folded = [0] * ORDER
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    folded[(i + j) % ORDER] += x * y
+    top = folded[DEGREE]
+    return tuple(folded[i] - top for i in range(DEGREE))
 
 
-class CycNum:
-    """An element of Z[zeta_11] in the power basis, int coordinates c0..c9."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords=()):
-        coords = tuple(coords)
-        if any(not isinstance(c, int) for c in coords):
-            raise TypeError("CycNum coordinates must be ints")
-        if len(coords) > DEGREE:
-            raise ValueError(f"at most {DEGREE} coordinates, got {len(coords)}")
-        self.coords = coords + (0,) * (DEGREE - len(coords))
-
-    @staticmethod
-    def _coerce(other) -> "CycNum | None":
-        if isinstance(other, CycNum):
-            return other
-        if isinstance(other, int):
-            return CycNum((other,))
-        return None
-
-    def __add__(self, other) -> "CycNum":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cyc(tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CycNum":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cyc(tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other) -> "CycNum":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "CycNum":
-        return _cyc(tuple(-a for a in self.coords))
-
-    def __mul__(self, other) -> "CycNum":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # exponents are added mod 11 (z^11 = 1), then z^10 is eliminated
-        folded = [0] * ORDER
-        for i, x in enumerate(self.coords):
-            if x:
-                for j, y in enumerate(o.coords):
-                    if y:
-                        folded[(i + j) % ORDER] += x * y
-        top = folded[DEGREE]
-        return _cyc(tuple(folded[i] - top for i in range(DEGREE)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        return isinstance(o, CycNum) and self.coords == o.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def __repr__(self) -> str:
-        return f"CycNum({list(self.coords)})"
+def cyc_trace(a: tuple[int, ...]) -> int:
+    """Tr_{Q(zeta)/Q}(a) = 10 c_0 - (c_1 + ... + c_9), since Tr(z^k) = -1 for k = 1 .. 9."""
+    return DEGREE * a[0] - sum(a[1:])
 
 
-def galois_apply(s: int, a: CycNum) -> CycNum:
+def galois_apply(s: int, a: tuple[int, ...]) -> tuple[int, ...]:
     """Image of a under the field automorphism zeta -> zeta^s, gcd(s, 11) = 1."""
     if s % ORDER == 0:
         raise ValueError("s must be a unit mod 11")
-    out = [a.coords[0]] + [0] * (DEGREE - 1)
-    tail = 0  # accumulated coefficient mapped onto z^10
+    # z^i goes to z^(s i mod 11), then z^10 is eliminated
+    out = [a[0]] + [0] * DEGREE
     for i in range(1, DEGREE):
-        k = (s * i) % ORDER
-        if k < DEGREE:
-            out[k] += a.coords[i]
-        else:
-            tail += a.coords[i]
-    if tail:
-        out = [c - tail for c in out]
-    return _cyc(tuple(out))
+        out[(s * i) % ORDER] += a[i]
+    top = out[DEGREE]
+    return tuple(out[i] - top for i in range(DEGREE))
 
 
 @dataclass(frozen=True)
 class EigenTraces:
     """Relative Frobenius traces a_1 .. a_10 over F_q; a[i-1] is a_i.
 
-    For tallies produced by honest point counts every a_i lies in Z[zeta]
-    and a_s = sigma_s(a_1) for each Galois map sigma_s: zeta -> zeta^s
-    (equivariant.check_conjugates).
+    Each a_i is an element of Z[zeta], a tuple of exactly 10 ints; anything
+    else is refused here, since a short tuple would mis-multiply.  For
+    tallies produced by honest point counts a_s = sigma_s(a_1) for each
+    Galois map sigma_s: zeta -> zeta^s (equivariant.check_conjugates).
     """
 
     q: int
-    a: tuple[CycNum, ...]
+    a: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.a) != DEGREE:
             raise ValueError(f"expected {DEGREE} traces, got {len(self.a)}")
+        for x in self.a:
+            if not isinstance(x, tuple) or any(not isinstance(c, int) for c in x):
+                raise TypeError(f"an element of Z[zeta] is a tuple of ints, got {x!r}")
+            if len(x) != DEGREE:
+                raise ValueError(f"an element of Z[zeta] has {DEGREE} coordinates, got {len(x)}")
 
     def galois_permutation(self, s: int) -> tuple[int, ...] | None:
         """Observed index map under zeta -> zeta^s: position i holds j with
@@ -183,5 +125,5 @@ def inverse_dft(tr: list[int] | tuple[int, ...], q: int) -> EigenTraces:
             raise InconsistencyError(
                 f"eigenspace trace a_{i} = (1/11)*{coords} is not an algebraic integer"
             )
-        out.append(_cyc(tuple(c // ORDER for c in coords)))
+        out.append(tuple(c // ORDER for c in coords))
     return EigenTraces(q=q, a=tuple(out))

@@ -33,15 +33,16 @@ eigenspace: the power sums s_k = alpha^k + beta^k in Z[zeta] have
 integer traces S_k = Tr(s_k), the power sums of all twenty roots, and
 Newton's identities turn S_1 .. S_20 into the coefficients of mu_p, each
 through a division by k that must be exact in Z (the Newton gate).  All
-three conditions are hard gates.  mu_p comes out as a plain tuple of ints,
-constant term first, like every polynomial in Z[T] here.
+three conditions are hard gates.  An element of Z[zeta] is a tuple of 10
+ints in the power basis (see cyclotomic); mu_p comes out as a plain tuple
+of ints, constant term first, like every polynomial in Z[T] here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import DEGREE, ORDER, CycNum, EigenTraces, galois_apply
+from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, cyc_trace, galois_apply
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec
 from .polynomials import poly_mul
@@ -123,7 +124,8 @@ class CharPolyResult:
     `mu` is the degree-20 integer polynomial, `mu_full` its degree-22
     completion (T - p)^2 * mu for the whole second cohomology, both as
     integer tuples, constant term first; `per_eigenspace` holds the
-    quadratic data (a_i(p), b_i) per eigenspace.
+    quadratic data (a_i(p), b_i) per eigenspace, each an element of Z[zeta]
+    as a 10-tuple of ints.
 
     Per-eigenspace data is canonical only up to the choice of which
     primitive 11th root of unity is "zeta": a different choice permutes the
@@ -133,13 +135,13 @@ class CharPolyResult:
     p: int
     mu: tuple[int, ...]
     mu_full: tuple[int, ...]
-    per_eigenspace: tuple[tuple[CycNum, CycNum], ...]
+    per_eigenspace: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _exact_half(x: CycNum, what: str) -> CycNum:
-    if any(c % 2 for c in x.coords):
+def _exact_half(x: tuple[int, ...], what: str) -> tuple[int, ...]:
+    if any(c % 2 for c in x):
         raise InconsistencyError(f"{what} is not divisible by 2 in Z[zeta]: {x!r}")
-    return CycNum(tuple(c // 2 for c in x.coords))
+    return tuple(c // 2 for c in x)
 
 
 def check_conjugates(traces: EigenTraces) -> None:
@@ -154,18 +156,18 @@ def check_conjugates(traces: EigenTraces) -> None:
             )
 
 
-def _norm_of_quadratic(a: CycNum, b: CycNum) -> tuple[int, ...]:
+def _norm_of_quadratic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """N_{Q(zeta)/Q}(T^2 - a T + b) from power sums and Newton's identities.
 
     s_k = alpha^k + beta^k obeys s_k = a s_(k-1) - b s_(k-2) with s_0 = 2 and
-    s_1 = a; summed over the ten conjugates it is the trace S_k = 10 c_0 -
-    (c_1 + ... + c_9).  Then k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i,
-    and every division by k must be exact."""
+    s_1 = a; summed over the ten conjugates it is the trace S_k = Tr(s_k).
+    Then k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i, and every division by
+    k must be exact."""
     n = 2 * DEGREE
-    s = [CycNum((2,)), a]
+    s = [(2,) + (0,) * (DEGREE - 1), a]
     while len(s) <= n:
-        s.append(a * s[-1] - b * s[-2])
-    traces = [DEGREE * x.coords[0] - sum(x.coords[1:]) for x in s]
+        s.append(tuple(x - y for x, y in zip(cyc_mul(a, s[-1]), cyc_mul(b, s[-2]))))
+    traces = [cyc_trace(x) for x in s]
     e = [1]
     for k in range(1, n + 1):
         total = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
@@ -186,7 +188,8 @@ def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyRe
     check_conjugates(E_p)
     check_conjugates(E_p2)
     a_1 = E_p.a[0]
-    b_1 = _exact_half(a_1 * a_1 - E_p2.a[0], "2 * det contribution on eigenspace 1")
+    twice_b_1 = tuple(x - y for x, y in zip(cyc_mul(a_1, a_1), E_p2.a[0]))
+    b_1 = _exact_half(twice_b_1, "2 * det contribution on eigenspace 1")
     pairs = [(a_1, b_1)] + [(a, galois_apply(s, b_1)) for s, a in enumerate(E_p.a[1:], start=2)]
     mu = _norm_of_quadratic(a_1, b_1)
     mu_full = poly_mul(mu, (p * p, -2 * p, 1))

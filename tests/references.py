@@ -10,32 +10,67 @@ from __future__ import annotations
 import dataclasses
 from unittest import mock
 
-from wild11 import CapabilityError, CycNum, EigenTraces, FieldSpec, InconsistencyError, ffield
+from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
 from wild11.cyclotomic import DEGREE, ORDER
 from wild11.fppoly import FpPoly, is_irreducible
+from wild11.polynomials import _divmod_monic, cyclotomic_poly, poly_mul
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
 
-def zeta_power(k: int) -> CycNum:
-    """zeta^k in the power basis, with z^10 = -(1 + z + ... + z^9)."""
-    k %= ORDER
-    if k < DEGREE:
-        return CycNum((0,) * k + (1,))
-    return CycNum((-1,) * DEGREE)
+ZERO = (0,) * DEGREE
 
 
-def as_int(x: CycNum) -> int | None:
+def _reduce(coeffs) -> tuple[int, ...]:
+    """The class of a polynomial in Z[zeta] = Z[T]/(Phi_11), by long division."""
+    _, rem = _divmod_monic(coeffs, cyclotomic_poly(ORDER))
+    return tuple(rem) + (0,) * (DEGREE - len(rem))
+
+
+def zeta_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def zeta_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a * b in Z[zeta] as the product in Z[T] reduced mod Phi_11.
+
+    The reference for wild11.cyclotomic.cyc_mul's exponent fold."""
+    return _reduce(poly_mul(a, b))
+
+
+def zeta_power(k: int) -> tuple[int, ...]:
+    """zeta^k in the power basis: T^(k mod 11) reduced mod Phi_11."""
+    return _reduce((0,) * (k % ORDER) + (1,))
+
+
+def zeta_trace(a: tuple[int, ...]) -> int:
+    """Tr_{Q(zeta)/Q}(a) as the trace of multiplication by a on the basis z^j.
+
+    The reference for wild11.cyclotomic.cyc_trace."""
+    return sum(zeta_mul(a, zeta_power(j))[j] for j in range(DEGREE))
+
+
+def zeta_conjugate(s: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """sigma_s(a) = sum_i c_i (zeta^s)^i, by Horner's rule in Z[zeta].
+
+    The reference for wild11.cyclotomic.galois_apply."""
+    acc = ZERO
+    for c in reversed(a):
+        acc = zeta_add(zeta_mul(acc, zeta_power(s)), (c,) + ZERO[1:])
+    return acc
+
+
+def as_int(x: tuple[int, ...]) -> int | None:
     """The integer value if x lies in Z, else None."""
-    if any(x.coords[1:]):
+    if any(x[1:]):
         return None
-    return x.coords[0]
+    return x[0]
 
 
 def sum_as_int(traces: EigenTraces) -> int:
     """a_1 + ... + a_10, which must be an integer."""
-    total = CycNum()
+    total = ZERO
     for x in traces.a:
-        total = total + x
+        total = zeta_add(total, x)
     value = as_int(total)
     if value is None:
         raise InconsistencyError("sum of eigenspace traces is not rational")
@@ -48,9 +83,9 @@ def forward_dft(traces: EigenTraces) -> list[int]:
     Exact inverse of wild11.inverse_dft."""
     out = []
     for n in range(ORDER):
-        total = CycNum((2 * traces.q,))  # a_0 contribution
+        total = (2 * traces.q,) + ZERO[1:]  # a_0 contribution
         for i, a_i in enumerate(traces.a, start=1):
-            total = total + zeta_power(n * i) * a_i
+            total = zeta_add(total, zeta_mul(zeta_power(n * i), a_i))
         value = as_int(total)
         if value is None:
             raise InconsistencyError(f"reconstructed tr_{n} = {total} is not an integer")
@@ -62,13 +97,14 @@ def expand_eigenspace_product(pairs) -> tuple[int, ...]:
     """Expand prod_i (T^2 - a_i T + b_i) over Q(zeta) and demand Z coefficients.
 
     The reference for the norm in wild11.assemble_charpoly."""
-    poly: list[CycNum] = [CycNum((1,))]
+    poly = [zeta_power(0)]
     for a, b in pairs:
-        new = [CycNum() for _ in range(len(poly) + 2)]
+        minus_a = tuple(-x for x in a)
+        new = [ZERO] * (len(poly) + 2)
         for i, c in enumerate(poly):
-            new[i] = new[i] + c * b
-            new[i + 1] = new[i + 1] + c * (-a)
-            new[i + 2] = new[i + 2] + c
+            new[i] = zeta_add(new[i], zeta_mul(c, b))
+            new[i + 1] = zeta_add(new[i + 1], zeta_mul(c, minus_a))
+            new[i + 2] = zeta_add(new[i + 2], c)
         poly = new
     coeffs = []
     for j, c in enumerate(poly):

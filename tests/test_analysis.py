@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wild11 import (
-    CycNum,
     EigenTraces,
     INFINITE_HEIGHT,
     InconsistencyError,
@@ -26,7 +25,7 @@ from reference_values import (
     NONSQUARES_MOD_11,
     SQUARES_MOD_11,
 )
-from references import as_int, expand_eigenspace_product
+from references import ZERO, as_int, expand_eigenspace_product, zeta_mul, zeta_power
 
 
 def _power(base: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -87,7 +86,9 @@ def _reference_checks(result: CharPolyResult, eigen_p2: EigenTraces, kind: str, 
         parity = not any(mu[1::2])
         if parity:
             nu = mu[0::2]
-            level2_pairs = [(a2, b * b) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)]
+            level2_pairs = [
+                (a2, zeta_mul(b, b)) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)
+            ]
             try:
                 parity = expand_eigenspace_product(level2_pairs) == poly_mul(nu, nu)
             except InconsistencyError:
@@ -99,9 +100,9 @@ def _reference_checks(result: CharPolyResult, eigen_p2: EigenTraces, kind: str, 
         checks["integral_coefficients"] = expand_eigenspace_product(result.per_eigenspace) == mu
     except InconsistencyError:
         checks["integral_coefficients"] = False
-    det = CycNum((1,))
+    det = zeta_power(0)
     for _, b in result.per_eigenspace:
-        det = det * b
+        det = zeta_mul(det, b)
     det_value = as_int(det)
     checks["determinant"] = det_value is not None and abs(det_value) == p**20
     checks["unit_circle"] = _unit_circle_check(mu, p)
@@ -267,21 +268,22 @@ def test_mu_identities_behind_the_checks(pipeline, kind, param):
     *_, eigen_p2, result = pipeline(kind, param)
     mu = result.mu
     assert expand_eigenspace_product(result.per_eigenspace) == mu
-    det = CycNum((1,))
+    det = zeta_power(0)
     for _, b in result.per_eigenspace:
-        det = det * b
+        det = zeta_mul(det, b)
     assert as_int(det) == mu[0]
     if kind == "gamma":
         nu = mu[0::2]
-        level2_pairs = [(a2, b * b) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)]
+        level2_pairs = [
+            (a2, zeta_mul(b, b)) for (_, b), a2 in zip(result.per_eigenspace, eigen_p2.a)
+        ]
         assert expand_eigenspace_product(level2_pairs) == poly_mul(nu, nu)
 
 
 def test_structural_checks_negative_control():
     # hand-built result whose eigenspace determinants multiply to 1, not p^20
     p = 11
-    zero, one = CycNum(), CycNum((1,))
-    pairs = tuple((zero, one) for _ in range(10))
+    pairs = tuple((ZERO, zeta_power(0)) for _ in range(10))
     mu = _power((1, 0, 1), 10)  # (T^2 + 1)^10, consistent with the pairs
     fake = CharPolyResult(
         p=p, mu=mu, mu_full=poly_mul(mu, (p * p, -2 * p, 1)), per_eigenspace=pairs
@@ -289,7 +291,7 @@ def test_structural_checks_negative_control():
     checks = structural_checks(fake.mu, "epsilon", p)
     assert checks["determinant"] is False
     assert checks["integral_coefficients"] is True  # the product really is mu
-    eigen_p2 = EigenTraces(q=p * p, a=(CycNum((-2,)),) * 10)
+    eigen_p2 = EigenTraces(q=p * p, a=((-2,) + ZERO[1:],) * 10)
     assert checks == _reference_checks(fake, eigen_p2, "epsilon", p)
 
 

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from wild11 import (
     CapabilityError,
-    CycNum,
     EigenTraces,
     FieldSpec,
     FixTally,
@@ -29,7 +28,7 @@ from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_NONSQUARE,
 )
-from references import expand_eigenspace_product, sum_as_int, zeta_power
+from references import ZERO, expand_eigenspace_product, sum_as_int, zeta_mul, zeta_power
 
 
 def naive_tally_f11(kind, param, bucket_sign=-1):
@@ -151,9 +150,8 @@ def test_fixtally_shape_check():
 
 def test_assemble_trivial_forced_example():
     p = 11
-    zero = CycNum()
-    minus_2p2 = CycNum((-2 * p * p,))
-    e_p = EigenTraces(q=p, a=(zero,) * 10)
+    minus_2p2 = (-2 * p * p,) + ZERO[1:]
+    e_p = EigenTraces(q=p, a=(ZERO,) * 10)
     e_p2 = EigenTraces(q=p * p, a=(minus_2p2,) * 10)
     result = assemble_charpoly(e_p, e_p2, p)
     # b_i = (0 - (-2p^2))/2 = p^2, so mu = (T^2 + p^2)^10
@@ -165,16 +163,16 @@ def test_assemble_trivial_forced_example():
 
 
 def test_assemble_validates_field_levels():
-    e = EigenTraces(q=11, a=(CycNum(),) * 10)
+    e = EigenTraces(q=11, a=(ZERO,) * 10)
     with pytest.raises(ValueError):
         assemble_charpoly(e, e, 11)
 
 
 def test_assemble_rejects_inexact_halving():
     p = 11
-    one = CycNum((1,))
+    one, two = (1,) + ZERO[1:], (2,) + ZERO[1:]
     e_p = EigenTraces(q=p, a=(one,) * 10)
-    e_p2 = EigenTraces(q=p * p, a=(CycNum((2,)),) * 10)  # 1 - 2 = -1: odd
+    e_p2 = EigenTraces(q=p * p, a=(two,) * 10)  # 1 - 2 = -1: odd
     with pytest.raises(InconsistencyError, match="divisible by 2"):
         assemble_charpoly(e_p, e_p2, p)
 
@@ -183,9 +181,7 @@ def _conjugates(x):
     return tuple(galois_apply(s, x) for s in range(1, 11))
 
 
-_SMALL_CYC = st.lists(st.integers(-4, 4), min_size=10, max_size=10).map(
-    lambda coords: CycNum(tuple(coords))
-)
+_SMALL_CYC = st.lists(st.integers(-4, 4), min_size=10, max_size=10).map(tuple)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -195,7 +191,8 @@ def test_norm_matches_eigenspace_product(a_1, b_1):
     # conjugates sigma_i(a_1), sigma_i(b_1), the norm is the ten-fold product
     p = 11
     e_p = EigenTraces(q=p, a=_conjugates(a_1))
-    e_p2 = EigenTraces(q=p * p, a=_conjugates(a_1 * a_1 - 2 * b_1))
+    a_1_p2 = tuple(x - 2 * y for x, y in zip(zeta_mul(a_1, a_1), b_1))
+    e_p2 = EigenTraces(q=p * p, a=_conjugates(a_1_p2))
     result = assemble_charpoly(e_p, e_p2, p)
     pairs = tuple(zip(_conjugates(a_1), _conjugates(b_1)))
     assert result.per_eigenspace == pairs
@@ -217,7 +214,7 @@ def test_conjugacy_gate_rejects_swapped_traces(pipeline, level):
 def test_expand_rejects_irrational_coefficient():
     # T^2 - zeta T: the coefficient of T is -zeta, not in Z
     with pytest.raises(InconsistencyError, match="irrational"):
-        expand_eigenspace_product([(zeta_power(1), CycNum())])
+        expand_eigenspace_product([(zeta_power(1), ZERO)])
 
 
 def test_golden_mu_eps1(pipeline):
