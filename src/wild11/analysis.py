@@ -7,7 +7,11 @@ Three exact invariants are extracted from the degree-20 polynomial mu_p:
 * the Picard number over the algebraic closure of F_p: 2 (fiber and
   zero-section classes) plus the number of roots of mu_p of the form
   p * (root of unity), counted with multiplicity through divisibility of
-  P(T) = mu_p(p T) by the cyclotomic polynomials Phi_k;
+  P(T) = mu_p(p T) by the cyclotomic polynomials Phi_k.  Such a root has
+  p-adic valuation exactly 1, so it lies on the slope-1 segment of the
+  Newton polygon, and that segment's length L bounds the count: with
+  L = 0 no division is tried, otherwise only the Phi_k with
+  phi(k) <= L - (count so far) are;
 * the formal-Brauer height, read off the p-adic Newton polygon: with s_min
   the smallest root valuation, height is 1/(1 - s_min), and s_min = 1 means
   infinite height (Artin-supersingular).
@@ -61,8 +65,11 @@ B2 = 22  # second Betti number of a K3 surface
 
 INFINITE_HEIGHT = math.inf
 
-# k with euler_phi(k) <= 20 all lie below 67; scan a safe superset.
-_CYCLOTOMIC_RANGE = range(1, 101)
+# (k, euler_phi(k)) for every k with euler_phi(k) <= 20; all such k lie
+# below 67, so scanning to 100 is a safe superset.
+_CYCLOTOMIC_INDICES = tuple(
+    (k, euler_phi(k)) for k in range(1, 101) if euler_phi(k) <= V_DIMENSION
+)
 
 UNIT_CIRCLE_TOLERANCE = 1e-9
 
@@ -85,14 +92,24 @@ def picard_upper_bound(mu: tuple[int, ...], p: int) -> int:
     Zeroes are counted with multiplicity via divisibility of P(T) = mu(p T)
     by the monic Phi_k in Z[T]; by Gauss's lemma this equals the
     multiplicity of Phi_k in mu~ over Q, and of p^phi(k) * Phi_k(T / p) in mu.
+
+    Such a zero has p-adic valuation exactly 1, so all of them lie on the
+    slope-1 segment of the Newton polygon of mu with its power of T
+    stripped (a zero 0 is not p * root of unity); its length L bounds the
+    count.  So with L = 0 nothing is divided, and otherwise Phi_k is tried
+    only while phi(k) fits in what L leaves, stopping once the count is L.
+    Raises ValueError for the zero polynomial, which has no Newton polygon.
     """
+    while len(mu) > 1 and mu[0] == 0:
+        mu = mu[1:]
+    room = sum(m for v, m in newton_polygon(mu, p) if v == 1)
     scaled = _scaled_mu(mu, p)
     count = 0
-    for k in _CYCLOTOMIC_RANGE:
-        phi = euler_phi(k)
-        if phi > V_DIMENSION:
-            continue
-        count += divides_with_multiplicity(cyclotomic_poly(k), scaled) * phi
+    for k, phi in _CYCLOTOMIC_INDICES:
+        if count == room:
+            break
+        if phi <= room - count:
+            count += divides_with_multiplicity(cyclotomic_poly(k), scaled) * phi
     return 2 + count
 
 

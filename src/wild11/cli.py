@@ -26,6 +26,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import INFINITE_HEIGHT, analyze_charpoly, structural_checks
@@ -58,7 +59,7 @@ def _render(report: dict, fmt: str, timing: float | None) -> str:
     if timing is not None:
         report = dict(report, meta=dict(report["meta"], timing_seconds=timing))
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json_text(report, "") + "\n"
     lines = ["key,value"]
     for path, value in _flatten(report):
         text = str(value).replace('"', '""')
@@ -66,6 +67,35 @@ def _render(report: dict, fmt: str, timing: float | None) -> str:
             text = f'"{text}"'
         lines.append(f"{path},{text}")
     return "\n".join(lines) + "\n"
+
+
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, nested at
+    indent pad; dict keys must be strings.  With indent, json falls back to
+    its pure-Python encoder, so strings, ints, dicts, lists and tuples are
+    written here and only the other values (bool, None, float) by json.dumps."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)
+        ]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(value)
 
 
 def _flatten(value, prefix: str = ""):

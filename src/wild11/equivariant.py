@@ -17,9 +17,13 @@ buckets.  The q^2 pairs need not be visited one by one: the trace is
 F_p-linear and p = 11, so the bucket -Tr(y^2) + Tr(w(x)) is the difference
 of a y-trace and an x-trace.  Two 11-bin histograms over F_q (of -Tr(y^2)
 and of -Tr(w(x))) and one cyclic convolution of them give the same bucket
-sizes in O(q) field operations.  Lefschetz then turns bucket sizes into
-integer traces, tr_n = Fix_n - 1 - q^2, and the inverse DFT over
-Q(zeta_11) recovers the per-eigenspace traces a_i(q).
+sizes.  Neither histogram needs a pass over F_q per surface: the parameter
+c lies in F_p, so by the same linearity -Tr(x^3 + c x^k) = -Tr(x^3) +
+c * (-Tr(x^k)).  One pass over F_q, cached per field, counts the x with
+each triple (-Tr x, -Tr x^2, -Tr x^3); each surface folds those at most q
+entries by its parameter.  Lefschetz then turns bucket sizes into integer
+traces, tr_n = Fix_n - 1 - q^2, and the inverse DFT over Q(zeta_11)
+recovers the per-eigenspace traces a_i(q).
 
 With both field levels in hand, each eigenspace V_i carries Frobenius
 eigenvalues alpha, beta with alpha + beta = a_i(p) and alpha^2 + beta^2 =
@@ -40,7 +44,9 @@ of ints, constant term first, like every polynomial in Z[T] here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, cyc_trace, galois_apply
 from .errors import CapabilityError, InconsistencyError
@@ -66,13 +72,30 @@ class FixTally:
             raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
 
 
+@lru_cache(maxsize=None)  # fixed_locus_tally admits only F_11 and F_121, so 2 entries
+def _trace_histogram(spec: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """((-Tr x, -Tr x^2, -Tr x^3, count), ...): how many x in F_q have each
+    triple of negated traces, from one pass over F_q."""
+    neg_trace = spec.neg_trace_table()
+    mul, index_of = spec.mul, spec.index_of
+    counts: Counter[tuple[int, int, int]] = Counter()
+    for i in range(spec.q):
+        x = spec.coords_at(i)
+        x2 = mul(x, x)
+        counts[neg_trace[i], neg_trace[index_of(x2)], neg_trace[index_of(mul(x2, x))]] += 1
+    return tuple(key + (count,) for key, count in counts.items())
+
+
 def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
     """Distribute all (x, y) in F_q^2 over the eleven twisted fixed loci.
 
     The pair (x, y) adds 11 to bucket n = -Tr(y^2 - w(x)) mod 11, where
-    w(x) = x^3 + e*x^2 (epsilon) or x^3 + g*x (gamma).  Since p = 11 and the
-    trace is F_p-linear, n = t - s with t = -Tr(y^2) and s = -Tr(w(x)).  One
-    pass over F_q builds the histograms h_y[t] and h_w[s]; the number of
+    w(x) = x^3 + c*x^2 (epsilon) or x^3 + c*x (gamma).  Since p = 11 and the
+    trace is F_p-linear, n = t - s with t = -Tr(y^2) and s = -Tr(w(x)), and
+    s = -Tr(x^3) + c * (-Tr(x^k)) with k = 2 (epsilon) or 1 (gamma), since
+    c lies in F_p.  So the histograms h_y[t] and h_w[s] are folded from the
+    field's cached count of the triples (-Tr x, -Tr x^2, -Tr x^3), one pass
+    over F_q per field and at most q entries per surface; the number of
     pairs in bucket n is then the cyclic convolution
     sum_s h_y[(n + s) mod 11] * h_w[s], which is exactly the count of the
     q^2 pairs, each still adding 11 to exactly one bucket.
@@ -90,20 +113,13 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
     if spec.r > 2:
         raise CapabilityError(f"tally supports q = p and q = p^2 only, got r = {spec.r}")
     q = spec.q
-    neg_trace = spec.neg_trace_table()
-    mul, add, smul, index_of = spec.mul, spec.add, spec.smul, spec.index_of
-    param = model.param or 0
+    c = model.param or 0
     use_x_square = model.kind == "epsilon"
     h_y = [0] * ORDER
     h_w = [0] * ORDER
-    for i in range(q):
-        x = spec.coords_at(i)
-        x2 = mul(x, x)
-        w = mul(x2, x)
-        if param:
-            w = add(w, smul(param, x2 if use_x_square else x))
-        h_y[neg_trace[index_of(x2)]] += 1
-        h_w[neg_trace[index_of(w)]] += 1
+    for t1, t2, t3, count in _trace_histogram(spec):
+        h_y[t2] += count
+        h_w[(t3 + c * (t2 if use_x_square else t1)) % ORDER] += count
     fix = tuple(
         2 * q + 1 + ORDER * sum(h_y[(n + s) % ORDER] * h_w[s] for s in range(ORDER))
         for n in range(ORDER)

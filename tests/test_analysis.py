@@ -16,6 +16,7 @@ from wild11 import (
     picard_upper_bound,
     structural_checks,
 )
+from wild11 import analysis
 from wild11.analysis import _unit_circle_check
 from wild11.equivariant import CharPolyResult
 from wild11.polynomials import euler_phi, newton_polygon, palindrome_sign, poly_mul
@@ -160,6 +161,43 @@ def test_picard_bound_mixed_cyclotomic_factors():
     for factor, e in (((-p, 1), 2), ((p, 1), 4), ((p * p, 0, 1), 2), ((p, -1, 1), 5)):
         mu = poly_mul(mu, _power(factor, e))
     assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 12
+
+
+def test_picard_bound_scans_past_a_valuation_one_root_off_the_locus():
+    # 2p has valuation 1 but 2 is not a root of unity: the slope-1 segment
+    # (length 20) is longer than the count (19), so no early stop
+    p = 11
+    mu = poly_mul(poly_mul((-2 * p, 1), (p, 1)), _power((p * p, 0, 1), 9))
+    assert newton_polygon(mu, p) == ((Fraction(1), 20),)
+    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 21
+
+
+def test_picard_bound_strips_a_root_zero():
+    p = 11
+    mu = poly_mul((0, 1), poly_mul((-p, 1), _power((p * p, 0, 1), 9)))
+    assert mu[0] == 0
+    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 21
+
+
+def test_picard_bound_rejects_zero_polynomial():
+    with pytest.raises(ValueError):
+        picard_upper_bound((), 11)
+
+
+def test_picard_bound_tries_no_division_on_finite_height(monkeypatch, pipeline):
+    # height 10: slopes 9/10 and 11/10, no slope-1 segment, so no Phi_k can divide
+    calls = []
+
+    def counting(f, g):
+        calls.append(f)
+        return divides_with_multiplicity(f, g)
+
+    monkeypatch.setattr(analysis, "divides_with_multiplicity", counting)
+    for kind in ("epsilon", "gamma"):
+        for param in range(1, 11):
+            *_, result = pipeline(kind, param)
+            assert picard_upper_bound(result.mu, 11) == 2
+    assert calls == []
 
 
 def _scaled_cyclotomic(k: int, p: int) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wild11
 
@@ -16,6 +18,7 @@ from wild11.cli import (
     EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_USAGE,
+    _json_text,
     cmd_count,
     cmd_table,
     main,
@@ -237,6 +240,39 @@ def test_text_format_mentions_key_results(capsys):
     assert code == EXIT_OK
     assert "picard_upper: 2" in out
     assert "height: 10" in out
+
+
+# keys mix plain text with what json must escape: quotes, backslashes,
+# control characters and non-ASCII (outside and beyond the BMP)
+_JSON_KEYS = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _JSON_KEYS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=st.one_of(_JSON_TREES, st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=5)))
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
 
 
 # SHA-256 of stdout; bench/golden.json pins the JSON output, these pin the

@@ -18,7 +18,8 @@ from wild11 import (
     traces_from_tally,
 )
 from wild11.analysis import normalize
-from wild11.equivariant import check_conjugates
+from wild11.cli import cmd_table
+from wild11.equivariant import _trace_histogram, check_conjugates
 from wild11.polynomials import poly_mul
 from reference_values import (
     GOLDEN_FIX0_EPS1_Q121,
@@ -74,6 +75,8 @@ def test_tally_matches_pair_loop_reference(kind, param, r):
 
 
 def test_tally_is_linear_in_q(monkeypatch):
+    # one pass over F_q builds the field's trace histogram; a second surface
+    # on the same field only folds it and touches no field element
     spec = FieldSpec(11, 2)
     calls = []
     index_of = FieldSpec.index_of
@@ -84,10 +87,18 @@ def test_tally_is_linear_in_q(monkeypatch):
         return index_of(self, coords)
 
     monkeypatch.setattr(FieldSpec, "index_of", counting_index_of)
-    for kind, param in [("epsilon", 1), ("gamma", 3)]:
-        calls.clear()
-        fixed_locus_tally(make_model(kind, param, 11), spec)
-        assert 0 < len(calls) <= 2 * spec.q
+    _trace_histogram.cache_clear()
+    fixed_locus_tally(make_model("epsilon", 1, 11), spec)
+    assert 0 < len(calls) <= 2 * spec.q
+    calls.clear()
+    fixed_locus_tally(make_model("gamma", 3, 11), spec)
+    assert len(calls) == 0
+
+
+def test_table_builds_one_histogram_per_field():
+    _trace_histogram.cache_clear()
+    cmd_table()
+    assert _trace_histogram.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("kind,param", [("epsilon", 1), ("epsilon", 0), ("gamma", 1), ("gamma", 7)])
