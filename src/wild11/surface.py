@@ -23,20 +23,25 @@ matter how the enumeration is partitioned.  surface_count works on element
 indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
 t in one pass through log/exp tables, and each fiber's character sum is one
 lookup per x in a table indexed by carry-free packed sums
-(FieldSpec.log_tables, FieldSpec.packed_tables).  None of these tables is
-used by the equivariant tally.  fiber_count counts the fiber at infinity,
-the cubic of those top coefficients.
+(FieldSpec.log_tables, FieldSpec.packed_tables).  It counts one fiber per
+Frobenius orbit, every x per counted fiber: x -> x^p is an automorphism of
+F_q, so the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p)
+have equal counts, and each orbit is counted once, on its least triple of
+indices, times the number of t in it.  None of these tables is used by the
+equivariant tally.  fiber_count counts the fiber at infinity, the cubic of
+those top coefficients.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant and refuses anything worse, and refuses
 characteristics 2 and 3 outright, where that test is invalid.  The count
-costs q lookups per distinct fiber, up to q^2 in all, so fields larger than
-11^4 are refused up front (COUNT_Q_LIMIT).
+costs q lookups per distinct Frobenius orbit of fibers, up to q^2 in all, so
+fields larger than 11^4 are refused up front (COUNT_Q_LIMIT).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,10 +52,11 @@ from .polynomials import poly_str
 
 KINDS = ("epsilon", "gamma", "uniform")
 
-# surface_count does q lookups per distinct fiber, up to q^2 in all.  Near the
-# limit (Python 3.11, one core of a 2-core x86 host) a count at q = 11^4 (1331
-# distinct fibers) takes about 2 s and at the prime 14639 (every fiber
-# distinct) about 11 s; at 31^4 it would take hours.
+# surface_count counts one fiber per Frobenius orbit, every x per counted
+# fiber: q lookups per orbit, up to q^2 in all.  Near the limit (Python 3.11,
+# one core of a 2-core x86 host) a count at q = 11^4 (1331 distinct fibers in
+# 336 orbits) takes about 0.5 s and at the prime 14639 (every fiber distinct,
+# Frobenius the identity) about 10 s; at 31^4 it would take hours.
 COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and t = infinity in
@@ -201,6 +207,14 @@ def _packed_chi(spec: FieldSpec) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _frobenius_table(spec: FieldSpec) -> list[int]:
+    """Index of x^p for every x in F_q: exp[p * log x mod (q - 1)], and 0 -> 0."""
+    log, exp = spec.log_tables()
+    m = spec.q - 1
+    return [0] + [exp[spec.p * k % m] for k in log[1:]]
+
+
+@lru_cache(maxsize=None)
 def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[int, ...]:
     """pack(x^3 + a2*x^2 + a4*x) for every x in F_q, with a2 and a4 given by index."""
     pack = spec.packed_tables()[0]
@@ -260,8 +274,17 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
                 f"fiber at {place.location_str()} has v(Delta)={place.vdelta}, "
                 f"v(c4)={place.vc4}; the Weierstrass count would miss components"
             )
-    total = fiber_count(model, spec)
     values = (_values_everywhere(poly.coeffs, spec) for poly in _completed_cubic(model))
-    for a2, a4, a6 in zip(*values):
-        total += _count_cubic_points(spec, a2, a4, a6)
-    return total
+    fibers = Counter(zip(*values))
+    if spec.r > 1:  # on F_p Frobenius is the identity
+        frob = _frobenius_table(spec)
+        orbits: Counter = Counter()
+        for triple, n in fibers.items():
+            conjugates = [triple]
+            for _ in range(spec.r - 1):
+                conjugates.append(tuple([frob[c] for c in conjugates[-1]]))
+            orbits[min(conjugates)] += n
+        fibers = orbits
+    return fiber_count(model, spec) + sum(
+        n * _count_cubic_points(spec, *triple) for triple, n in fibers.items()
+    )

@@ -16,7 +16,7 @@ from wild11 import (
 )
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
-from wild11.surface import _packed_chi
+from wild11.surface import _count_cubic_points, _frobenius_table, _packed_chi
 from references import fiber_count_at, horner, infinity_chart, spec_with_modulus
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
@@ -268,16 +268,19 @@ def _reference_surface_count(model, spec):
 
     Each t goes through Horner's rule and each x through tuple arithmetic,
     index_of and a character table built here by squaring every element, so
-    nothing is shared with the index tables of surface_count.  The cubic
-    part x^3 + A2 x^2 + A4 x is kept per (A2, A4) and each count per fiber
-    value, as a memo only; every fiber still sums over every x."""
+    nothing is shared with the index tables of surface_count.  The powers
+    x, x^2, x^3 are kept per x, the cubic part x^3 + A2 x^2 + A4 x per
+    (A2, A4) and each count per fiber value, as a memo only; every fiber
+    still sums over every x, and no fiber borrows the count of a conjugate."""
     p, q = spec.p, spec.q
     mul, add, index_of = spec.mul, spec.add, spec.index_of
     chi = [-1] * q
-    chi[0] = 0
-    for i in range(1, q):
+    powers = []
+    for i in range(q):
         x = spec.coords_at(i)
-        chi[index_of(mul(x, x))] = 1
+        x2 = mul(x, x)
+        chi[index_of(x2)] = 1 if i else 0
+        powers.append((x, x2, mul(x2, x)))
     inv2 = pow(2, p - 2, p)
     linear_parts, counts = {}, {}
 
@@ -286,12 +289,7 @@ def _reference_surface_count(model, spec):
         completed = (a2 + a1 * a1 * (inv2 * inv2), a4 + a1 * a3 * inv2, a6 + a3 * a3 * (inv2 * inv2))
         A2, A4, A6 = (horner(poly, t, spec) for poly in completed)
         if (A2, A4) not in linear_parts:
-            ws = []
-            for i in range(q):
-                x = spec.coords_at(i)
-                x2 = mul(x, x)
-                ws.append(add(add(mul(x2, x), mul(A2, x2)), mul(A4, x)))
-            linear_parts[A2, A4] = ws
+            linear_parts[A2, A4] = [add(add(x3, mul(A2, x2)), mul(A4, x)) for x, x2, x3 in powers]
         if (A2, A4, A6) not in counts:
             total = sum(chi[index_of(add(w, A6))] for w in linear_parts[A2, A4])
             counts[A2, A4, A6] = 1 + q + total
@@ -336,6 +334,36 @@ def test_surface_count_matches_reference_other_fields(kind, param, p, r):
     assert surface_count(m, spec) == _reference_surface_count(m, spec)
 
 
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.sampled_from([(5, 2), (5, 3), (7, 2)]), st.data())
+def test_surface_count_of_random_models_matches_reference(field, data):
+    # every a_i is drawn, so the completed A2 and A4 vary with t and the
+    # Frobenius orbits of fibers move all three coefficients
+    p, r = field
+
+    def coefficient(i):
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=2 * i + 1, max_size=2 * i + 1)))
+
+    model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
+    assume(c4_delta(model)[1])
+    spec = FieldSpec(p, r)
+    try:
+        count = surface_count(model, spec)
+    except ReducibleFiberError:
+        assume(False)
+    assert count == _reference_surface_count(model, spec)
+
+
+def test_surface_count_counts_one_fiber_per_frobenius_orbit():
+    # t^11 - t takes the 121 trace-zero values of F_1331; Frobenius fixes only
+    # 0 among them, so they fall into 1 + 120 / 3 = 41 orbits.  The fiber at
+    # infinity, y^2 = x^3, is the one more.
+    _count_cubic_points.cache_clear()
+    surface_count(make_model("epsilon", 1, 11), FieldSpec(11, 3))
+    info = _count_cubic_points.cache_info()
+    assert (info.hits, info.misses) == (0, 41 + 1)
+
+
 _PACKED_SPECS = [
     FieldSpec(11),
     FieldSpec(11, 2),
@@ -360,6 +388,24 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
     assert _packed_chi(spec)[packed_sum] == spec.chi_table()[spec.index_of(spec.add(a, b))]
 
 
+@pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
+def test_frobenius_table_is_the_pth_power(spec):
+    expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
+    assert _frobenius_table(spec) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([FieldSpec(11, 2), FieldSpec(11, 3), FieldSpec(5, 4)]), st.data())
+def test_conjugate_cubics_have_equal_counts(spec, data):
+    # the identity behind merging Frobenius orbits in surface_count, with the
+    # conjugate taken by coordinate arithmetic instead of the index table
+    triple = [tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r)) for _ in range(3)]
+    conjugate = [spec.pow(c, spec.p) for c in triple]
+    assert _count_cubic_points(spec, *map(spec.index_of, triple)) == _count_cubic_points(
+        spec, *map(spec.index_of, conjugate)
+    )
+
+
 def _power_sum(coeffs, k):
     """k-th Newton power sum of the roots of a monic polynomial of degree >= k, constant term first."""
     a = coeffs[::-1]  # T^n + a[1] T^(n-1) + ... + a[n]
@@ -370,8 +416,14 @@ def _power_sum(coeffs, k):
 
 
 # epsilon 1 and 2 lie in different square classes; at q = 11^3 gamma counts
-# (q + 1)^2 whatever mu is, so gamma is checked at q = 11^4 only
-@pytest.mark.parametrize("kind,param,r", [("epsilon", 1, 3), ("epsilon", 2, 3), ("gamma", 1, 4)])
+# (q + 1)^2 whatever mu is, so gamma is checked at q = 11^4 only.  At 11^4 the
+# Frobenius orbits of fibers have sizes 1, 2 and 4.
+_PINNED_AT_11_4 = {("gamma", 1): 214271036, ("epsilon", 1): 214402805}
+
+
+@pytest.mark.parametrize(
+    "kind,param,r", [("epsilon", 1, 3), ("epsilon", 2, 3), ("epsilon", 1, 4), ("gamma", 1, 4)]
+)
 def test_count_matches_mu_beyond_the_tally_levels(kind, param, r):
     # mu is built from the tallies at q = 11 and 121; the count at 11^r checks it
     mu_full = cmd_analyze(kind, param, 11)["charpoly"]["mu_full"]
@@ -379,4 +431,4 @@ def test_count_matches_mu_beyond_the_tally_levels(kind, param, r):
     count = surface_count(make_model(kind, param, 11), FieldSpec(11, r))
     assert count == 1 + q * q + _power_sum(mu_full, r)
     if r == 4:
-        assert count == 214271036
+        assert count == _PINNED_AT_11_4[kind, param]
