@@ -47,10 +47,9 @@ on the unit circle, is reported but never used as a gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .equivariant import CharPolyResult
 from .errors import InconsistencyError
 from .polynomials import (
     cyclotomic_poly,
@@ -59,6 +58,10 @@ from .polynomials import (
     newton_polygon,
     palindrome_sign,
 )
+from .record import Record
+
+if TYPE_CHECKING:
+    from .equivariant import CharPolyResult
 
 V_DIMENSION = 20
 B2 = 22  # second Betti number of a K3 surface
@@ -170,10 +173,10 @@ def structural_checks(mu: tuple[int, ...], kind: str, p: int) -> dict[str, bool 
     return checks
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Exact invariants of one surface: mu~, Picard number, height, Newton slopes."""
 
+    __slots__ = ("mu_tilde", "picard_upper", "height", "newton_slopes")
     mu_tilde: tuple[Fraction, ...]
     picard_upper: int
     height: int | float

@@ -26,10 +26,10 @@ live in Z[zeta]: coordinates are plain Python ints.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistencyError
+from .record import Record
 
 DEGREE = 10  # [Q(zeta_11) : Q]
 ORDER = 11
@@ -65,8 +65,7 @@ def galois_apply(s: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out[i] - top for i in range(DEGREE))
 
 
-@dataclass(frozen=True)
-class EigenTraces:
+class EigenTraces(Record):
     """Relative Frobenius traces a_1 .. a_10 over F_q; a[i-1] is a_i.
 
     Each a_i is an element of Z[zeta], a tuple of exactly 10 ints; anything
@@ -75,6 +74,7 @@ class EigenTraces:
     Galois map sigma_s: zeta -> zeta^s (equivariant.check_conjugates).
     """
 
+    __slots__ = ("q", "a")
     q: int
     a: tuple[tuple[int, ...], ...]
 

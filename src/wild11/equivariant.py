@@ -45,18 +45,20 @@ of ints, constant term first, like every polynomial in Z[T] here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, cyc_trace, galois_apply
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec
 from .polynomials import poly_mul
-from .surface import WeierstrassModel
+from .record import Record
+
+if TYPE_CHECKING:
+    from .surface import WeierstrassModel
 
 
-@dataclass(frozen=True)
-class FixTally:
+class FixTally(Record):
     """Sizes of the eleven twisted fixed loci over F_q.
 
     Plain data on purpose: the bucket invariants are guaranteed by
@@ -64,6 +66,7 @@ class FixTally:
     tallies can be constructed to exercise the downstream consistency gates.
     """
 
+    __slots__ = ("q", "fix")
     q: int
     fix: tuple[int, ...]
 
@@ -133,8 +136,7 @@ def traces_from_tally(tally: FixTally) -> list[int]:
     return [f - shift for f in tally.fix]
 
 
-@dataclass(frozen=True)
-class CharPolyResult:
+class CharPolyResult(Record):
     """Characteristic polynomial of Frobenius on the 20-dimensional part V.
 
     `mu` is the degree-20 integer polynomial, `mu_full` its degree-22
@@ -148,6 +150,7 @@ class CharPolyResult:
     eigenspace indices and leaves mu itself unchanged.
     """
 
+    __slots__ = ("p", "mu", "mu_full", "per_eigenspace")
     p: int
     mu: tuple[int, ...]
     mu_full: tuple[int, ...]

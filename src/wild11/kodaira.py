@@ -23,10 +23,9 @@ rank = 2 + sum_v (m_v - 1); Mordell-Weil contributions are not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import B2
 from .errors import CapabilityError, InconsistencyError
+from .record import Record
 from .surface import FiberPlace, WeierstrassModel, singular_places
 
 # additive types fixed by v(Delta): (type, m_v, |disc| of the root lattice, label)
@@ -40,10 +39,10 @@ _ADDITIVE = {
 }
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(Record):
     """A classified place; disc and label describe one geometric fiber."""
 
+    __slots__ = ("place", "type", "components", "disc", "label")
     place: FiberPlace
     type: str
     components: int
@@ -55,8 +54,8 @@ class KodairaFiber:
         return self.place.degree
 
 
-@dataclass(frozen=True)
-class LatticeSummary:
+class LatticeSummary(Record):
+    __slots__ = ("rank", "abs_disc", "components")
     rank: int
     abs_disc: int
     components: tuple[str, ...]

@@ -42,13 +42,13 @@ fields larger than 11^4 are refused up front (COUNT_Q_LIMIT).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapabilityError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
 from .fppoly import FpPoly, factor
 from .polynomials import poly_str
+from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
 
@@ -67,8 +67,8 @@ _DEGREE_BOUNDS = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
 INFINITY = "infinity"
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(Record):
+    __slots__ = ("p", "kind", "param", "a1", "a2", "a3", "a4", "a6")
     p: int
     kind: str
     param: int | None
@@ -85,8 +85,7 @@ class WeierstrassModel:
                 raise ValueError(f"deg {name} = {poly.degree} exceeds the K3 bound {bound}")
 
 
-@dataclass(frozen=True)
-class FiberPlace:
+class FiberPlace(Record):
     """A closed point of the t-line where the discriminant vanishes.
 
     `location` is an int residue for a rational point, an irreducible FpPoly
@@ -94,6 +93,7 @@ class FiberPlace:
     vanishes identically (the j = 0 families).
     """
 
+    __slots__ = ("location", "degree", "vdelta", "vc4")
     location: object
     degree: int
     vdelta: int

@@ -7,7 +7,6 @@ command's path, so they live beside the tests rather than in the package.
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
@@ -148,7 +147,9 @@ def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
         poly = getattr(model, f"a{i}")
         return FpPoly(model.p, (list(poly.coeffs) + [0] * (2 * i + 1 - len(poly.coeffs)))[::-1])
 
-    return dataclasses.replace(model, **{f"a{i}": reversed_at(i) for i in (1, 2, 3, 4, 6)})
+    return WeierstrassModel(
+        model.p, model.kind, model.param, *(reversed_at(i) for i in (1, 2, 3, 4, 6))
+    )
 
 
 def horner(poly: FpPoly, t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:

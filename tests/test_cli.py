@@ -64,6 +64,16 @@ def test_analyze_echoes_the_reduced_parameter(capsys):
     assert run_cli(capsys, *args, "1")[1] == out12
 
 
+def _fresh_interpreter(script: str) -> list[str]:
+    """The words script prints when run by a new interpreter that imports wild11 from here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wild11.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_table_never_imports_numpy():
     # numpy serves only analyze's advisory unit-circle check, which table never prints
     script = (
@@ -73,12 +83,24 @@ def test_table_never_imports_numpy():
         "    code = main(['table', '--format', 'json'])\n"
         "print(code, 'numpy' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wild11.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    assert _fresh_interpreter(script) == [str(EXIT_OK), "False"]
+
+
+def test_cold_commands_never_import_dataclasses():
+    # the records are plain slotted classes, so start-up compiles no generated
+    # methods and imports neither dataclasses nor the inspect module it needs
+    script = (
+        "import contextlib, io, sys\n"
+        "from wild11.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        main(['count', '--kind', 'gamma', '--param', '1', '--q', '121']),\n"
+        "        main(['fibers', '--kind', 'gamma', '--param', '1', '--p', '11']),\n"
+        "        main(['cover-check']),\n"
+        "    ]\n"
+        "print(*codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(EXIT_OK), "False"]
+    assert _fresh_interpreter(script) == [str(EXIT_OK)] * 3 + ["False", "False"]
 
 
 def test_json_output_is_deterministic(capsys):
