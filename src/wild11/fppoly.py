@@ -156,6 +156,9 @@ class FpPoly:
                 base = base * base % mod
         return result
 
+    def derivative(self) -> "FpPoly":
+        return FpPoly(self.p, [n * c for n, c in enumerate(self.coeffs)][1:])
+
     def multiplicity_of(self, g: "FpPoly") -> int:
         """Largest m with g^m dividing self (self nonzero, g non-constant)."""
         if not self:

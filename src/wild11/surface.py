@@ -22,21 +22,26 @@ the crossed terms first).  Counts are exact integers, and identical no
 matter how the enumeration is partitioned.  surface_count works on element
 indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
 t in one pass through log/exp tables, and each fiber's character sum is one
-lookup per x in a table indexed by carry-free packed sums
-(FieldSpec.log_tables, FieldSpec.packed_tables).  It counts one fiber per
-Frobenius orbit, every x per counted fiber: x -> x^p is an automorphism of
-F_q, so the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p)
-have equal counts, and each orbit is counted once, on its least triple of
-indices, times the number of t in it.  None of these tables is used by the
-equivariant tally.  fiber_count counts the fiber at infinity, the cubic of
-those top coefficients.
+lookup per distinct value w of the x-part x^3 + A2 x^2 + A4 x (about 2q/3
+of them), weighted by the number of x that take it, in a table indexed by
+carry-free packed sums (FieldSpec.log_tables, FieldSpec.packed_tables).  The
+values and their preimage counts come from enumerating every x once per
+(A2, A4).  It counts one fiber per Frobenius orbit: x -> x^p is an
+automorphism of F_q, so the fibers with coefficients (a2, a4, a6) and
+(a2^p, a4^p, a6^p) have equal counts, and each orbit is counted once, on
+its least triple of indices, times the number of t in it.  None of these
+tables is used by the equivariant tally.  fiber_count counts the fiber at
+infinity, the cubic of those top coefficients.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
-verifies that from the discriminant and refuses anything worse, and refuses
-characteristics 2 and 3 outright, where that test is invalid.  The count
-costs q lookups per distinct Frobenius orbit of fibers, up to q^2 in all, so
-fields larger than 11^4 are refused up front (COUNT_Q_LIMIT).
+verifies that from the discriminant without factoring it (a squarefree test
+on gcd(Delta, Delta')), names the first reducible fiber from the
+factorisation only when it refuses, and refuses characteristics 2 and 3
+outright, where that test is invalid.  The count costs one lookup per
+distinct x-part value per distinct Frobenius orbit of fibers, about 2q^2/3
+in all when every orbit is a single fiber, so fields larger than 11^4 are
+refused up front (COUNT_Q_LIMIT).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .errors import CapabilityError, ReducibleFiberError
+from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
 from .fppoly import FpPoly, factor
 from .polynomials import poly_str
@@ -52,11 +57,13 @@ from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
 
-# surface_count counts one fiber per Frobenius orbit, every x per counted
-# fiber: q lookups per orbit, up to q^2 in all.  Near the limit (Python 3.11,
-# one core of a 2-core x86 host) a count at q = 11^4 (1331 distinct fibers in
-# 336 orbits) takes about 0.5 s and at the prime 14639 (every fiber distinct,
-# Frobenius the identity) about 10 s; at 31^4 it would take hours.
+# surface_count counts one fiber per Frobenius orbit, one lookup per distinct
+# value of the x-part x^3 + A2 x^2 + A4 x (about 2q/3) per counted fiber, up
+# to about 2q^2/3 in all.  Near the limit (Python 3.11, one core of a 2-core
+# x86 host, epsilon 1 and gamma 1 in a fresh process) a count at q = 11^4
+# (1331 distinct fibers in 336 orbits, 9761 x-part values) takes 0.26-0.51 s
+# and at the prime 14639 (9255 distinct fibers, Frobenius the identity, 9759
+# x-part values) 5.0-7.5 s; at 31^4 it would take hours.
 COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and t = infinity in
@@ -144,17 +151,24 @@ def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
     return c4, delta
 
 
+def _covariants_and_infinity(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FiberPlace | None]:
+    """c4, Delta and the place t = infinity, None when Delta does not vanish
+    there, its valuations read off the degrees; refuses Delta = 0."""
+    c4, delta = c4_delta(model)
+    if not delta:
+        raise ValueError("discriminant vanishes identically; the model is not elliptic")
+    if delta.degree == 24:
+        return c4, delta, None
+    return c4, delta, FiberPlace(INFINITY, 1, 24 - delta.degree, 8 - c4.degree if c4 else None)
+
+
 def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     """All places of P^1 where Delta vanishes, with (v(Delta), v(c4)) data.
 
     Closed points of degree > 1 appear once, carrying their degree.  The
     place at infinity comes first, its valuations read off the degrees."""
-    c4, delta = c4_delta(model)
-    if not delta:
-        raise ValueError("discriminant vanishes identically; the model is not elliptic")
-    places = []
-    if delta.degree < 24:
-        places.append(FiberPlace(INFINITY, 1, 24 - delta.degree, 8 - c4.degree if c4 else None))
+    c4, delta, infinity = _covariants_and_infinity(model)
+    places = [] if infinity is None else [infinity]
     for g, mult in factor(delta):
         vc4 = c4.multiplicity_of(g) if c4 else None
         location: object = (-g.coeffs[0]) % model.p if g.degree == 1 else g
@@ -167,6 +181,25 @@ def _is_irreducible_fiber(place: FiberPlace) -> bool:
     if place.vdelta == 1:
         return True
     return place.vdelta == 2 and (place.vc4 is None or place.vc4 >= 1)
+
+
+def _every_fiber_irreducible(model: WeierstrassModel) -> bool:
+    """Whether every singular fiber is irreducible, for odd p, without factoring Delta.
+
+    An irreducible factor of Delta of multiplicity m divides
+    g = gcd(Delta, Delta') exactly m - 1 times, or m times when p | m (the
+    first step of Yun's squarefree decomposition).  So the factors of
+    multiplicity 1 and 2 are those that divide g at most once: every finite
+    fiber is irreducible iff g is squarefree (gcd(g, g') = 1, which fails
+    for a nonconstant g with g' = 0) and the double factors, those of g,
+    all divide c4 or c4 vanishes identically."""
+    c4, delta, infinity = _covariants_and_infinity(model)
+    if infinity is not None and not _is_irreducible_fiber(infinity):
+        return False
+    g = delta.gcd(delta.derivative())
+    if g.gcd(g.derivative()).degree > 0:
+        return False
+    return not c4 or not c4 % g
 
 
 def _completed_cubic(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FpPoly]:
@@ -185,18 +218,20 @@ def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
     """Index of sum_n coeffs[n] t^n for every t in F_q, in index order.
 
     The coefficients are element indices (an F_p coefficient c is index c).
-    At t = g^k the term c*t^n is exp[(log c + n*k) % (q - 1)], and the terms
-    add by carry-free packed addition; t = 0 takes the constant term."""
+    The values start at the constant term; at t = g^k the term c*t^n of
+    degree n >= 1 is exp[(log c + n*k) % (q - 1)], and the terms add by
+    carry-free packed addition; t = 0 takes the constant term alone."""
     m = spec.q - 1
     log, exp = spec.log_tables()
     pack, unpack = spec.packed_tables()
     log_t = log[1:]
-    acc = [0] * m
-    for n, c in enumerate(coeffs):
+    c0 = coeffs[0] if coeffs else 0
+    acc = [c0] * m
+    for n, c in enumerate(coeffs[1:], 1):
         if c:
             lc = log[c]
             acc = [unpack[pack[a] + pack[exp[(lc + n * lt) % m]]] for a, lt in zip(acc, log_t)]
-    return [coeffs[0] if coeffs else 0] + acc
+    return [c0] + acc
 
 
 @lru_cache(maxsize=None)
@@ -215,21 +250,29 @@ def _frobenius_table(spec: FieldSpec) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[int, ...]:
-    """pack(x^3 + a2*x^2 + a4*x) for every x in F_q, with a2 and a4 given by index."""
+def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The distinct values of x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
+    by index, grouped by their number n of preimages x: ((n, packed values), ...)."""
     pack = spec.packed_tables()[0]
-    return tuple([pack[w] for w in _values_everywhere((0, a4, a2, 1), spec)])
+    groups: dict[int, list[int]] = {}
+    for w, n in Counter(_values_everywhere((0, a4, a2, 1), spec)).items():
+        groups.setdefault(n, []).append(pack[w])
+    return tuple((n, tuple(groups[n])) for n in sorted(groups))
 
 
 @lru_cache(maxsize=None)
 def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q.
 
-    The coefficients are element indices.  Every x is enumerated: the count
-    is 1 + q + sum_x chi(w(x) + a6), one packed lookup per x."""
+    The coefficients are element indices.  The count is
+    1 + q + sum_x chi(w(x) + a6) over every x, summed over the distinct
+    values w of w(x) = x^3 + a2 x^2 + a4 x, one packed lookup each, times
+    the number of x that take each value."""
     chi = _packed_chi(spec)
     c = spec.packed_tables()[0][a6]
-    return 1 + spec.q + sum([chi[w + c] for w in _cubic_linear_part(spec, a2, a4)])
+    return 1 + spec.q + sum(
+        [n * sum([chi[w + c] for w in values]) for n, values in _cubic_linear_part(spec, a2, a4)]
+    )
 
 
 def fiber_count(model: WeierstrassModel, spec: FieldSpec) -> int:
@@ -268,12 +311,19 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
             f"surface counting takes O(q^2) field operations; q = {spec.q} exceeds "
             f"the limit {COUNT_Q_LIMIT}"
         )
-    for place in singular_places(model):
-        if not _is_irreducible_fiber(place):
-            raise ReducibleFiberError(
-                f"fiber at {place.location_str()} has v(Delta)={place.vdelta}, "
-                f"v(c4)={place.vc4}; the Weierstrass count would miss components"
-            )
+    if not _every_fiber_irreducible(model):
+        # the factorisation names the fiber the squarefree test refused
+        for place in singular_places(model):
+            if not _is_irreducible_fiber(place):
+                vc4 = "infinity" if place.vc4 is None else place.vc4
+                raise ReducibleFiberError(
+                    f"fiber at {place.location_str()} has v(Delta)={place.vdelta}, "
+                    f"v(c4)={vc4}; the Weierstrass count would miss components"
+                )
+        raise InconsistencyError(
+            "the squarefree test found a reducible fiber, but every place of the "
+            "factored discriminant has an irreducible fiber"
+        )
     values = (_values_everywhere(poly.coeffs, spec) for poly in _completed_cubic(model))
     fibers = Counter(zip(*values))
     if spec.r > 1:  # on F_p Frobenius is the identity

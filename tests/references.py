@@ -160,6 +160,24 @@ def horner(poly: FpPoly, t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]
     return acc
 
 
+def cubic_count(spec: FieldSpec, a2: tuple[int, ...], a4: tuple[int, ...], a6: tuple[int, ...]) -> int:
+    """Projective F_q-points of y^2 = x^3 + a2 x^2 + a4 x + a6 (odd q), one x at a time.
+
+    The coefficients are coordinate tuples.  Each x goes through Horner's
+    rule in coordinate arithmetic and adds the number of y with y^2 equal to
+    the value, read from the set of squares of every element: the reference
+    for wild11.surface._count_cubic_points, which sums the quadratic
+    character over the distinct values of the cubic's x-part."""
+    elements = [spec.coords_at(i) for i in range(spec.q)]
+    zero = elements[0]
+    squares = {spec.mul(x, x) for x in elements}
+    count = 1  # the point at infinity
+    for x in elements:
+        w = spec.add(spec.mul(spec.add(spec.mul(spec.add(x, a2), x), a4), x), a6)
+        count += 1 if w == zero else 2 if w in squares else 0
+    return count
+
+
 def fiber_count_at(model: WeierstrassModel, t0: int, spec: FieldSpec) -> int:
     """Projective F_q-points of the (possibly singular) Weierstrass cubic at a finite t.
 

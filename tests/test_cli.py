@@ -175,10 +175,15 @@ def test_count_gamma(capsys):
 
 
 def test_count_refuses_reducible_model(capsys):
-    for q in ("11", "121"):
-        code, _, err = run_cli(capsys, "count", "--kind", "uniform", "--q", q)
-        assert code == EXIT_USAGE
-        assert "components" in err
+    # v(c4) is infinite on gamma 0, where c4 vanishes identically, as fibers prints it
+    for argv, place in (
+        (("--kind", "uniform", "--q", "11"), "t=0 has v(Delta)=11, v(c4)=0"),
+        (("--kind", "uniform", "--q", "121"), "t=0 has v(Delta)=11, v(c4)=0"),
+        (("--kind", "gamma", "--param", "0", "--q", "5"), "t=4 has v(Delta)=10, v(c4)=infinity"),
+    ):
+        code, out, err = run_cli(capsys, "count", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: fiber at {place}; the Weierstrass count would miss components\n"
 
 
 @pytest.mark.parametrize("kind,q", [("uniform", "9"), ("gamma", "27")])

@@ -277,6 +277,19 @@ def test_factor_ignores_unit_scalars():
         assert factor(f * unit) == factor(f)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 11]), st.data())
+def test_derivative_is_a_derivation(p, data):
+    def poly():
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=8)))
+
+    f, g = poly(), poly()
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+    assert (f + g).derivative() == f.derivative() + g.derivative()
+    assert FpPoly.monomial(p, p).derivative() == FpPoly(p)
+    assert FpPoly.monomial(p, 3, 2).derivative() == FpPoly.monomial(p, 2, 6)
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(FpPoly(11))

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from wild11 import (
     INFINITY,
     CapabilityError,
     FieldSpec,
+    InconsistencyError,
     ReducibleFiberError,
     WeierstrassModel,
     c4_delta,
@@ -14,10 +18,18 @@ from wild11 import (
     singular_places,
     surface_count,
 )
+import wild11.surface as surface_module
+from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
-from wild11.surface import _count_cubic_points, _frobenius_table, _packed_chi
-from references import fiber_count_at, horner, infinity_chart, spec_with_modulus
+from wild11.surface import (
+    _count_cubic_points,
+    _every_fiber_irreducible,
+    _frobenius_table,
+    _is_irreducible_fiber,
+    _packed_chi,
+)
+from references import cubic_count, fiber_count_at, horner, infinity_chart, spec_with_modulus
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
 
@@ -251,6 +263,107 @@ def test_singular_places_of_epsilon_model():
     assert sum(pl.degree for pl in rational + closed) == 22
 
 
+def _fibers_irreducible_by_places(model):
+    return all(_is_irreducible_fiber(place) for place in singular_places(model))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 11, 13]), st.data())
+def test_squarefree_guard_matches_place_classification(p, data):
+    # a planted polynomial pi divides each a_i to a drawn power, so factors of
+    # Delta of multiplicity 2, 3 and more, with and without pi | c4, occur
+    # beside the simple ones; y^2 = x^3 + a6 has c4 = 0, where only the
+    # squarefree test tells a cusp (v(Delta) = 2) from worse
+    def poly(degree):
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1)))
+
+    pi = poly(data.draw(st.integers(1, 2)))
+
+    def coefficient(i):
+        planted = FpPoly.constant(p, 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            planted = planted * pi
+        if planted.degree > 2 * i:
+            planted = FpPoly.constant(p, 1)
+        return planted * poly(data.draw(st.integers(0, 2 * i - planted.degree)))
+
+    j_zero = data.draw(st.booleans())
+    model = WeierstrassModel(
+        p, "random", None, *(FpPoly(p) if j_zero and i < 6 else coefficient(i) for i in (1, 2, 3, 4, 6))
+    )
+    assume(c4_delta(model)[1])
+    assert _every_fiber_irreducible(model) == _fibers_irreducible_by_places(model)
+
+
+def _model_11(a1, a4, a6):
+    p = 11
+    return WeierstrassModel(p, "random", None, FpPoly(p, a1), FpPoly(p), FpPoly(p), FpPoly(p, a4), FpPoly(p, a6))
+
+
+# y^2 + x y = x^3 + a6 has Delta = -a6 (1 + 432 a6) and c4 = 1, so v(Delta)
+# at t = 0 is v(a6) and the fiber there is of type I_v(a6); deg a6 = 12
+# keeps the fiber at infinity smooth
+_REFUSED = {
+    "multiplicity 3": (_model_11((1,), (), (0, 0, 0, 1) + (0,) * 8 + (1,)), 11, "t=0 has v(Delta)=3, v(c4)=0"),
+    "p-th power": (make_model("gamma", 0, 5), 5, "t=4 has v(Delta)=10, v(c4)=infinity"),
+    "double, c4 nonzero": (_model_11((1,), (), (0, 0, 1) + (0,) * 9 + (1,)), 11, "t=0 has v(Delta)=2, v(c4)=0"),
+    "at infinity": (_model_11((1,), (), (0, 1)), 11, "infinity has v(Delta)=22, v(c4)=8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_squarefree_guard_refusals(case):
+    model, p, place = _REFUSED[case]
+    assert not _every_fiber_irreducible(model)
+    assert not _fibers_irreducible_by_places(model)
+    with pytest.raises(ReducibleFiberError, match=re.escape(f"fiber at {place}; the Weierstrass count")):
+        surface_count(model, FieldSpec(p))
+
+
+def test_squarefree_guard_accepts_double_factors_of_c4():
+    # y^2 = x^3 + t x + t (t^11 + 1): v(Delta) = 2 and v(c4) = 1 at t = 0, a
+    # cusp; epsilon 0 has c4 = 0 and a cusp at every root of t^11 - t
+    for model in (_model_11((), (0, 1), (0, 1) + (0,) * 10 + (1,)), make_model("epsilon", 0, 11)):
+        assert 2 in [place.vdelta for place in singular_places(model)]
+        assert _every_fiber_irreducible(model) and _fibers_irreducible_by_places(model)
+
+
+def test_vanishing_discriminant_is_refused():
+    zero = FpPoly(11)
+    model = WeierstrassModel(11, "random", None, zero, zero, zero, zero, zero)
+    for check in (_every_fiber_irreducible, singular_places, lambda m: surface_count(m, _fp11())):
+        with pytest.raises(ValueError, match="discriminant vanishes identically"):
+            check(model)
+
+
+def test_guard_refusal_without_reducible_place_is_inconsistent():
+    # the factorisation names the refused fiber; if it finds none, the two
+    # disagree and the count stops with an arithmetic inconsistency
+    with mock.patch.object(surface_module, "_every_fiber_irreducible", lambda model: False):
+        with pytest.raises(InconsistencyError, match="squarefree"):
+            surface_count(make_model("gamma", 1, 11), _fp11())
+
+
+def test_count_at_1331_never_factors_delta():
+    # every one of the 22 surfaces passes the squarefree guard, so no
+    # discriminant is factored, and the oracle reads none of the tally's
+    # tables; the counts are those mu predicts at q = 11^3
+    q = 11**3
+    assert not any(
+        getattr(value, "__module__", None) == "wild11.equivariant" for value in vars(surface_module).values()
+    )
+    with mock.patch.object(
+        surface_module, "singular_places", wraps=surface_module.singular_places
+    ) as places, mock.patch.object(surface_module, "factor", wraps=fppoly.factor) as factored, mock.patch.object(
+        FieldSpec, "neg_trace_table", side_effect=AssertionError
+    ), mock.patch.object(equivariant, "_trace_histogram", side_effect=AssertionError):
+        counts = {pair: surface_count(make_model(*pair, 11), FieldSpec(11, 3)) for pair in SURFACES}
+    assert places.call_count == 0 and factored.call_count == 0
+    for (kind, param), count in counts.items():
+        mu_full = cmd_analyze(kind, param, 11)["charpoly"]["mu_full"]
+        assert count == 1 + q * q + _power_sum(mu_full, 3)
+
+
 def test_char2_brute_force_fiber():
     # the cubic cannot be completed in characteristic 2, so single fibers are refused
     m = make_model("uniform", None, 2)
@@ -362,6 +475,16 @@ def test_surface_count_counts_one_fiber_per_frobenius_orbit():
     surface_count(make_model("epsilon", 1, 11), FieldSpec(11, 3))
     info = _count_cubic_points.cache_info()
     assert (info.hits, info.misses) == (0, 41 + 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 4), FieldSpec(11, 3)]), st.data())
+def test_count_cubic_points_matches_per_x_reference(spec, data):
+    # the grouped sum over the distinct values of the x-part, against a sum
+    # over every x in coordinate arithmetic
+    a2, a4, a6 = (tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r)) for _ in range(3))
+    count = _count_cubic_points(spec, spec.index_of(a2), spec.index_of(a4), spec.index_of(a6))
+    assert count == cubic_count(spec, a2, a4, a6)
 
 
 _PACKED_SPECS = [
