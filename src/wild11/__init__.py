@@ -35,7 +35,6 @@ from .equivariant import (
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError, Wild11Error
 from .ffield import (
     FieldSpec,
-    smallest_nonresidue,
     trace_to_base,
 )
 from .kodaira import (
@@ -96,7 +95,6 @@ __all__ = [
     "palindrome_sign",
     "picard_upper_bound",
     "singular_places",
-    "smallest_nonresidue",
     "structural_checks",
     "supersingular_possible",
     "surface_count",

@@ -2,13 +2,16 @@
 
 Extensions of degree r <= 4 are supported: the equivariant tally works
 over F_p and F_{p^2}, and the point count goes up to q = 11^4.  An
-extension is described by its canonical modulus, one fixed monic
-irreducible over F_p per (p, r), and an element is its coordinate tuple
-(c_0, ..., c_{r-1}) in the power basis of that modulus, or the index
-sum_j c_j p^j of that tuple.  For odd p and r = 2 the modulus is u^2 - n
-with n the smallest quadratic non-residue mod p; for r = 3, 4 it is the
-first irreducible in a fixed enumeration.  So field descriptions are
-reproducible across runs.
+extension is described by its canonical modulus, and an element is its
+coordinate tuple (c_0, ..., c_{r-1}) in the power basis of that modulus, or
+the index sum_j c_j p^j of that tuple.  One rule picks the modulus for every
+(p, r): the first monic irreducible of degree r in `fppoly.monic_polys`
+order, that is, in base-p order of the lower coefficients.  So r = 1 gives
+t, F_4 is F_2[u]/(u^2 + u + 1), and for odd p, r = 2 gives u^2 + c with c
+the least value for which -c is a non-residue (F_9 and F_121 on u^2 + 1).
+Any monic irreducible of degree r describes the same field F_(p^r) (Lidl and
+Niederreiter, Finite Fields, ch. 1-2), so the choice moves no count; the
+fixed rule makes indices reproducible across runs.
 
 Everything here is immutable and pure, so values may be shared freely.
 """
@@ -19,8 +22,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import is_irreducible, monic_polys
-from .polynomials import poly_str
+from .fppoly import digits, is_irreducible, monic_polys
+from .polynomials import poly_mul, poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
 # O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
@@ -61,56 +64,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_nonresidue(p: int) -> int:
-    """Least n >= 2 that is not a square modulo the odd prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        raise ValueError("no quadratic non-residue exists mod 2")
-    squares = {pow(x, 2, p) for x in range(1, p)}
-    for n in range(2, p):
-        if n not in squares:
-            return n
-    raise InconsistencyError(f"no non-residue found mod {p}")  # unreachable for odd p
-
-
 @lru_cache(maxsize=None)  # a search over up to p^r candidates; its result never changes
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
-    if r == 1:
-        return (0, 1)
-    if r == 2:
-        if p == 2:
-            return (1, 1, 1)  # u^2 + u + 1, the unique irreducible quadratic
-        return ((-smallest_nonresidue(p)) % p, 0, 1)
-    # r in {3, 4}: first monic irreducible in the base-p enumeration of
-    # lower-coefficient tuples; deterministic, hence reproducible.
+    """The first monic irreducible of degree r over F_p in monic_polys order."""
     for cand in monic_polys(p, r):
         if is_irreducible(cand):
             return cand.coeffs
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
-def _digits(index: int, p: int, r: int) -> tuple[int, ...]:
-    """The r base-p digits of index, least significant first."""
-    coords = []
-    for _ in range(r):
-        coords.append(index % p)
-        index //= p
-    return tuple(coords)
-
-
 class FieldSpec:
     """Description of F_q with q = p^r, r <= 4, and its arithmetic.
 
-    The modulus is always the canonical one for (p, r), so two FieldSpecs
-    of the same size describe the same field with the same indices.
+    The modulus is always the canonical one for (p, r), the first monic
+    irreducible of degree r in `monic_polys` order, so two FieldSpecs of
+    the same size describe the same field with the same indices.
 
     The methods `add`, `mul`, `smul` and `pow` act on coordinate tuples;
     `index_of` and `coords_at` convert between tuples and indices, the form
     the cached lookup tables are indexed by.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_reduction_rows")
+    __slots__ = ("p", "r", "q", "modulus")
 
     def __init__(self, p: int, r: int = 1):
         if not is_prime(p):
@@ -122,25 +97,15 @@ class FieldSpec:
         q = p**r
         if q > Q_LIMIT:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
-        modulus = _canonical_modulus(p, r)
         self.p = p
         self.r = r
         self.q = q
-        self.modulus = modulus
-        # reduction_rows[k] = coordinates of u^(r+k) for k = 0 .. r-2
-        rows = []
-        rel = tuple((-c) % p for c in modulus[:-1])  # u^r
-        cur = rel
-        for _ in range(r - 1):
-            rows.append(cur)
-            shifted = (0,) + cur[:-1]
-            top = cur[-1]
-            cur = tuple((s + top * rl) % p for s, rl in zip(shifted, rel))
-        self._reduction_rows = tuple(rows)
+        self.modulus = _canonical_modulus(p, r)
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        # the modulus fixes the indices, so a spec on another modulus keeps its own tables
         return (
             isinstance(other, FieldSpec)
             and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
@@ -163,7 +128,7 @@ class FieldSpec:
         return idx
 
     def coords_at(self, index: int) -> tuple[int, ...]:
-        return _digits(index, self.p, self.r)
+        return digits(index, self.p, self.r)
 
     # -- coordinate arithmetic --------------------------------------------------
 
@@ -172,21 +137,16 @@ class FieldSpec:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, r = self.p, self.r
-        if r == 1:
-            return (a[0] * b[0] % p,)
-        raw = [0] * (2 * r - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-        out = raw[:r]
-        for k, row in enumerate(self._reduction_rows):
-            c = raw[r + k]
+        """The product, with each coefficient above u^(r-1) folded down, top
+        first, by u^r = -(m_0 + m_1 u + ... + m_(r-1) u^(r-1))."""
+        p, r, m = self.p, self.r, self.modulus
+        raw = list(poly_mul(a, b))
+        for top in range(len(raw) - 1, r - 1, -1):
+            c = raw[top] % p
             if c:
-                for i, rl in enumerate(row):
-                    out[i] += c * rl
-        return tuple(c % p for c in out)
+                for i in range(r):
+                    raw[top - r + i] -= c * m[i]
+        return tuple(c % p for c in raw[:r])
 
     def smul(self, s: int, a: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p

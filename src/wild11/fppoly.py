@@ -27,7 +27,7 @@ from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
-from .polynomials import poly_str
+from .polynomials import poly_mul, poly_str
 
 # Shifts c tried on each value v, a bound independent of p; for p <= SHIFTS
 # they run through all of F_p and gcd(f, v + c) separates every value of v
@@ -96,14 +96,7 @@ class FpPoly:
         if isinstance(other, int):
             return FpPoly(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return FpPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return FpPoly(self.p, out)
+        return FpPoly(self.p, poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -217,15 +210,24 @@ def is_irreducible(f: FpPoly) -> bool:
     return f.lead == 1 and _distinct_degree(f)[0] == [(f, f.degree, 1)]
 
 
+def digits(index: int, p: int, r: int) -> tuple[int, ...]:
+    """The r base-p digits of index, least significant first.
+
+    They are the lower coefficients of the index-th monic polynomial of
+    degree r in monic_polys, and the coordinates of element `index` of
+    F_(p^r) in ffield's power basis."""
+    coords = []
+    for _ in range(r):
+        coords.append(index % p)
+        index //= p
+    return tuple(coords)
+
+
 def monic_polys(p: int, degree: int) -> Iterator[FpPoly]:
     """The monic polynomials of one degree over F_p, in base-p order of their
     lower coefficients (the constant term is the least significant digit)."""
     for m in range(p**degree):
-        lower = []
-        for _ in range(degree):
-            m, c = divmod(m, p)
-            lower.append(c)
-        yield FpPoly(p, lower + [1])
+        yield FpPoly(p, digits(m, p, degree) + (1,))
 
 
 def _separating_values(f: FpPoly, d: int, frobenius: list[FpPoly]) -> Iterator[FpPoly]:

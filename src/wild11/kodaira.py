@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from .analysis import B2
 from .errors import CapabilityError, InconsistencyError
+from .polynomials import valuation
 from .record import Record
 from .surface import FiberPlace, WeierstrassModel, singular_places
 
@@ -113,11 +114,7 @@ def artin_invariant(summary: LatticeSummary, p: int) -> int | None:
     """sigma with |disc| = p^(2 sigma), when rank is 22 and such sigma exists."""
     if summary.rank != B2:
         return None
-    disc = summary.abs_disc
-    v = 0
-    while disc % p == 0:
-        disc //= p
-        v += 1
-    if disc != 1 or v % 2 or not 1 <= v // 2 <= 10:
+    v = valuation(summary.abs_disc, p)
+    if summary.abs_disc != p**v or v % 2 or not 1 <= v // 2 <= 10:
         return None
     return v // 2

@@ -117,7 +117,10 @@ def divides_with_multiplicity(f: Sequence[int], g: Sequence[int]) -> int:
         current = quo
 
 
-def _vp(n: int, p: int) -> int:
+def valuation(n: int, p: int) -> int:
+    """v_p(n), the exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("the p-adic valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
@@ -136,7 +139,7 @@ def newton_polygon(f: Sequence[int], p: int) -> tuple[tuple[Fraction, int], ...]
         raise ValueError("Newton polygon of the zero polynomial is undefined")
     if f[0] == 0:
         raise ValueError("constant term vanishes; factor out T first")
-    points = tuple((j, _vp(c, p)) for j, c in enumerate(f) if c != 0)
+    points = tuple((j, valuation(c, p)) for j, c in enumerate(f) if c != 0)
     hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:

@@ -29,7 +29,14 @@ from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_NONSQUARE,
 )
-from references import ZERO, expand_eigenspace_product, sum_as_int, zeta_mul, zeta_power
+from references import (
+    ZERO,
+    expand_eigenspace_product,
+    spec_with_modulus,
+    sum_as_int,
+    zeta_mul,
+    zeta_power,
+)
 
 
 def naive_tally_f11(kind, param, bucket_sign=-1):
@@ -72,6 +79,18 @@ def test_tally_matches_pair_loop_reference(kind, param, r):
     model = make_model(kind, param, 11)
     spec = FieldSpec(11, r)
     assert fixed_locus_tally(model, spec).fix == _reference_tally(model, spec)
+
+
+def test_tally_is_independent_of_the_modulus():
+    # F_121 on its canonical u^2 + 1, on u^2 - 2 and on u^2 + u + 1 (Tr(u) != 0):
+    # one field, three bases, three separately cached trace histograms
+    specs = [FieldSpec(11, 2), spec_with_modulus(11, 2, (9, 0, 1)), spec_with_modulus(11, 2, (1, 1, 1))]
+    assert len({spec.modulus for spec in specs}) == 3
+    for kind in ("epsilon", "gamma"):
+        for param in range(11):
+            model = make_model(kind, param, 11)
+            tallies = [fixed_locus_tally(model, spec) for spec in specs]
+            assert tallies == [tallies[0]] * 3, (kind, param)
 
 
 def test_tally_is_linear_in_q(monkeypatch):

@@ -1,12 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from wild11 import (
     CapabilityError,
     FieldSpec,
-    smallest_nonresidue,
     trace_to_base,
 )
 from wild11.ffield import is_prime
@@ -48,32 +48,18 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
             is_prime(n)
 
 
-@pytest.mark.parametrize("p,expected", [(11, 2), (3, 2), (7, 3)])
-def test_smallest_nonresidue_matches_enumeration(p, expected):
-    squares = {x * x % p for x in range(1, p)}
-    oracle = min(n for n in range(2, p) if n not in squares)
-    assert oracle == expected
-    assert smallest_nonresidue(p) == expected
-
-
-@pytest.mark.parametrize("p", [2, 4, 9, 1])
-def test_smallest_nonresidue_rejects_bad_input(p):
-    with pytest.raises(ValueError):
-        smallest_nonresidue(p)
-
-
 def test_canonical_quadratic_modulus():
     spec = FieldSpec(11, 2)
-    assert spec.modulus == (9, 0, 1)  # u^2 - 2
-    assert spec.mul((0, 1), (0, 1)) == (2, 0)
-    assert repr(spec) == "FieldSpec(F_121 = F_11[u]/(u^2 + 9))"
+    assert spec.modulus == (1, 0, 1)  # u^2 + 1: -1 is a non-residue mod 11
+    assert spec.mul((0, 1), (0, 1)) == (10, 0)
+    assert repr(spec) == "FieldSpec(F_121 = F_11[u]/(u^2 + 1))"
     assert FieldSpec(3, 2).modulus == (1, 0, 1)  # u^2 + 1
 
 
 @pytest.mark.parametrize(
     "p,r,modulus",
     [
-        (11, 2, (9, 0, 1)),
+        (11, 2, (1, 0, 1)),
         (11, 3, (4, 1, 0, 1)),
         (11, 4, (2, 1, 0, 0, 1)),
         (5, 4, (2, 0, 0, 0, 1)),
@@ -86,8 +72,9 @@ def test_canonical_moduli_pinned(p, r, modulus):
 
 
 def _monic_polys(p, degree):
+    """Monic polynomials of one degree, the constant term the fastest-changing coefficient."""
     for lower in itertools.product(range(p), repeat=degree):
-        yield FpPoly(p, lower + (1,))
+        yield FpPoly(p, lower[::-1] + (1,))
 
 
 def _reference_is_irreducible(f):
@@ -103,6 +90,39 @@ def _reference_is_irreducible(f):
 def test_is_irreducible_matches_trial_division(p, r):
     for f in _monic_polys(p, r):
         assert is_irreducible(f) == _reference_is_irreducible(f), f
+
+
+@pytest.mark.parametrize(
+    "p,r", [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 5) if p**r <= 14641]
+)
+def test_canonical_modulus_is_first_irreducible(p, r):
+    # one rule for every (p, r): the first monic irreducible in base-p order
+    first = next(f for f in _monic_polys(p, r) if _reference_is_irreducible(f))
+    assert FieldSpec(p, r).modulus == first.coeffs
+
+
+def _reference_mul(spec, a, b):
+    """a * b as the product in F_p[u] reduced by polynomial division by the modulus."""
+    rem = (FpPoly(spec.p, a) * FpPoly(spec.p, b)) % FpPoly(spec.p, spec.modulus)
+    return rem.coeffs + (0,) * (spec.r - len(rem.coeffs))
+
+
+@pytest.mark.parametrize("p,r", [(7, 2), (11, 2)])
+def test_mul_matches_polynomial_reference_exhaustively(p, r):
+    spec = FieldSpec(p, r)
+    els = _elements(spec)
+    for a in els:
+        for b in els:
+            assert spec.mul(a, b) == _reference_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
+def test_mul_matches_polynomial_reference_sampled(p, r, modulus):
+    spec = _spec(p, r, modulus)
+    rng = random.Random(2300 + spec.q)
+    for _ in range(3000):
+        a, b = (tuple(rng.randrange(p) for _ in range(r)) for _ in range(2))
+        assert spec.mul(a, b) == _reference_mul(spec, a, b)
 
 
 def test_spec_construction_errors():

@@ -120,6 +120,9 @@ def test_artin_invariant_cases():
     assert artin_invariant(LatticeSummary(12, 11, ("A10",)), 11) is None
     assert artin_invariant(LatticeSummary(22, 121, ()), 7) is None
     assert artin_invariant(LatticeSummary(22, 11, ()), 11) is None  # odd power
+    assert artin_invariant(LatticeSummary(22, 2 * 121, ()), 11) is None  # not a power of p
+    assert artin_invariant(LatticeSummary(22, 11**20, ()), 11) == 10
+    assert artin_invariant(LatticeSummary(22, 11**22, ()), 11) is None  # sigma > 10
 
 
 def test_classify_place_table():

@@ -9,7 +9,7 @@ from wild11 import (
     newton_polygon,
     palindrome_sign,
 )
-from wild11.polynomials import _divmod_monic, euler_phi, poly_mul, poly_str
+from wild11.polynomials import _divmod_monic, euler_phi, poly_mul, poly_str, valuation
 from reference_values import GOLDEN_MU_EPS1, MU_TILDE_EPSILON_SQUARE
 
 
@@ -69,6 +69,16 @@ def test_newton_polygon_examples():
         newton_polygon((0, 1), p)
     with pytest.raises(ValueError):
         newton_polygon((), p)
+
+
+def test_valuation():
+    assert valuation(1, 11) == 0
+    assert valuation(3 * 121, 11) == 2
+    assert valuation(-8, 2) == 3
+    assert valuation(-(11**20), 11) == 20
+    assert valuation(10, 11) == 0
+    with pytest.raises(ValueError):
+        valuation(0, 11)
 
 
 def test_newton_polygon_of_golden_mu():

@@ -420,6 +420,15 @@ def test_surface_count_matches_reference(kind, param, r):
     assert surface_count(m, spec) == _reference_surface_count(m, spec)
 
 
+@pytest.mark.parametrize("kind,param", [("epsilon", 1), ("gamma", 1), ("gamma", 2)])
+def test_surface_count_is_independent_of_the_modulus(kind, param):
+    # the canonical F_121 = F_11[u]/(u^2 + 1), then u^2 - 2 and u^2 + u + 1
+    model = make_model(kind, param, 11)
+    specs = [FieldSpec(11, 2), spec_with_modulus(11, 2, (9, 0, 1)), spec_with_modulus(11, 2, (1, 1, 1))]
+    counts = [surface_count(model, spec) for spec in specs]
+    assert counts == [counts[0]] * 3
+
+
 @pytest.mark.parametrize("kind,param", [("epsilon", 0), ("epsilon", 1), ("epsilon", 2), ("gamma", 2)])
 def test_surface_count_matches_reference_q1331(kind, param):
     m = make_model(kind, param, 11)
@@ -495,6 +504,8 @@ _PACKED_SPECS = [
     FieldSpec(7, 2),
     FieldSpec(3, 3),
     spec_with_modulus(11, 2, (1, 1, 1)),
+    spec_with_modulus(11, 2, (9, 0, 1)),  # u^2 - 2 beside the canonical u^2 + 1
+    spec_with_modulus(7, 2, (4, 0, 1)),  # u^2 - 3 beside the canonical u^2 + 1
 ]
 
 
