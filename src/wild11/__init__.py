@@ -55,7 +55,6 @@ from .surface import (
     FiberPlace,
     WeierstrassModel,
     c4_delta,
-    fiber_count,
     make_model,
     singular_places,
     surface_count,
@@ -84,7 +83,6 @@ __all__ = [
     "classify_fibers",
     "cyclotomic_poly",
     "divides_with_multiplicity",
-    "fiber_count",
     "fixed_locus_tally",
     "galois_apply",
     "height_from_newton",

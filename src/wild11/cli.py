@@ -115,14 +115,14 @@ def _render_text(value, indent: int) -> list[str]:
     if isinstance(value, dict):
         for key in sorted(value):
             inner = value[key]
-            if isinstance(inner, (dict, list)):
+            if isinstance(inner, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(inner, indent + 2))
             else:
                 lines.append(f"{pad}{key}: {inner}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.extend(_render_text(item, indent))
                 lines.append("")
             else:
@@ -153,7 +153,7 @@ def _lattice_json(lattice, p: int) -> dict:
     return {
         "rank": lattice.rank,
         "abs_disc": lattice.abs_disc,
-        "components": list(lattice.components),
+        "components": lattice.components,
         "artin_invariant": artin_invariant(lattice, p),
     }
 
@@ -195,17 +195,17 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
     report_data = analyze_charpoly(result)
     return {
         "inputs": {"kind": kind, "param": model.param, "p": p},
-        "tally": {"p": list(tally_p.fix), "p2": list(tally_p2.fix)},
+        "tally": {"p": tally_p.fix, "p2": tally_p2.fix},
         "traces": {"p": tr_p, "p2": tr_p2},
         "eigentraces": {
-            "p": [list(a) for a in eigen_p.a],
-            "p2": [list(a) for a in eigen_p2.a],
-            "galois_permutation_s2": list(eigen_p.galois_permutation(2) or ()),
+            "p": eigen_p.a,
+            "p2": eigen_p2.a,
+            "galois_permutation_s2": eigen_p.galois_permutation(2) or (),
         },
         "charpoly": {
-            "mu": list(result.mu),
-            "mu_full": list(result.mu_full),
-            "per_eigenspace": [{"a": list(a), "b": list(b)} for a, b in result.per_eigenspace],
+            "mu": result.mu,
+            "mu_full": result.mu_full,
+            "per_eigenspace": [{"a": a, "b": b} for a, b in result.per_eigenspace],
         },
         "analysis": {
             "mu_tilde": [str(c) for c in report_data.mu_tilde],
@@ -213,7 +213,7 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
             "picard_lower": 2,
             "height": _height_json(report_data.height),
             "newton_slopes": [[str(v), m] for v, m in report_data.newton_slopes],
-            "checks": dict(sorted(structural_checks(result.mu, kind, p).items())),
+            "checks": structural_checks(result.mu, kind, p),
         },
         **_fiber_sections(model, lattice=True),
     }
@@ -245,7 +245,7 @@ def cmd_table(p: int = 11) -> dict:
             rows.append(
                 {
                     "family": kind,
-                    "members": list(members),
+                    "members": members,
                     "mu_tilde": [str(c) for c in reference],
                     "mu_tilde_str": poly_str(reference),
                 }

@@ -2,7 +2,7 @@
 
 The order-11 automorphism t -> t + 1 of the epsilon/gamma families commutes
 with Frobenius, which makes the twisted fixed loci Fix(phi^n . Frob_q)
-computable entirely over F_q, for q = p or p^2 with p = 11:
+computable entirely over F_q, for every q = 11^r:
 
 * The zero section and the fiber at infinity contribute 2q + 1 points to
   every fixed locus (q + 1 each, overlapping in one point).
@@ -75,7 +75,7 @@ class FixTally(Record):
             raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
 
 
-@lru_cache(maxsize=None)  # fixed_locus_tally admits only F_11 and F_121, so 2 entries
+@lru_cache(maxsize=None)  # one entry per field F_(11^r), r <= MAX_EXTENSION_DEGREE
 def _trace_histogram(spec: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     """((-Tr x, -Tr x^2, -Tr x^3, count), ...): how many x in F_q have each
     triple of negated traces, from one pass over F_q."""
@@ -113,8 +113,6 @@ def fixed_locus_tally(model: WeierstrassModel, spec: FieldSpec) -> FixTally:
         )
     if spec.p != model.p:
         raise ValueError("field does not extend the model's prime field")
-    if spec.r > 2:
-        raise CapabilityError(f"tally supports q = p and q = p^2 only, got r = {spec.r}")
     q = spec.q
     c = model.param or 0
     use_x_square = model.kind == "epsilon"

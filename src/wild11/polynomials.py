@@ -121,6 +121,8 @@ def valuation(n: int, p: int) -> int:
     """v_p(n), the exponent of the prime p in the nonzero integer n."""
     if n == 0:
         raise ValueError("the p-adic valuation of 0 is infinite")
+    if p < 2:
+        raise ValueError(f"valuation needs a prime p >= 2, got {p}")
     v = 0
     while n % p == 0:
         n //= p

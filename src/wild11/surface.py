@@ -26,12 +26,13 @@ lookup per distinct value w of the x-part x^3 + A2 x^2 + A4 x (about 2q/3
 of them), weighted by the number of x that take it, in a table indexed by
 carry-free packed sums (FieldSpec.log_tables, FieldSpec.packed_tables).  The
 values and their preimage counts come from enumerating every x once per
-(A2, A4).  It counts one fiber per Frobenius orbit: x -> x^p is an
-automorphism of F_q, so the fibers with coefficients (a2, a4, a6) and
-(a2^p, a4^p, a6^p) have equal counts, and each orbit is counted once, on
-its least triple of indices, times the number of t in it.  None of these
-tables is used by the equivariant tally.  fiber_count counts the fiber at
-infinity, the cubic of those top coefficients.
+(A2, A4).  One table of coefficient triples covers P^1(F_q): the q
+finite fibers, and the fiber at infinity, the cubic of those top
+coefficients, as one more key.  It counts one fiber per Frobenius orbit:
+x -> x^p is an automorphism of F_q, so the fibers with coefficients
+(a2, a4, a6) and (a2^p, a4^p, a6^p) have equal counts, and each orbit is
+counted once, on its least triple of indices, times the number of places
+in it.  None of these tables is used by the equivariant tally.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
@@ -275,22 +276,6 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     )
 
 
-def fiber_count(model: WeierstrassModel, spec: FieldSpec) -> int:
-    """Projective F_q-points of the (possibly singular) cubic fiber at t = infinity.
-
-    The fiber at s = 0 has the top coefficients, of t^4, t^8 and t^12, of
-    the completed A2, A4 and A6.  Characteristic 2, where the cubic cannot
-    be completed, is refused."""
-    if spec.p != model.p:
-        raise ValueError(f"field characteristic {spec.p} differs from model characteristic {model.p}")
-    if model.p == 2:
-        raise CapabilityError("fiber counting needs odd characteristic to complete the cubic")
-    completed = _completed_cubic(model)
-    # an F_p coefficient c is the element index c
-    top = [poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))]
-    return _count_cubic_points(spec, *top)
-
-
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
     """#X(F_q): sum of fiber counts over P^1(F_q).
 
@@ -324,17 +309,16 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
             "the squarefree test found a reducible fiber, but every place of the "
             "factored discriminant has an irreducible fiber"
         )
-    values = (_values_everywhere(poly.coeffs, spec) for poly in _completed_cubic(model))
-    fibers = Counter(zip(*values))
-    if spec.r > 1:  # on F_p Frobenius is the identity
-        frob = _frobenius_table(spec)
-        orbits: Counter = Counter()
-        for triple, n in fibers.items():
-            conjugates = [triple]
-            for _ in range(spec.r - 1):
-                conjugates.append(tuple([frob[c] for c in conjugates[-1]]))
-            orbits[min(conjugates)] += n
-        fibers = orbits
-    return fiber_count(model, spec) + sum(
-        n * _count_cubic_points(spec, *triple) for triple, n in fibers.items()
-    )
+    completed = _completed_cubic(model)
+    fibers = Counter(zip(*(_values_everywhere(poly.coeffs, spec) for poly in completed)))
+    # the fiber at infinity is one more key, its top coefficients (of t^4,
+    # t^8 and t^12); an F_p coefficient c is the element index c
+    fibers[tuple([poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))])] += 1
+    frob = _frobenius_table(spec)
+    orbits: Counter = Counter()
+    for triple, n in fibers.items():
+        conjugates = [triple]
+        for _ in range(spec.r - 1):
+            conjugates.append(tuple([frob[c] for c in conjugates[-1]]))
+        orbits[min(conjugates)] += n
+    return sum(n * _count_cubic_points(spec, *triple) for triple, n in orbits.items())

@@ -141,7 +141,7 @@ def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
 
     Each coefficient list is padded to length 2i + 1 and reversed.  The
     reference for the place at infinity that wild11.singular_places and
-    wild11.fiber_count read off the top coefficients of the affine chart."""
+    wild11.surface_count read off the top coefficients of the affine chart."""
 
     def reversed_at(i: int) -> FpPoly:
         poly = getattr(model, f"a{i}")

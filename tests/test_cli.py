@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wild11
@@ -19,6 +19,7 @@ from wild11.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _json_text,
+    _render,
     cmd_count,
     cmd_table,
     main,
@@ -300,6 +301,25 @@ _JSON_TREES = st.recursive(
 @given(tree=st.one_of(_JSON_TREES, st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=5)))
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree, "") == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(section=_JSON_TREES)
+@example(section={"mu": (1, 2), "per_eigenspace": ({"a": (0, 1), "b": ((2,), 3)},), "members": ()})
+def test_tuple_sections_render_like_lists(fmt, section):
+    # the commands hand record fields over as tuples; all three writers
+    # print a tuple exactly as the list with the same items
+    report = {"meta": {"tool": "wild11"}, "section": section}
+    assert _render(report, fmt, None) == _render(_as_lists(report), fmt, None)
 
 
 # SHA-256 of stdout; bench/golden.json pins the JSON output, these pin the

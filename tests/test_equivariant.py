@@ -158,10 +158,32 @@ def test_tally_rejects_out_of_scope_inputs():
         fixed_locus_tally(make_model("uniform", None, 11), FieldSpec(11))
     with pytest.raises(CapabilityError):
         fixed_locus_tally(make_model("epsilon", 1, 7), FieldSpec(7))
-    with pytest.raises(CapabilityError):
-        fixed_locus_tally(make_model("epsilon", 1, 11), FieldSpec(11, 3))
     with pytest.raises(ValueError):
         fixed_locus_tally(make_model("epsilon", 1, 11), FieldSpec(5))
+
+
+def _power_sums(a_1, b_1, n):
+    """s_k = alpha^k + beta^k for k = 0 .. n, alpha and beta the roots of
+    T^2 - a_1 T + b_1, by s_k = a_1 s_(k-1) - b_1 s_(k-2) in Z[zeta]."""
+    s = [(2,) + ZERO[1:], a_1]
+    while len(s) <= n:
+        s.append(tuple(x - y for x, y in zip(zeta_mul(a_1, s[-1]), zeta_mul(b_1, s[-2]))))
+    return s
+
+
+@pytest.mark.parametrize("kind,param", [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)])
+def test_tally_at_levels_3_and_4(pipeline, kind, param):
+    # the tallies over F_1331 and F_14641 fold the same histogram as levels 1
+    # and 2, and their a_1 is the power sum of eigenspace 1's assembled
+    # eigenvalues; fix[0] at 1331 is the independent oracle's count
+    model, *_, result = pipeline(kind, param)
+    s = _power_sums(*result.per_eigenspace[0], 4)
+    for r in (3, 4):
+        spec = FieldSpec(11, r)
+        eigen = inverse_dft(traces_from_tally(fixed_locus_tally(model, spec)), spec.q)
+        assert eigen.a[0] == s[r]
+    spec = FieldSpec(11, 3)
+    assert fixed_locus_tally(model, spec).fix[0] == surface_count(model, spec)
 
 
 def test_traces_from_tally():

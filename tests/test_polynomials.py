@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wild11 import (
+    LatticeSummary,
+    artin_invariant,
     cyclotomic_poly,
     divides_with_multiplicity,
     newton_polygon,
@@ -79,6 +81,17 @@ def test_valuation():
     assert valuation(10, 11) == 0
     with pytest.raises(ValueError):
         valuation(0, 11)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_valuation_refuses_p_below_2(p):
+    # n % 1 == 0 and n % -1 == 0 for every n, so the division loop would never end
+    with pytest.raises(ValueError, match="p >= 2"):
+        valuation(8, p)
+    with pytest.raises(ValueError, match="p >= 2"):
+        newton_polygon((2, 1), p)
+    with pytest.raises(ValueError, match="p >= 2"):
+        artin_invariant(LatticeSummary(22, 121, ()), p)
 
 
 def test_newton_polygon_of_golden_mu():
