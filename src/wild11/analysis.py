@@ -89,7 +89,7 @@ def normalize(mu: tuple[int, ...], p: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, p**V_DIMENSION) for c in _scaled_mu(mu, p))
 
 
-def picard_upper_bound(mu: tuple[int, ...], p: int) -> int:
+def picard_upper_bound(mu: tuple[int, ...], p: int, slopes: tuple[tuple[Fraction, int], ...]) -> int:
     """2 + (number of zeroes of mu of the shape p * root of unity).
 
     Zeroes are counted with multiplicity via divisibility of P(T) = mu(p T)
@@ -97,15 +97,15 @@ def picard_upper_bound(mu: tuple[int, ...], p: int) -> int:
     multiplicity of Phi_k in mu~ over Q, and of p^phi(k) * Phi_k(T / p) in mu.
 
     Such a zero has p-adic valuation exactly 1, so all of them lie on the
-    slope-1 segment of the Newton polygon of mu with its power of T
-    stripped (a zero 0 is not p * root of unity); its length L bounds the
+    slope-1 segment of `slopes`, the Newton polygon of mu with its power of
+    T stripped (a zero 0 is not p * root of unity); its length L bounds the
     count.  So with L = 0 nothing is divided, and otherwise Phi_k is tried
     only while phi(k) fits in what L leaves, stopping once the count is L.
     Raises ValueError for the zero polynomial, which has no Newton polygon.
     """
-    while len(mu) > 1 and mu[0] == 0:
-        mu = mu[1:]
-    room = sum(m for v, m in newton_polygon(mu, p) if v == 1)
+    if not any(mu):
+        raise ValueError("the zero polynomial has no Newton polygon")
+    room = sum(m for v, m in slopes if v == 1)
     scaled = _scaled_mu(mu, p)
     count = 0
     for k, phi in _CYCLOTOMIC_INDICES:
@@ -197,7 +197,7 @@ def analyze_charpoly(result: CharPolyResult) -> AnalysisReport:
     slopes = newton_polygon(result.mu, p)
     return AnalysisReport(
         mu_tilde=normalize(result.mu, p),
-        picard_upper=picard_upper_bound(result.mu, p),
+        picard_upper=picard_upper_bound(result.mu, p, slopes),
         height=height_from_newton(slopes),
         newton_slopes=slopes,
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistencyError
+from .polynomials import poly_mul
 from .record import Record
 
 DEGREE = 10  # [Q(zeta_11) : Q]
@@ -36,16 +37,12 @@ ORDER = 11
 
 
 def cyc_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The product a * b in Z[zeta]."""
-    # exponents are added mod 11 (z^11 = 1), then z^10 is eliminated
-    folded = [0] * ORDER
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    folded[(i + j) % ORDER] += x * y
-    top = folded[DEGREE]
-    return tuple(folded[i] - top for i in range(DEGREE))
+    """The product a * b in Z[zeta]: poly_mul's product in Z[T], of degree 18,
+    with z^11 = 1 folding degree 11 + i onto i, then z^10 eliminated."""
+    prod = poly_mul(a, b)
+    top = prod[DEGREE]
+    # degrees 19 and 20 do not occur, so coordinates 8 and 9 receive no fold
+    return tuple(x + y - top for x, y in zip(prod, prod[ORDER:] + (0, 0)))
 
 
 def cyc_trace(a: tuple[int, ...]) -> int:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
 from .fppoly import digits, is_irreducible, monic_polys
-from .polynomials import poly_mul, poly_str
+from .polynomials import divmod_monic, poly_mul, poly_str, power
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
 # O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
@@ -137,16 +137,10 @@ class FieldSpec:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """The product, with each coefficient above u^(r-1) folded down, top
-        first, by u^r = -(m_0 + m_1 u + ... + m_(r-1) u^(r-1))."""
-        p, r, m = self.p, self.r, self.modulus
-        raw = list(poly_mul(a, b))
-        for top in range(len(raw) - 1, r - 1, -1):
-            c = raw[top] % p
-            if c:
-                for i in range(r):
-                    raw[top - r + i] -= c * m[i]
-        return tuple(c % p for c in raw[:r])
+        """poly_mul's product, reduced by the monic modulus with divmod_monic, then
+        mod p (a monic division never divides, so it commutes with reduction mod p)."""
+        p = self.p
+        return tuple([c % p for c in divmod_monic(poly_mul(a, b), self.modulus)[1]])
 
     def smul(self, s: int, a: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
@@ -154,16 +148,7 @@ class FieldSpec:
 
     def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         """a^e for e >= 0."""
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        result = self.coords_at(1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self.mul, self.coords_at(1))
 
     # -- cached lookup tables (used by the enumeration loops) ----------------
     #

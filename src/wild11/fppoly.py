@@ -27,7 +27,7 @@ from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
-from .polynomials import poly_mul, poly_str
+from .polynomials import poly_mul, poly_str, power
 
 # Shifts c tried on each value v, a bound independent of p; for p <= SHIFTS
 # they run through all of F_p and gcd(f, v + c) separates every value of v
@@ -139,23 +139,16 @@ class FpPoly:
         return a.monic() if a else a
 
     def pow_mod(self, e: int, mod: "FpPoly") -> "FpPoly":
-        result = FpPoly(self.p, (1,))
-        base = self % mod
-        while e:
-            if e & 1:
-                result = result * base % mod
-            e >>= 1
-            if e:
-                base = base * base % mod
-        return result
+        """self^e modulo mod, for e >= 0."""
+        return power(self % mod, e, lambda a, b: a * b % mod, FpPoly(self.p, (1,)))
 
     def derivative(self) -> "FpPoly":
         return FpPoly(self.p, [n * c for n, c in enumerate(self.coeffs)][1:])
 
     def multiplicity_of(self, g: "FpPoly") -> int:
         """Largest m with g^m dividing self (self nonzero, g non-constant)."""
-        if not self:
-            raise ValueError("multiplicity in the zero polynomial is undefined")
+        if not self or g.degree < 1:
+            raise ValueError(f"multiplicity of {g!r} in {self!r} is undefined")
         m = 0
         cur = self
         while True:

@@ -6,19 +6,20 @@ tuple equality.  Python ints are arbitrary precision: characteristic
 polynomials of Frobenius on a K3 surface have constant terms near 11^20,
 well past 64 bits.
 
-Provides the product, cyclotomic polynomials, divisibility with
-multiplicity by a monic polynomial (the root-of-unity detector behind the
-Picard bound), the Newton slopes at a prime as plain (valuation,
-multiplicity) pairs, and the palindrome test for the Weil functional
-equation.  Division is only ever by monic divisors, so it never leaves
-Z[T].
+Provides the loops every quotient ring of the package reuses (the product,
+long division by a monic polynomial, square-and-multiply), cyclotomic
+polynomials, divisibility with multiplicity by a monic polynomial (the
+root-of-unity detector behind the Picard bound), the Newton slopes at a
+prime as plain (valuation, multiplicity) pairs, and the palindrome test for
+the Weil functional equation.  Division is only ever by monic divisors, so
+it never leaves Z[T].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -33,7 +34,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], list[int]]:
+def divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], list[int]]:
     """Long division in Z[T] by a monic, non-constant divisor: (quotient, remainder)."""
     if len(divisor) < 2 or divisor[-1] != 1:
         raise ValueError(f"divisor must be monic and non-constant, got {tuple(divisor)}")
@@ -48,6 +49,20 @@ def _divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[i
             for i in range(dd):
                 rem[base + i] -= c * divisor[i]
     return quo, rem[:dd]
+
+
+def power(x, e: int, mul: Callable, one):
+    """x^e for e >= 0 by square-and-multiply, in the ring whose product is mul."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 def poly_str(coeffs: Sequence, var: str = "T") -> str:
@@ -98,7 +113,7 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     num = (-1,) + (0,) * (k - 1) + (1,)
     for d in range(1, k):
         if k % d == 0:
-            quo, rem = _divmod_monic(num, cyclotomic_poly(d))
+            quo, rem = divmod_monic(num, cyclotomic_poly(d))
             if any(rem):
                 raise ValueError(f"Phi_{d} does not divide {poly_str(num)}")
             num = tuple(quo)
@@ -110,7 +125,7 @@ def divides_with_multiplicity(f: Sequence[int], g: Sequence[int]) -> int:
     m = 0
     current = g
     while True:
-        quo, rem = _divmod_monic(current, f)
+        quo, rem = divmod_monic(current, f)
         if not current or any(rem):
             return m
         m += 1

@@ -12,7 +12,7 @@ from unittest import mock
 from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
 from wild11.cyclotomic import DEGREE, ORDER
 from wild11.fppoly import FpPoly, is_irreducible
-from wild11.polynomials import _divmod_monic, cyclotomic_poly, poly_mul
+from wild11.polynomials import divmod_monic, cyclotomic_poly, poly_mul
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
 
@@ -21,7 +21,7 @@ ZERO = (0,) * DEGREE
 
 def _reduce(coeffs) -> tuple[int, ...]:
     """The class of a polynomial in Z[zeta] = Z[T]/(Phi_11), by long division."""
-    _, rem = _divmod_monic(coeffs, cyclotomic_poly(ORDER))
+    _, rem = divmod_monic(coeffs, cyclotomic_poly(ORDER))
     return tuple(rem) + (0,) * (DEGREE - len(rem))
 
 

@@ -60,6 +60,12 @@ def _rat_multiplicity(f, g) -> int:
     return m
 
 
+def _slopes(mu: tuple[int, ...], p: int) -> tuple[tuple[Fraction, int], ...]:
+    """The Newton polygon of mu with its power of T stripped, as picard_upper_bound reads it."""
+    low = next(j for j, c in enumerate(mu) if c)
+    return newton_polygon(mu[low:], p)
+
+
 def _picard_reference(mu: tuple[int, ...], p: int) -> int:
     """2 + sum of phi(k) * (multiplicity of Phi_k in mu~ over Q).
 
@@ -136,7 +142,7 @@ def test_normalize_hits_expected_rows(analyzed):
 def test_picard_bound_trivial_supersingular_shape():
     p = 11
     mu = _power((p * p, 0, 1), 10)
-    assert picard_upper_bound(mu, p) == 22  # Phi_4 divides mu~ ten times
+    assert picard_upper_bound(mu, p, _slopes(mu, p)) == 22  # Phi_4 divides mu~ ten times
 
 
 def test_picard_bound_on_computed_surfaces(analyzed):
@@ -151,7 +157,7 @@ def test_picard_bound_on_computed_surfaces(analyzed):
 @pytest.mark.parametrize("param", range(11))
 def test_picard_bound_matches_rational_reference(pipeline, kind, param):
     *_, result = pipeline(kind, param)
-    assert picard_upper_bound(result.mu, 11) == _picard_reference(result.mu, 11)
+    assert picard_upper_bound(result.mu, 11, _slopes(result.mu, 11)) == _picard_reference(result.mu, 11)
 
 
 def test_picard_bound_mixed_cyclotomic_factors():
@@ -160,7 +166,7 @@ def test_picard_bound_mixed_cyclotomic_factors():
     mu = (1,)
     for factor, e in (((-p, 1), 2), ((p, 1), 4), ((p * p, 0, 1), 2), ((p, -1, 1), 5)):
         mu = poly_mul(mu, _power(factor, e))
-    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 12
+    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p) == 12
 
 
 def test_picard_bound_scans_past_a_valuation_one_root_off_the_locus():
@@ -168,20 +174,21 @@ def test_picard_bound_scans_past_a_valuation_one_root_off_the_locus():
     # (length 20) is longer than the count (19), so no early stop
     p = 11
     mu = poly_mul(poly_mul((-2 * p, 1), (p, 1)), _power((p * p, 0, 1), 9))
-    assert newton_polygon(mu, p) == ((Fraction(1), 20),)
-    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 21
+    slopes = newton_polygon(mu, p)
+    assert slopes == ((Fraction(1), 20),)
+    assert picard_upper_bound(mu, p, slopes) == _picard_reference(mu, p) == 21
 
 
 def test_picard_bound_strips_a_root_zero():
     p = 11
     mu = poly_mul((0, 1), poly_mul((-p, 1), _power((p * p, 0, 1), 9)))
     assert mu[0] == 0
-    assert picard_upper_bound(mu, p) == _picard_reference(mu, p) == 21
+    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p) == 21
 
 
 def test_picard_bound_rejects_zero_polynomial():
     with pytest.raises(ValueError):
-        picard_upper_bound((), 11)
+        picard_upper_bound((), 11, ())
 
 
 def test_picard_bound_tries_no_division_on_finite_height(monkeypatch, pipeline):
@@ -196,8 +203,23 @@ def test_picard_bound_tries_no_division_on_finite_height(monkeypatch, pipeline):
     for kind in ("epsilon", "gamma"):
         for param in range(1, 11):
             *_, result = pipeline(kind, param)
-            assert picard_upper_bound(result.mu, 11) == 2
+            assert picard_upper_bound(result.mu, 11, _slopes(result.mu, 11)) == 2
     assert calls == []
+
+
+def test_analyze_charpoly_builds_one_newton_polygon(monkeypatch, pipeline):
+    # the slopes in the report are the ones the Picard scan reads
+    calls = []
+
+    def counting(f, p):
+        calls.append(f)
+        return newton_polygon(f, p)
+
+    monkeypatch.setattr(analysis, "newton_polygon", counting)
+    *_, result = pipeline("epsilon", 1)
+    report = analyze_charpoly(result)
+    assert calls == [result.mu]
+    assert report.newton_slopes == newton_polygon(result.mu, 11)
 
 
 def _scaled_cyclotomic(k: int, p: int) -> tuple[int, ...]:
@@ -225,7 +247,7 @@ def _mu_with_cyclotomic_factors(draw):
 @given(case=_mu_with_cyclotomic_factors())
 def test_picard_bound_matches_rational_reference_random(case):
     p, mu = case
-    assert picard_upper_bound(mu, p) == _picard_reference(mu, p)
+    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

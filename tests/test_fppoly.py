@@ -267,6 +267,10 @@ def test_multiplicity_of():
     f = g * g * g * poly(p, 1, 1)
     assert f.multiplicity_of(g) == 3
     assert f.multiplicity_of(poly(p, 2, 1)) == 0
+    # a unit divides everything to every power: refused, not looped on
+    for unit in (poly(p, 3), poly(p, 1), FpPoly(p)):
+        with pytest.raises(ValueError):
+            f.multiplicity_of(unit)
 
 
 def test_factor_ignores_unit_scalars():
@@ -377,6 +381,8 @@ def test_pow_mod_matches_repeated_multiplication(p):
     for e in range(65):
         assert base.pow_mod(e, mod) == expected, e
         expected = expected * base % mod
+    with pytest.raises(ValueError):  # refused, not looped on
+        base.pow_mod(-1, mod)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,12 @@ Run as a script to replay all of the ops, the large primes included:
 
     PYTHONPATH=src python tests/test_golden.py
 
-It prints each mismatch and exits 1 if there is any.
+It prints each mismatch and exits 1 if there is any.  With --digest it
+instead prints one line, `rc sha256 format argv`, for every pinned op in
+each of the json, text and csv formats; the digests of two checkouts are
+byte-identical exactly when every output is, which `diff` then shows:
+
+    PYTHONPATH=src python tests/test_golden.py --digest > digest.txt
 """
 
 import contextlib
@@ -56,7 +61,15 @@ def test_pinned_op(key):
     assert _replay(key) == OPS[key]
 
 
-if __name__ == "__main__":
+def _digest() -> None:
+    for key in sorted(ALL_OPS):
+        for fmt in ("json", "text", "csv"):
+            argv = key.replace("--format json", f"--format {fmt}")
+            got = _replay(argv)
+            print(got["rc"], got["sha256"], fmt, argv)
+
+
+def _check() -> int:
     mismatches = 0
     for key in sorted(ALL_OPS):
         got = _replay(key)
@@ -64,4 +77,11 @@ if __name__ == "__main__":
             mismatches += 1
             print(f"MISMATCH {key}: got {got}, pinned {ALL_OPS[key]}")
     print(f"{mismatches} mismatches over {len(ALL_OPS)} ops")
-    sys.exit(1 if mismatches else 0)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--digest"]:
+        _digest()
+    else:
+        sys.exit(_check())

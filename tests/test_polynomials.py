@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wild11 import (
+    FieldSpec,
     LatticeSummary,
     artin_invariant,
     cyclotomic_poly,
@@ -11,7 +14,7 @@ from wild11 import (
     newton_polygon,
     palindrome_sign,
 )
-from wild11.polynomials import _divmod_monic, euler_phi, poly_mul, poly_str, valuation
+from wild11.polynomials import divmod_monic, euler_phi, poly_mul, poly_str, power, valuation
 from reference_values import GOLDEN_MU_EPS1, MU_TILDE_EPSILON_SQUARE
 
 
@@ -42,22 +45,61 @@ def test_divides_with_multiplicity():
             divides_with_multiplicity(divisor, f)
 
 
+def _horner(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_COEFFS = st.lists(st.integers(-10**6, 10**6), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_COEFFS, b=_COEFFS, pad_a=st.integers(0, 2), pad_b=st.integers(0, 2))
+def test_poly_mul_is_the_product_of_values(a, b, pad_a, pad_b):
+    # the reference is evaluation, not another product loop: every product in
+    # the package (Z[zeta], F_q, F_p[t] and the tests' own references) runs
+    # through poly_mul.  Empty, length-1 and zero-padded tuples are drawn.
+    a, b = tuple(a) + (0,) * pad_a, tuple(b) + (0,) * pad_b
+    prod = poly_mul(a, b)
+    assert len(prod) == (len(a) + len(b) - 1 if a and b else 0)
+    for x in (-3, -1, 0, 1, 2, 5, 10**20):
+        assert _horner(prod, x) == _horner(a, x) * _horner(b, x)
+
+
+def test_power_matches_repeated_multiplication():
+    spec = FieldSpec(11, 2)
+    one = spec.coords_at(1)
+    for x in (-3, 0, 1, 2, 7):
+        for e in range(21):
+            assert power(x, e, lambda a, b: a * b, 1) == x**e
+    for x in ((0, 0), (1, 0), (3, 7), (10, 1)):
+        expected = one
+        for e in range(21):
+            assert power(x, e, spec.mul, one) == expected, (x, e)
+            expected = spec.mul(expected, x)
+    for e in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            power(2, e, lambda a, b: a * b, 1)
+
+
 def test_exact_division_round_trip():
     rng = random.Random(7)
     for _ in range(30):
         f = tuple(rng.randint(-50, 50) for _ in range(4)) + (1,)
         g = tuple(rng.randint(-50, 50) for _ in range(5)) + (rng.randint(1, 9),)
-        quo, rem = _divmod_monic(poly_mul(g, f), f)
+        quo, rem = divmod_monic(poly_mul(g, f), f)
         assert tuple(quo) == g and not any(rem)
 
 
 def test_int_exact_div_errors():
-    _, rem = _divmod_monic((1, 0, 1), (-1, 1))  # T - 1 leaves remainder 2 on T^2 + 1
+    _, rem = divmod_monic((1, 0, 1), (-1, 1))  # T - 1 leaves remainder 2 on T^2 + 1
     assert rem == [2]
     with pytest.raises(ValueError):  # non-monic divisor, even though 2T divides 2T^2
-        _divmod_monic((0, 0, 2), (0, 2))
+        divmod_monic((0, 0, 2), (0, 2))
     with pytest.raises(ValueError):
-        _divmod_monic((0, 0, 1), (1,))
+        divmod_monic((0, 0, 1), (1,))
 
 
 def test_newton_polygon_examples():
