@@ -5,9 +5,21 @@ in the power basis 1, z, ..., z^9 of the degree-10 cyclotomic field, with
 z a fixed primitive 11th root of unity; z^10 is eliminated through
 z^10 = -(1 + z + ... + z^9).  This representation is unique, so equality
 is tuple equality.  Sums are coordinate-wise; the power basis itself is
-known only to this module: the product (:func:`cyc_mul`), the trace to Q
-(:func:`cyc_trace`), the Galois action (:func:`galois_apply`) and the
-DFT inversion below, which builds the elements.
+known only to this module: the product (:func:`cyc_mul`), the power-sum
+traces of a quadratic (:func:`power_sum_traces`), the Galois action
+(:func:`galois_apply`) and the DFT inversion below, which builds the
+elements.
+
+:func:`power_sum_traces` runs a whole recurrence on plain ints by
+Kronecker substitution.  Z[z]/(z^11 - 1) maps onto Z[zeta] by z -> zeta,
+and onto Z/N, N = 2^(11 w) - 1, by z -> 2^w, since 2^(11 w) = 1 mod N.  An
+element sum_i x_i z^i (i = 0 .. 10) packs to the integer sum_i x_i 2^(w i)
+mod N, so each product in the recurrence is one integer product.  While
+every |x_i| < 2^(w - 2), the balanced residue mod N is that sum itself,
+so its low w bits give x_0, its residue mod 2^w - 1 gives x(1) = sum_i x_i,
+and the trace to Q is 11 x_0 - x(1).  The width w is fixed before the
+recurrence from a bound on the l1 norm of every power sum, which holds
+because ||x y||_1 <= ||x||_1 ||y||_1 for cyclic products.
 
 The central operation is :func:`inverse_dft`: given the eleven integer
 traces tr_n of (automorphism^n . Frobenius) on degree-2 cohomology, it
@@ -45,9 +57,40 @@ def cyc_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y - top for x, y in zip(prod, prod[ORDER:] + (0, 0)))
 
 
-def cyc_trace(a: tuple[int, ...]) -> int:
-    """Tr_{Q(zeta)/Q}(a) = 10 c_0 - (c_1 + ... + c_9), since Tr(z^k) = -1 for k = 1 .. 9."""
-    return DEGREE * a[0] - sum(a[1:])
+def power_sum_traces(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """S_k = Tr_{Q(zeta)/Q}(alpha^k + beta^k) for k = 0 .. 20, where alpha and
+    beta are the roots of T^2 - a T + b with a, b in Z[zeta].
+
+    s_k = alpha^k + beta^k obeys s_k = a s_(k-1) - b s_(k-2) with s_0 = 2 and
+    s_1 = a.  It runs in Z[z]/(z^11 - 1), a and b lifted with a z^10
+    coordinate of 0, packed into Z/N with z = 2^w (see the module
+    docstring).  L_0 = 2, L_1 = ||a||_1, L_k = ||a||_1 L_(k-1) + ||b||_1
+    L_(k-2) bounds ||s_k||_1; L may shrink (a = 0), so w comes from the
+    largest L_k, with two spare bits for the balanced digits."""
+    n = 2 * DEGREE
+    norm_a, norm_b = sum(map(abs, a)), sum(map(abs, b))
+    bound = [2, norm_a]
+    for _ in range(n - 1):
+        bound.append(norm_a * bound[-1] + norm_b * bound[-2])
+    w = max(bound).bit_length() + 2
+    bits = ORDER * w
+    modulus = (1 << bits) - 1  # N; 2^bits = 1 mod N
+    digit = (1 << w) - 1  # divides N, and z = 2^w is 1 mod it
+    half_w, half_d = 1 << (w - 1), digit >> 1
+    pack_a, pack_b = (sum(c << (w * i) for i, c in enumerate(x)) % modulus for x in (a, b))
+    s = [2, pack_a]
+    for _ in range(n - 1):
+        x = pack_a * s[-1] - pack_b * s[-2]
+        # two folds by 2^bits = 1 bring |x| < N (N + 4) into [-2, N + 2]
+        x = (x & modulus) + (x >> bits)
+        s.append((x & modulus) + (x >> bits))
+    traces = []
+    for v in s:
+        v = v - modulus if v > modulus >> 1 else v  # the balanced residue
+        x_0 = ((v + half_w) & digit) - half_w
+        x_at_1 = (v + half_d) % digit - half_d
+        traces.append(ORDER * x_0 - x_at_1)
+    return traces
 
 
 def galois_apply(s: int, a: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,10 +33,13 @@ The a_i come from an inverse DFT of integer traces, so a_s = sigma_s(a_1)
 for the Galois map sigma_s: zeta -> zeta^s, at both levels; the conjugacy
 gate demands exactly that.  mu_p, the product over the ten eigenspaces, is
 then the norm from Q(zeta) of T^2 - a_1 T + b_1.  It is read from one
-eigenspace: the power sums s_k = alpha^k + beta^k in Z[zeta] have
-integer traces S_k = Tr(s_k), the power sums of all twenty roots, and
-Newton's identities turn S_1 .. S_20 into the coefficients of mu_p, each
-through a division by k that must be exact in Z (the Newton gate).  All
+eigenspace: the power sums s_k = alpha^k + beta^k have integer traces
+S_k = Tr(s_k), the power sums of all twenty roots, and Newton's
+identities turn S_1 .. S_20 into the coefficients of mu_p, each through a
+division by k that must be exact in Z (the Newton gate).  The recurrence
+for s_k runs on plain ints: each s_k is packed into one integer by
+Kronecker substitution in Z[z]/(z^11 - 1), z -> 2^w, and its trace read
+off the packed digits (cyclotomic.power_sum_traces).  All
 three conditions are hard gates.  An element of Z[zeta] is a tuple of 10
 ints in the power basis (see cyclotomic); mu_p comes out as a plain tuple
 of ints, constant term first, like every polynomial in Z[T] here.
@@ -48,7 +51,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, cyc_trace, galois_apply
+from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, galois_apply, power_sum_traces
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec
 from .polynomials import poly_mul
@@ -176,15 +179,12 @@ def check_conjugates(traces: EigenTraces) -> None:
 def _norm_of_quadratic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """N_{Q(zeta)/Q}(T^2 - a T + b) from power sums and Newton's identities.
 
-    s_k = alpha^k + beta^k obeys s_k = a s_(k-1) - b s_(k-2) with s_0 = 2 and
-    s_1 = a; summed over the ten conjugates it is the trace S_k = Tr(s_k).
-    Then k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i, and every division by
-    k must be exact."""
+    S_k = Tr(alpha^k + beta^k), summed over the ten conjugates, is the k-th
+    power sum of all twenty roots (cyclotomic.power_sum_traces).  Then
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i, and every division by k
+    must be exact."""
     n = 2 * DEGREE
-    s = [(2,) + (0,) * (DEGREE - 1), a]
-    while len(s) <= n:
-        s.append(tuple(x - y for x, y in zip(cyc_mul(a, s[-1]), cyc_mul(b, s[-2]))))
-    traces = [cyc_trace(x) for x in s]
+    traces = power_sum_traces(a, b)
     e = [1]
     for k in range(1, n + 1):
         total = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))

@@ -42,10 +42,20 @@ def zeta_power(k: int) -> tuple[int, ...]:
 
 
 def zeta_trace(a: tuple[int, ...]) -> int:
-    """Tr_{Q(zeta)/Q}(a) as the trace of multiplication by a on the basis z^j.
-
-    The reference for wild11.cyclotomic.cyc_trace."""
+    """Tr_{Q(zeta)/Q}(a) as the trace of multiplication by a on the basis z^j."""
     return sum(zeta_mul(a, zeta_power(j))[j] for j in range(DEGREE))
+
+
+def zeta_power_sum_traces(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Tr(alpha^k + beta^k), k = 0 .. 20, for the roots alpha, beta of
+    T^2 - a T + b: s_k = a s_(k-1) - b s_(k-2) in Z[zeta], one reduced
+    product at a time, and each s_k's trace by zeta_trace.
+
+    The reference for wild11.cyclotomic.power_sum_traces."""
+    s = [(2,) + ZERO[1:], a]
+    while len(s) <= 2 * DEGREE:
+        s.append(tuple(x - y for x, y in zip(zeta_mul(a, s[-1]), zeta_mul(b, s[-2]))))
+    return [zeta_trace(x) for x in s]
 
 
 def zeta_conjugate(s: int, a: tuple[int, ...]) -> tuple[int, ...]:

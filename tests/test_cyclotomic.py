@@ -11,7 +11,7 @@ from wild11 import (
     galois_apply,
     inverse_dft,
 )
-from wild11.cyclotomic import cyc_mul, cyc_trace
+from wild11.cyclotomic import cyc_mul, power_sum_traces
 from wild11.equivariant import check_conjugates
 from reference_values import GOLDEN_EIGEN_EPS1_Q11, GOLDEN_TR_EPS1_Q11
 from references import (
@@ -23,6 +23,7 @@ from references import (
     zeta_conjugate,
     zeta_mul,
     zeta_power,
+    zeta_power_sum_traces,
     zeta_trace,
 )
 
@@ -55,6 +56,11 @@ def _random_cyc(rng):
     return tuple(rng.randint(-10**6, 10**6) for _ in range(10))
 
 
+def _trace(a):
+    """Tr(a), read as the k = 1 power-sum trace: s_1 = alpha + beta = a."""
+    return power_sum_traces(a, ZERO)[1]
+
+
 def test_ring_laws_on_random_elements():
     rng = random.Random(0)
     for _ in range(40):
@@ -67,11 +73,11 @@ def test_ring_laws_on_random_elements():
         assert cyc_mul(a, b) == zeta_mul(a, b)
         assert all(type(x) is int for x in cyc_mul(a, b))
         # the trace is Q-linear and sums the ten conjugates
-        assert cyc_trace(zeta_add(a, b)) == cyc_trace(a) + cyc_trace(b)
+        assert _trace(zeta_add(a, b)) == _trace(a) + _trace(b)
         conjugates = ZERO
         for s in range(1, 11):
             conjugates = zeta_add(conjugates, galois_apply(s, a))
-        assert as_int(conjugates) == cyc_trace(a)
+        assert as_int(conjugates) == _trace(a)
 
 
 _CYC = st.lists(st.integers(-10**6, 10**6), min_size=10, max_size=10).map(tuple)
@@ -82,9 +88,38 @@ _CYC = st.lists(st.integers(-10**6, 10**6), min_size=10, max_size=10).map(tuple)
 def test_fast_paths_match_quotient_ring_reference(a, b):
     # the power-basis fold, trace and Galois permutation against Z[T]/(Phi_11)
     assert cyc_mul(a, b) == zeta_mul(a, b)
-    assert cyc_trace(a) == zeta_trace(a)
+    assert _trace(a) == zeta_trace(a)
     for s in range(1, 11):
         assert galois_apply(s, a) == zeta_conjugate(s, a)
+
+
+# b = +-121 zeta^k, the shape of b_1 on every real surface, and b = 0
+_B_SHAPES = _CYC | st.builds(
+    lambda sign, k: tuple(sign * 121 * c for c in zeta_power(k)),
+    st.sampled_from((1, -1)),
+    st.integers(0, 10),
+) | st.just(ZERO)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_CYC, b=_B_SHAPES)
+def test_power_sum_traces_match_the_recurrence_in_z_zeta(a, b):
+    assert power_sum_traces(a, b) == zeta_power_sum_traces(a, b)
+
+
+def test_power_sum_traces_of_zero_cases_and_known_roots():
+    # a = 0 shrinks the width bound L_k at every odd k; a = b = 0 to L_k = 0
+    rng = random.Random(2)
+    for b in (_random_cyc(rng), tuple(-121 * c for c in zeta(3)), ZERO):
+        assert power_sum_traces(ZERO, b) == zeta_power_sum_traces(ZERO, b)
+    assert power_sum_traces(ZERO, ZERO) == [20] + [0] * 20  # alpha = beta = 0
+    # T^2 - 1: alpha, beta = 1, -1, so s_k = 2 for even k and 0 for odd k
+    assert power_sum_traces(ZERO, tuple(-c for c in ONE)) == [20 if k % 2 == 0 else 0 for k in range(21)]
+    # T^2 - zeta T: alpha = zeta, beta = 0, Tr(zeta^k) = 10 if 11 | k, else -1
+    assert power_sum_traces(zeta(), ZERO) == [20] + [10 if k % 11 == 0 else -1 for k in range(1, 21)]
+    # (T - 1)(T - zeta): s_k = 1 + zeta^k, Tr = 20 if 11 | k, else 9
+    one_plus_zeta = zeta_add(ONE, zeta())
+    assert power_sum_traces(one_plus_zeta, zeta()) == [20] + [20 if k % 11 == 0 else 9 for k in range(1, 21)]
 
 
 def test_coordinates_must_be_ints():

@@ -234,11 +234,11 @@ def _conjugates(x):
 
 
 _SMALL_CYC = st.lists(st.integers(-4, 4), min_size=10, max_size=10).map(tuple)
+# wide coordinates push the packed width of the power sums to hundreds of bits
+_WIDE_CYC = st.lists(st.integers(-10**6, 10**6), min_size=10, max_size=10).map(tuple)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(a_1=_SMALL_CYC, b_1=_SMALL_CYC)
-def test_norm_matches_eigenspace_product(a_1, b_1):
+def _check_norm_against_eigenspace_product(a_1, b_1):
     # a_1(p^2) = a_1^2 - 2 b_1 makes the halving return b_1; with a_i, b_i the
     # conjugates sigma_i(a_1), sigma_i(b_1), the norm is the ten-fold product
     p = 11
@@ -249,6 +249,18 @@ def test_norm_matches_eigenspace_product(a_1, b_1):
     pairs = tuple(zip(_conjugates(a_1), _conjugates(b_1)))
     assert result.per_eigenspace == pairs
     assert result.mu == expand_eigenspace_product(pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a_1=_SMALL_CYC, b_1=_SMALL_CYC)
+def test_norm_matches_eigenspace_product(a_1, b_1):
+    _check_norm_against_eigenspace_product(a_1, b_1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a_1=_WIDE_CYC, b_1=_WIDE_CYC)
+def test_norm_matches_eigenspace_product_wide(a_1, b_1):
+    _check_norm_against_eigenspace_product(a_1, b_1)
 
 
 @pytest.mark.parametrize("level", ["p", "p2"])

@@ -2,7 +2,8 @@
 
 Each entry records the medians of the six end-to-end metrics of
 bench/run.py on each of its three workloads, so the trajectory of the
-benchmark can be read without replaying the history.
+benchmark can be read without replaying the history.  Its claim is null,
+or the one metric and workload on which the change claims a gain.
 """
 
 import json
@@ -19,6 +20,13 @@ def test_every_entry_has_all_end_to_end_medians():
     assert entries
     for entry in entries:
         assert {"pr", "claim", "host", "seeds", "pairs", "metrics"} <= set(entry), entry.get("pr")
+        claim = entry["claim"]
+        assert claim is None or (
+            isinstance(claim, dict)
+            and set(claim) == {"metric", "workload"}
+            and claim["metric"] in METRICS
+            and claim["workload"] in WORKLOADS
+        ), (entry["pr"], claim)
         assert set(entry["metrics"]) == set(WORKLOADS), entry["pr"]
         for workload in WORKLOADS:
             medians = entry["metrics"][workload]
