@@ -78,7 +78,7 @@ class FixTally(Record):
             raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
 
 
-@lru_cache(maxsize=None)  # one entry per field F_(11^r), r <= MAX_EXTENSION_DEGREE
+@lru_cache(maxsize=None)  # one entry per field F_(11^r) the tally runs over
 def _trace_histogram(spec: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     """((-Tr x, -Tr x^2, -Tr x^3, count), ...): how many x in F_q have each
     triple of negated traces, from one pass over F_q."""
@@ -180,20 +180,20 @@ def _norm_of_quadratic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
     """N_{Q(zeta)/Q}(T^2 - a T + b) from power sums and Newton's identities.
 
     S_k = Tr(alpha^k + beta^k), summed over the ten conjugates, is the k-th
-    power sum of all twenty roots (cyclotomic.power_sum_traces).  Then
-    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) S_i, and every division by k
-    must be exact."""
+    power sum of all twenty roots (cyclotomic.power_sum_traces).  The
+    coefficient c_k = (-1)^k e_k of T^(20-k) carries Newton's alternating sign:
+    k c_k = -sum_(i=1..k) c_(k-i) S_i, and every division by k must be exact."""
     n = 2 * DEGREE
     traces = power_sum_traces(a, b)
-    e = [1]
+    c = [1]
     for k in range(1, n + 1):
-        total = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
+        total = -sum(x * s for x, s in zip(reversed(c), traces[1 : k + 1]))
         if total % k:
             raise InconsistencyError(
-                f"Newton's identity gives {k} * e_{k} = {total}, not divisible by {k}"
+                f"Newton's identity gives {k} * c_{k} = {total}, not divisible by {k}"
             )
-        e.append(total // k)
-    return tuple((-1) ** k * e[k] for k in range(n, -1, -1))
+        c.append(total // k)
+    return tuple(reversed(c))
 
 
 def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyResult:

@@ -1,7 +1,7 @@
-"""Exact arithmetic in prime fields F_p and small extensions F_{p^r}.
+"""Exact arithmetic in prime fields F_p and their extensions F_{p^r}.
 
-Extensions of degree r <= 4 are supported: the equivariant tally works
-over F_p and F_{p^2}, and the point count goes up to q = 11^4.  An
+Fields are bounded by size, not degree: q <= Q_LIMIT, and at most 2^24
+entries in the packed-addition table; the point count stops at q = 11^4.  An
 extension is described by its canonical modulus, and an element is its
 coordinate tuple (c_0, ..., c_{r-1}) in the power basis of that modulus, or
 the index sum_j c_j p^j of that tuple.  One rule picks the modulus for every
@@ -28,8 +28,6 @@ from .polynomials import divmod_monic, poly_mul, poly_str, power
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
 # O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
 Q_LIMIT = 1 << 20
-
-MAX_EXTENSION_DEGREE = 4
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound, the
 # least strong pseudoprime to all of them (Sorenson and Webster 2017, "Strong
@@ -74,7 +72,7 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """Description of F_q with q = p^r, r <= 4, and its arithmetic.
+    """Description of F_q, q = p^r <= Q_LIMIT with (2p - 1)^r <= 2^24, and its arithmetic.
 
     The modulus is always the canonical one for (p, r), the first monic
     irreducible of degree r in `monic_polys` order, so two FieldSpecs of
@@ -92,11 +90,13 @@ class FieldSpec:
             raise ValueError(f"characteristic {p} is not prime")
         if r < 1:
             raise ValueError(f"extension degree must be >= 1, got {r}")
-        if r > MAX_EXTENSION_DEGREE:
-            raise CapabilityError(f"extension degree {r} unsupported (max {MAX_EXTENSION_DEGREE})")
         q = p**r
         if q > Q_LIMIT:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
+        # packed_tables' unpack table has (2p - 1)^r < 2^r q entries; 2^24 admits every r <= 4
+        table = (2 * p - 1) ** r
+        if table > Q_LIMIT << 4:
+            raise CapabilityError(f"F_{q} needs a packed-addition table of {table} > 2^24 entries")
         self.p = p
         self.r = r
         self.q = q

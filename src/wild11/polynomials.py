@@ -35,9 +35,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Long division in Z[T] by a monic, non-constant divisor: (quotient, remainder)."""
-    if len(divisor) < 2 or divisor[-1] != 1:
-        raise ValueError(f"divisor must be monic and non-constant, got {tuple(divisor)}")
+    """Long division in Z[T] by a monic, non-constant divisor (unchecked): (quotient, remainder)."""
     dd = len(divisor) - 1
     rem = list(coeffs)
     quo = [0] * max(len(rem) - dd, 0)
@@ -122,6 +120,8 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 
 def divides_with_multiplicity(f: Sequence[int], g: Sequence[int]) -> int:
     """Largest m >= 0 with f^m dividing g in Z[T], for monic non-constant f."""
+    if len(f) < 2 or f[-1] != 1:
+        raise ValueError(f"divisor must be monic and non-constant, got {tuple(f)}")
     m = 0
     current = g
     while True:

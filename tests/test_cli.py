@@ -187,20 +187,44 @@ def test_count_refuses_reducible_model(capsys):
         assert err == f"error: fiber at {place}; the Weierstrass count would miss components\n"
 
 
-@pytest.mark.parametrize("kind,q", [("uniform", "9"), ("gamma", "27")])
+@pytest.mark.parametrize("kind,q", [("uniform", "9"), ("gamma", "27"), ("gamma", "243")])
 def test_count_refuses_characteristic_3(capsys, kind, q):
-    code, _, err = run_cli(capsys, "count", "--kind", kind, "--param", "1", "--q", q)
-    assert code == EXIT_CAPABILITY
+    code, out, err = run_cli(capsys, "count", "--kind", kind, "--param", "1", "--q", q)
+    assert code == EXIT_CAPABILITY and out == ""
     assert "characteristic 3" in err
 
 
-@pytest.mark.parametrize("q", ["923521", "14653"])  # 31^4, and the first prime above 11^4
+# 31^4, the first prime above 11^4, and 11^5
+@pytest.mark.parametrize("q", ["923521", "14653", "161051"])
 def test_count_refuses_fields_above_11_to_the_4(capsys, q):
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "count", "--kind", "epsilon", "--param", "1", "--q", q)
-    assert code == EXIT_CAPABILITY
+    code, out, err = run_cli(capsys, "count", "--kind", "epsilon", "--param", "1", "--q", q)
+    assert code == EXIT_CAPABILITY and out == ""
     assert "exceeds the limit 14641" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "q,reason",
+    [
+        ("1024", "characteristic 2"),  # 2^10
+        ("823543", "packed-addition table of 62748517 > 2^24 entries"),  # 7^7
+        ("2097152", "field size 2097152 exceeds the supported limit 1048576"),  # 2^21
+    ],
+)
+def test_count_refuses_characteristic_2_and_oversized_fields(capsys, q, reason):
+    code, out, err = run_cli(capsys, "count", "--kind", "gamma", "--param", "1", "--q", q)
+    assert code == EXIT_CAPABILITY and out == ""
+    assert reason in err
+
+
+def test_count_over_f_5_to_the_5(capsys):
+    # a field of degree 5: fields are bounded by size, not degree
+    code, out, _ = run_cli(
+        capsys, "count", "--kind", "gamma", "--param", "1", "--q", "3125", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["analysis"]["surface_count"] == 9775626
 
 
 def test_count_rejects_non_prime_power(capsys):

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from wild11 import (
     CapabilityError,
     FieldSpec,
+    ffield,
     trace_to_base,
 )
 from wild11.ffield import is_prime
@@ -93,7 +95,9 @@ def test_is_irreducible_matches_trial_division(p, r):
 
 
 @pytest.mark.parametrize(
-    "p,r", [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 5) if p**r <= 14641]
+    "p,r",
+    [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 5) if p**r <= 14641]
+    + [(3, 5), (2, 10), (5, 5)],  # the first q = 1 mod 11 at p = 3, 2 and 5
 )
 def test_canonical_modulus_is_first_irreducible(p, r):
     # one rule for every (p, r): the first monic irreducible in base-p order
@@ -116,7 +120,10 @@ def test_mul_matches_polynomial_reference_exhaustively(p, r):
             assert spec.mul(a, b) == _reference_mul(spec, a, b)
 
 
-@pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
+@pytest.mark.parametrize(
+    "p,r,modulus",
+    [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1)), (3, 5, None), (2, 10, None), (5, 5, None)],
+)
 def test_mul_matches_polynomial_reference_sampled(p, r, modulus):
     spec = _spec(p, r, modulus)
     rng = random.Random(2300 + spec.q)
@@ -128,10 +135,31 @@ def test_mul_matches_polynomial_reference_sampled(p, r, modulus):
 def test_spec_construction_errors():
     with pytest.raises(ValueError):
         FieldSpec(12)
-    with pytest.raises(CapabilityError):
-        FieldSpec(11, 5)  # degree beyond the supported range
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="exceeds the supported limit"):
         FieldSpec(1039, 2)  # q = 1039^2 > 2^20
+    # q <= 2^20, but the packed-addition table would hold (2p - 1)^r > 2^24
+    # entries; the refusal comes before the modulus search and any table
+    for p, r in ((2, 16), (3, 11), (5, 8), (7, 7)):
+        with mock.patch.object(ffield, "_canonical_modulus") as modulus, mock.patch.object(
+            FieldSpec, "packed_tables"
+        ) as tables:
+            with pytest.raises(CapabilityError, match=f"table of {(2 * p - 1) ** r} > 2"):
+                FieldSpec(p, r)
+        assert not modulus.called and not tables.called, (p, r)
+
+
+def test_fields_are_bounded_by_size_not_degree():
+    # every p^r up to the first past 2^20: refused exactly when q > 2^20 or
+    # the packed-addition table would exceed 2^24 entries
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        r = 1
+        while p ** (r - 1) <= 1 << 20:
+            if p**r > 1 << 20 or (2 * p - 1) ** r > 1 << 24:
+                with pytest.raises(CapabilityError):
+                    FieldSpec(p, r)
+            else:
+                assert FieldSpec(p, r).q == p**r
+            r += 1
 
 
 def test_trace_examples():

@@ -1,3 +1,4 @@
+import random
 import re
 from unittest import mock
 
@@ -22,6 +23,7 @@ from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
 from wild11.surface import (
+    _completed_cubic,
     _count_cubic_points,
     _every_fiber_irreducible,
     _frobenius_table,
@@ -487,6 +489,22 @@ def test_surface_count_counts_one_fiber_per_frobenius_orbit():
     surface_count(make_model("epsilon", 1, 11), FieldSpec(11, 3))
     info = _count_cubic_points.cache_info()
     assert (info.hits, info.misses) == (0, 41 + 1)
+
+
+def test_surface_count_over_f_5_to_the_5():
+    # F_3125 = F_(5^5), the first q = 1 mod 11 at p = 5: degree 5, so the
+    # fibers over F_q fall into Frobenius orbits of length 1 and 5
+    m = make_model("gamma", 1, 5)
+    spec = FieldSpec(5, 5)
+    q = spec.q
+    count = surface_count(m, spec)
+    assert abs(count - 1 - q * q) <= 22 * q  # Weil: |tr Frob on H^2| <= b_2 q
+    rng = random.Random(3125)
+    for t0 in rng.sample(range(q), 4):
+        values = [horner(poly, spec.coords_at(t0), spec) for poly in _completed_cubic(m)]
+        assert _count_cubic_points(spec, *map(spec.index_of, values)) == cubic_count(spec, *values)
+    at_infinity = fiber_count_at(infinity_chart(m), 0, spec)
+    assert count == at_infinity + sum(fiber_count_at(m, t0, spec) for t0 in range(q))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
