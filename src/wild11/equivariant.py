@@ -20,7 +20,8 @@ and of -Tr(w(x))) and one cyclic convolution of them give the same bucket
 sizes.  Neither histogram needs a pass over F_q per surface: the parameter
 c lies in F_p, so by the same linearity -Tr(x^3 + c x^k) = -Tr(x^3) +
 c * (-Tr(x^k)).  One pass over F_q, cached per field, counts the x with
-each triple (-Tr x, -Tr x^2, -Tr x^3); each surface folds those at most q
+each triple (-Tr x, -Tr x^2, -Tr x^3), reading -Tr from a table built here
+and shared with no other layer; each surface folds those at most q
 entries by its parameter.  Lefschetz then turns bucket sizes into integer
 traces, tr_n = Fix_n - 1 - q^2, and the inverse DFT over Q(zeta_11)
 recovers the per-eigenspace traces a_i(q).
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING
 
 from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, galois_apply, power_sum_traces
 from .errors import CapabilityError, InconsistencyError
-from .ffield import FieldSpec
+from .ffield import FieldSpec, trace_to_base
 from .polynomials import poly_mul
 from .record import Record
 
@@ -78,11 +79,28 @@ class FixTally(Record):
             raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
 
 
+def _neg_trace_table(spec: FieldSpec) -> list[int]:
+    """(- Tr_{F_q/F_p} x) mod p by element index.
+
+    The trace is F_p-linear, so with t_j = -Tr(u^j) for the power basis
+    1, u, ..., u^(r-1), the element sum_j c_j u^j has -Tr = sum_j c_j t_j
+    mod p.  Only the r basis traces are computed with trace_to_base; the
+    table is then filled one coordinate at a time, in index order.
+    """
+    p = spec.p
+    table = [0]
+    for j in range(spec.r):
+        t_j = (-trace_to_base(spec, spec.coords_at(p**j))) % p
+        # indices c * p^j + k for k < p^j: coordinate j is c
+        table = [(t + c * t_j) % p for c in range(p) for t in table]
+    return table
+
+
 @lru_cache(maxsize=None)  # one entry per field F_(11^r) the tally runs over
 def _trace_histogram(spec: FieldSpec) -> tuple[tuple[int, int, int, int], ...]:
     """((-Tr x, -Tr x^2, -Tr x^3, count), ...): how many x in F_q have each
     triple of negated traces, from one pass over F_q."""
-    neg_trace = spec.neg_trace_table()
+    neg_trace = _neg_trace_table(spec)
     mul, index_of = spec.mul, spec.index_of
     counts: Counter[tuple[int, int, int]] = Counter()
     for i in range(spec.q):

@@ -13,9 +13,9 @@ class Wild11Error(Exception):
 class CapabilityError(Wild11Error):
     """The request is valid but outside what this implementation supports.
 
-    Examples: a field with more than 2^20 elements or a packed-addition
-    table above 2^24 entries, quadratic characters in characteristic 2,
-    fiber classification in the wildly ramified characteristics 2 and 3.
+    Examples: a field with more than 2^20 elements, point counting in
+    characteristic 2 or 3 or above q = 11^4, fiber classification in the
+    wildly ramified characteristics 2 and 3.
     """
 
 

@@ -1,7 +1,9 @@
 """Exact arithmetic in prime fields F_p and their extensions F_{p^r}.
 
-Fields are bounded by size, not degree: q <= Q_LIMIT, and at most 2^24
-entries in the packed-addition table; the point count stops at q = 11^4.  An
+Fields are bounded by size alone, q <= Q_LIMIT, whatever the degree; the
+point count stops at q = 11^4.  A FieldSpec is only the field: the counting
+layers build their own lookup tables from its indices (surface for the point
+count, equivariant for the tally), so no table is shared between them.  An
 extension is described by its canonical modulus, and an element is its
 coordinate tuple (c_0, ..., c_{r-1}) in the power basis of that modulus, or
 the index sum_j c_j p^j of that tuple.  One rule picks the modulus for every
@@ -72,7 +74,7 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """Description of F_q, q = p^r <= Q_LIMIT with (2p - 1)^r <= 2^24, and its arithmetic.
+    """Description of F_q, q = p^r <= Q_LIMIT, and its arithmetic.
 
     The modulus is always the canonical one for (p, r), the first monic
     irreducible of degree r in `monic_polys` order, so two FieldSpecs of
@@ -80,7 +82,7 @@ class FieldSpec:
 
     The methods `add`, `mul`, `smul` and `pow` act on coordinate tuples;
     `index_of` and `coords_at` convert between tuples and indices, the form
-    the cached lookup tables are indexed by.
+    the counting layers' lookup tables are indexed by.
     """
 
     __slots__ = ("p", "r", "q", "modulus")
@@ -93,10 +95,6 @@ class FieldSpec:
         q = p**r
         if q > Q_LIMIT:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
-        # packed_tables' unpack table has (2p - 1)^r < 2^r q entries; 2^24 admits every r <= 4
-        table = (2 * p - 1) ** r
-        if table > Q_LIMIT << 4:
-            raise CapabilityError(f"F_{q} needs a packed-addition table of {table} > 2^24 entries")
         self.p = p
         self.r = r
         self.q = q
@@ -149,98 +147,6 @@ class FieldSpec:
     def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         """a^e for e >= 0."""
         return power(a, e, self.mul, self.coords_at(1))
-
-    # -- cached lookup tables (used by the enumeration loops) ----------------
-    #
-    # The point-count tables are cached per field, so equal FieldSpecs share
-    # one copy: the memoised counters in surface keep every FieldSpec they see
-    # as a cache key, and a copy per instance would be kept alive with it.
-
-    @lru_cache(maxsize=None)
-    def log_tables(self) -> tuple[list[int], list[int]]:
-        """(log, exp) by element index, for the first generator g of F_q^* in index order.
-
-        exp[k] is the index of g^k for 0 <= k < q - 1, and log[exp[k]] = k;
-        log[0] is -1, since zero has no logarithm.  The product of nonzero
-        elements with indices a and b has index exp[(log[a] + log[b]) % (q - 1)].
-        """
-        p, q = self.p, self.q
-        one = self.coords_at(1)
-        # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1
-        cofactors = [
-            (q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)
-        ]
-        g = next(
-            self.coords_at(i)
-            for i in range(1, q)
-            if all(self.pow(self.coords_at(i), c) != one for c in cofactors)
-        )
-        # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
-        # time, adding the multiples of u^j * g by carry-free packed addition
-        pack, unpack = self.packed_tables()
-        times_g = [0]
-        for j in range(self.r):
-            column = self.mul(self.coords_at(p**j), g)
-            multiples = [pack[self.index_of(self.smul(c, column))] for c in range(p)]
-            times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
-        log = [-1] * q
-        exp = []
-        i = 1
-        for k in range(q - 1):
-            exp.append(i)
-            log[i] = k
-            i = times_g[i]
-        return log, exp
-
-    @lru_cache(maxsize=None)
-    def chi_table(self) -> list[int]:
-        """Quadratic character by element index; requires odd p.
-
-        Read from the logarithm: chi(g^k) = (-1)^k for the generator g."""
-        if self.p == 2:
-            raise CapabilityError("quadratic character undefined in characteristic 2")
-        chi = [0] * self.q
-        for k, i in enumerate(self.log_tables()[1]):
-            chi[i] = -1 if k & 1 else 1
-        return chi
-
-    @lru_cache(maxsize=None)
-    def packed_tables(self) -> tuple[list[int], list[int]]:
-        """(pack, unpack) for carry-free addition of elements given by index.
-
-        pack[i] reads the coordinates c_j of element i as digits in base
-        2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
-        digit below 2p - 1, so it never carries, and unpack, of size
-        (2p - 1)^r < 2^r q, maps it to the index of the field sum:
-        unpack[pack[a] + pack[b]] is the index of a + b.
-        """
-        p = self.p
-        base = 2 * p - 1
-        pack, unpack = [0], [0]
-        for j in range(self.r):
-            # index c * p^j + k packs to c * base^j + pack[k]; packed d * base^j + s
-            # unpacks to (d mod p) * p^j + unpack[s]
-            bj, pj = base**j, p**j
-            pack = [s + c * bj for c in range(p) for s in pack]
-            unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
-        return pack, unpack
-
-    @lru_cache(maxsize=None)
-    def neg_trace_table(self) -> list[int]:
-        """(- Tr_{F_q/F_p} x) mod p by element index.
-
-        The trace is F_p-linear, so with t_j = -Tr(u^j) for the power basis
-        1, u, ..., u^(r-1), the element sum_j c_j u^j has -Tr = sum_j c_j t_j
-        mod p.  Only the r basis traces are computed with trace_to_base; the
-        table is then filled one coordinate at a time, in index order.
-        """
-        p = self.p
-        table = [0]
-        for j in range(self.r):
-            t_j = (-trace_to_base(self, self.coords_at(p**j))) % p
-            # indices c * p^j + k for k < p^j: coordinate j is c
-            table = [(t + c * t_j) % p for c in range(p) for t in table]
-        return table
 
 
 def trace_to_base(spec: FieldSpec, x: tuple[int, ...]) -> int:

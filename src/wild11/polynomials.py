@@ -38,15 +38,13 @@ def divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[in
     """Long division in Z[T] by a monic, non-constant divisor (unchecked): (quotient, remainder)."""
     dd = len(divisor) - 1
     rem = list(coeffs)
-    quo = [0] * max(len(rem) - dd, 0)
     for top in range(len(rem) - 1, dd - 1, -1):
         c = rem[top]
         if c:
             base = top - dd
-            quo[base] = c
             for i in range(dd):
                 rem[base + i] -= c * divisor[i]
-    return quo, rem[:dd]
+    return rem[dd:], rem[:dd]  # step top writes only below top: rem[dd:] is the quotient
 
 
 def power(x, e: int, mul: Callable, one):

@@ -24,7 +24,8 @@ indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
 t in one pass through log/exp tables, and each fiber's character sum is one
 lookup per distinct value w of the x-part x^3 + A2 x^2 + A4 x (about 2q/3
 of them), weighted by the number of x that take it, in a table indexed by
-carry-free packed sums (FieldSpec.log_tables, FieldSpec.packed_tables).  The
+carry-free packed sums.  Those tables, the Frobenius map and the character
+are built once per field here (_field_tables), from FieldSpec's indices.  The
 values and their preimage counts come from enumerating every x once per
 (A2, A4).  One table of coefficient triples covers P^1(F_q): the q
 finite fibers, and the fiber at infinity, the cubic of those top
@@ -215,6 +216,58 @@ def _completed_cubic(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FpPoly]:
     return A2, A4, A6
 
 
+@lru_cache(maxsize=None)  # one entry per field; equal FieldSpecs share it
+def _field_tables(spec: FieldSpec) -> tuple[list[int], ...]:
+    """(log, exp, pack, unpack, chi, frob): the count's lookup tables for F_q, odd p.
+
+    pack[i] reads the coordinates c_j of element i as digits in base
+    2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
+    digit below 2p - 1, so it never carries, and unpack, of size
+    (2p - 1)^r, maps it to the index of the field sum: unpack[pack[a] +
+    pack[b]] is the index of a + b.  exp[k] is the index of g^k for
+    0 <= k < q - 1 and the first generator g of F_q^* in index order, and
+    log[exp[k]] = k; log[0] is -1, since zero has no logarithm.
+    chi[pack[a] + pack[b]] is the quadratic character of a + b, read from
+    the logarithm as chi(g^k) = (-1)^k.  frob[i] is the index of x^p for x
+    of index i, exp[p * log x mod (q - 1)], and 0 -> 0.
+    """
+    p, q = spec.p, spec.q
+    base = 2 * p - 1
+    pack, unpack = [0], [0]
+    for j in range(spec.r):
+        # index c * p^j + k packs to c * base^j + pack[k]; packed d * base^j + s
+        # unpacks to (d mod p) * p^j + unpack[s]
+        bj, pj = base**j, p**j
+        pack = [s + c * bj for c in range(p) for s in pack]
+        unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
+    one = spec.coords_at(1)
+    # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1
+    cofactors = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+    g = next(
+        spec.coords_at(i)
+        for i in range(1, q)
+        if all(spec.pow(spec.coords_at(i), c) != one for c in cofactors)
+    )
+    # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
+    # time, adding the multiples of u^j * g by carry-free packed addition
+    times_g = [0]
+    for j in range(spec.r):
+        column = spec.mul(spec.coords_at(p**j), g)
+        multiples = [pack[spec.index_of(spec.smul(c, column))] for c in range(p)]
+        times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
+    log = [-1] * q
+    exp = []
+    chi = [0] * q
+    i = 1
+    for k in range(q - 1):
+        exp.append(i)
+        log[i] = k
+        chi[i] = -1 if k & 1 else 1
+        i = times_g[i]
+    frob = [0] + [exp[p * k % (q - 1)] for k in log[1:]]
+    return log, exp, pack, unpack, [chi[i] for i in unpack], frob
+
+
 def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
     """Index of sum_n coeffs[n] t^n for every t in F_q, in index order.
 
@@ -223,8 +276,7 @@ def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
     degree n >= 1 is exp[(log c + n*k) % (q - 1)], and the terms add by
     carry-free packed addition; t = 0 takes the constant term alone."""
     m = spec.q - 1
-    log, exp = spec.log_tables()
-    pack, unpack = spec.packed_tables()
+    log, exp, pack, unpack, _, _ = _field_tables(spec)
     log_t = log[1:]
     c0 = coeffs[0] if coeffs else 0
     acc = [c0] * m
@@ -236,25 +288,10 @@ def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _packed_chi(spec: FieldSpec) -> list[int]:
-    """chi(a + b) by pack(a) + pack(b), for elements a, b of F_q (odd q)."""
-    chi = spec.chi_table()
-    return [chi[i] for i in spec.packed_tables()[1]]
-
-
-@lru_cache(maxsize=None)
-def _frobenius_table(spec: FieldSpec) -> list[int]:
-    """Index of x^p for every x in F_q: exp[p * log x mod (q - 1)], and 0 -> 0."""
-    log, exp = spec.log_tables()
-    m = spec.q - 1
-    return [0] + [exp[spec.p * k % m] for k in log[1:]]
-
-
-@lru_cache(maxsize=None)
 def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The distinct values of x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
     by index, grouped by their number n of preimages x: ((n, packed values), ...)."""
-    pack = spec.packed_tables()[0]
+    _, _, pack, _, _, _ = _field_tables(spec)
     groups: dict[int, list[int]] = {}
     for w, n in Counter(_values_everywhere((0, a4, a2, 1), spec)).items():
         groups.setdefault(n, []).append(pack[w])
@@ -269,8 +306,8 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     1 + q + sum_x chi(w(x) + a6) over every x, summed over the distinct
     values w of w(x) = x^3 + a2 x^2 + a4 x, one packed lookup each, times
     the number of x that take each value."""
-    chi = _packed_chi(spec)
-    c = spec.packed_tables()[0][a6]
+    _, _, pack, _, chi, _ = _field_tables(spec)
+    c = pack[a6]
     return 1 + spec.q + sum(
         [n * sum([chi[w + c] for w in values]) for n, values in _cubic_linear_part(spec, a2, a4)]
     )
@@ -314,7 +351,7 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
     # the fiber at infinity is one more key, its top coefficients (of t^4,
     # t^8 and t^12); an F_p coefficient c is the element index c
     fibers[tuple([poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))])] += 1
-    frob = _frobenius_table(spec)
+    *_, frob = _field_tables(spec)
     orbits: Counter = Counter()
     for triple, n in fibers.items():
         conjugates = [triple]

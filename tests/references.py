@@ -127,9 +127,9 @@ def expand_eigenspace_product(pairs) -> tuple[int, ...]:
 def spec_with_modulus(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:
     """FieldSpec(p, r) built on the monic irreducible `modulus` instead of the canonical one.
 
-    FieldSpec takes only its canonical modulus.  To check the cached tables
-    in another basis too (one where Tr(u) != 0), this substitutes the modulus
-    at its one source while the spec is built."""
+    FieldSpec takes only its canonical modulus.  To check the counting
+    layers' cached tables in another basis too (one where Tr(u) != 0),
+    this substitutes the modulus at its one source while the spec is built."""
     if not is_irreducible(FpPoly(p, modulus)):
         raise ValueError(f"{modulus} is not a monic irreducible over F_{p}")
     with mock.patch.object(ffield, "_canonical_modulus", lambda p, r: tuple(modulus)):
@@ -138,7 +138,8 @@ def spec_with_modulus(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:
 
 def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     """Euler's criterion: 0 for x = 0, +1 for a nonzero square in F_q, -1
-    otherwise (odd p only).  The reference for FieldSpec.chi_table."""
+    otherwise (odd p only).  The reference for the point count's packed
+    character table (surface._field_tables)."""
     if spec.p == 2:
         raise CapabilityError("quadratic character undefined in characteristic 2")
     if not any(x):

@@ -204,18 +204,24 @@ def test_count_refuses_fields_above_11_to_the_4(capsys, q):
     assert time.perf_counter() - start < 1.0
 
 
+# fields up to 2^20 construct whatever their degree; the count refuses them
+# by characteristic or COUNT_Q_LIMIT, before it builds any table
 @pytest.mark.parametrize(
     "q,reason",
     [
         ("1024", "characteristic 2"),  # 2^10
-        ("823543", "packed-addition table of 62748517 > 2^24 entries"),  # 7^7
+        ("65536", "characteristic 2"),  # 2^16
+        ("1048576", "characteristic 2"),  # 2^20
+        ("823543", "exceeds the limit 14641"),  # 7^7
         ("2097152", "field size 2097152 exceeds the supported limit 1048576"),  # 2^21
     ],
 )
 def test_count_refuses_characteristic_2_and_oversized_fields(capsys, q, reason):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--kind", "gamma", "--param", "1", "--q", q)
     assert code == EXIT_CAPABILITY and out == ""
     assert reason in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_over_f_5_to_the_5(capsys):

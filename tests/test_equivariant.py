@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from wild11 import (
     galois_apply,
     inverse_dft,
     make_model,
+    surface,
     surface_count,
     trace_to_base,
     traces_from_tally,
@@ -112,6 +115,20 @@ def test_tally_is_linear_in_q(monkeypatch):
     calls.clear()
     fixed_locus_tally(make_model("gamma", 3, 11), spec)
     assert len(calls) == 0
+
+
+def test_tally_reads_none_of_the_point_counts_tables():
+    # the other direction of the oracle's independence: with the point
+    # count's tables unavailable, the tally still builds its histograms
+    # from its own negated-trace table, at every level up to 11^3
+    _trace_histogram.cache_clear()
+    with mock.patch.object(surface, "_field_tables", side_effect=AssertionError):
+        for r in (1, 2, 3):
+            spec = FieldSpec(11, r)
+            tally = fixed_locus_tally(make_model("epsilon", 1, 11), spec)
+            q = spec.q
+            assert sum(tally.fix) == 11 * (2 * q + 1) + 11 * q * q
+    assert _trace_histogram.cache_info().misses == 3
 
 
 def test_table_builds_one_histogram_per_field():

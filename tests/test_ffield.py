@@ -1,18 +1,15 @@
 import itertools
 import math
 import random
-from unittest import mock
+import time
 
 import pytest
 
-from wild11 import (
-    CapabilityError,
-    FieldSpec,
-    ffield,
-    trace_to_base,
-)
+from wild11 import CapabilityError, FieldSpec, trace_to_base
+from wild11.equivariant import _neg_trace_table
 from wild11.ffield import is_prime
 from wild11.fppoly import FpPoly, is_irreducible
+from wild11.surface import _field_tables
 from references import quadratic_character, spec_with_modulus
 
 
@@ -137,24 +134,23 @@ def test_spec_construction_errors():
         FieldSpec(12)
     with pytest.raises(CapabilityError, match="exceeds the supported limit"):
         FieldSpec(1039, 2)  # q = 1039^2 > 2^20
-    # q <= 2^20, but the packed-addition table would hold (2p - 1)^r > 2^24
-    # entries; the refusal comes before the modulus search and any table
-    for p, r in ((2, 16), (3, 11), (5, 8), (7, 7)):
-        with mock.patch.object(ffield, "_canonical_modulus") as modulus, mock.patch.object(
-            FieldSpec, "packed_tables"
-        ) as tables:
-            with pytest.raises(CapabilityError, match=f"table of {(2 * p - 1) ** r} > 2"):
-                FieldSpec(p, r)
-        assert not modulus.called and not tables.called, (p, r)
+    # q <= 2^20 is the only bound: fields whose packed-addition table (built
+    # only by the point count, which refuses them) would be large still
+    # construct, and quickly, since construction builds no table (the
+    # modulus search takes milliseconds; F_(2^15)'s table took seconds)
+    for p, r in [(2, r) for r in range(16, 21)] + [(3, 11), (3, 12), (5, 8), (7, 7)]:
+        start = time.perf_counter()
+        spec = FieldSpec(p, r)
+        assert time.perf_counter() - start < 0.5, (p, r)
+        assert spec.q == p**r and len(spec.modulus) == r + 1
 
 
 def test_fields_are_bounded_by_size_not_degree():
-    # every p^r up to the first past 2^20: refused exactly when q > 2^20 or
-    # the packed-addition table would exceed 2^24 entries
+    # every p^r up to the first past 2^20: refused exactly when q > 2^20
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         r = 1
         while p ** (r - 1) <= 1 << 20:
-            if p**r > 1 << 20 or (2 * p - 1) ** r > 1 << 24:
+            if p**r > 1 << 20:
                 with pytest.raises(CapabilityError):
                     FieldSpec(p, r)
             else:
@@ -223,47 +219,6 @@ def test_fermat_little_exhaustive(p, r):
         assert spec.pow(x, spec.q - 1) == one
 
 
-def test_chi_table_matches_character():
-    spec = FieldSpec(11, 2)
-    chi = spec.chi_table()
-    for x in _elements(spec):
-        assert chi[spec.index_of(x)] == quadratic_character(spec, x)
-
-
-@pytest.mark.parametrize(
-    "p,r,modulus",
-    [(11, 1, None), (11, 2, None), (11, 3, None), (5, 4, None), (7, 2, None), (11, 2, (1, 1, 1))],
-)
-def test_log_tables(p, r, modulus):
-    spec = _spec(p, r, modulus)
-    q = spec.q
-    log, exp = spec.log_tables()
-    assert sorted(exp) == list(range(1, q))  # a permutation of the nonzero indices
-    assert all(log[i] == k for k, i in enumerate(exp))
-    g = spec.coords_at(exp[1])
-    for k in range(q - 1):
-        assert spec.index_of(spec.mul(spec.coords_at(exp[k]), g)) == exp[(k + 1) % (q - 1)]
-    # first generator in index order: g^k generates F_q^* iff gcd(k, q - 1) = 1
-    assert all(math.gcd(log[i], q - 1) > 1 for i in range(1, exp[1]))
-
-
-@pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
-def test_chi_table_matches_character_in_larger_fields(p, r, modulus):
-    spec = _spec(p, r, modulus)
-    chi = spec.chi_table()
-    assert chi == [quadratic_character(spec, x) for x in _elements(spec)]
-
-
-def test_packed_tables_add_exhaustively():
-    spec = FieldSpec(3, 3)
-    pack, unpack = spec.packed_tables()
-    assert len(unpack) == 5**3
-    for a in range(spec.q):
-        for b in range(spec.q):
-            expected = spec.index_of(spec.add(spec.coords_at(a), spec.coords_at(b)))
-            assert unpack[pack[a] + pack[b]] == expected
-
-
 def test_field_axioms_exhaustive_f9():
     spec = FieldSpec(3, 2)
     add, mul = spec.add, spec.mul
@@ -300,6 +255,57 @@ def test_extension_degrees_3_and_4():
         assert trace_to_base(spec, x) in range(p)
 
 
+# -- the counting layers' own tables, against the field's arithmetic -------
+#
+# FieldSpec holds no table.  The point count builds log/exp, packed addition,
+# the packed character and Frobenius in surface._field_tables; the tally
+# builds the negated traces in equivariant._neg_trace_table.
+
+
+def _chi_by_index(spec):
+    """The point count's character by element index: chi(x + 0) in its packed table."""
+    _, _, pack, _, chi, _ = _field_tables(spec)
+    return [chi[pack[i]] for i in range(spec.q)]
+
+
+def test_chi_table_matches_character():
+    spec = FieldSpec(11, 2)
+    assert _chi_by_index(spec) == [quadratic_character(spec, x) for x in _elements(spec)]
+
+
+@pytest.mark.parametrize(
+    "p,r,modulus",
+    [(11, 1, None), (11, 2, None), (11, 3, None), (5, 4, None), (7, 2, None), (11, 2, (1, 1, 1))],
+)
+def test_log_tables(p, r, modulus):
+    spec = _spec(p, r, modulus)
+    q = spec.q
+    log, exp, _, _, _, _ = _field_tables(spec)
+    assert sorted(exp) == list(range(1, q))  # a permutation of the nonzero indices
+    assert all(log[i] == k for k, i in enumerate(exp))
+    g = spec.coords_at(exp[1])
+    for k in range(q - 1):
+        assert spec.index_of(spec.mul(spec.coords_at(exp[k]), g)) == exp[(k + 1) % (q - 1)]
+    # first generator in index order: g^k generates F_q^* iff gcd(k, q - 1) = 1
+    assert all(math.gcd(log[i], q - 1) > 1 for i in range(1, exp[1]))
+
+
+@pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
+def test_chi_table_matches_character_in_larger_fields(p, r, modulus):
+    spec = _spec(p, r, modulus)
+    assert _chi_by_index(spec) == [quadratic_character(spec, x) for x in _elements(spec)]
+
+
+def test_packed_tables_add_exhaustively():
+    spec = FieldSpec(3, 3)
+    _, _, pack, unpack, _, _ = _field_tables(spec)
+    assert len(unpack) == 5**3
+    for a in range(spec.q):
+        for b in range(spec.q):
+            expected = spec.index_of(spec.add(spec.coords_at(a), spec.coords_at(b)))
+            assert unpack[pack[a] + pack[b]] == expected
+
+
 @pytest.mark.parametrize(
     "p,r,modulus",
     [
@@ -314,10 +320,10 @@ def test_extension_degrees_3_and_4():
 )
 def test_neg_trace_table_matches_trace(p, r, modulus):
     spec = _spec(p, r, modulus)
-    assert spec.neg_trace_table() == [(-trace_to_base(spec, x)) % p for x in _elements(spec)]
+    assert _neg_trace_table(spec) == [(-trace_to_base(spec, x)) % p for x in _elements(spec)]
 
 
 def test_neg_trace_table_basis_traces_can_be_nontrivial():
     spec = spec_with_modulus(11, 2, (1, 1, 1))
     assert spec.modulus == (1, 1, 1)
-    assert spec.neg_trace_table()[11] == 1  # -Tr(u) = -(u + u^11) = -(-1)
+    assert _neg_trace_table(spec)[11] == 1  # -Tr(u) = -(u + u^11) = -(-1)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wild11 import (
@@ -91,6 +91,25 @@ def test_exact_division_round_trip():
         g = tuple(rng.randint(-50, 50) for _ in range(5)) + (rng.randint(1, 9),)
         quo, rem = divmod_monic(poly_mul(g, f), f)
         assert tuple(quo) == g and not any(rem)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-50, 50), max_size=12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+)
+def test_divmod_monic_reconstructs_the_dividend(dividend, lower):
+    # quotient * divisor + remainder = dividend, with a nonzero remainder of
+    # degree below the divisor's
+    divisor = tuple(lower) + (1,)
+    quo, rem = divmod_monic(dividend, divisor)
+    assume(any(rem))
+    assert len(rem) <= len(lower)
+    total = [0] * len(dividend)
+    for terms in (poly_mul(quo, divisor), rem):
+        for i, c in enumerate(terms):
+            total[i] += c
+    assert total == dividend
 
 
 def test_int_exact_div_errors():

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from unittest import mock
@@ -23,14 +24,21 @@ from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
 from wild11.fppoly import FpPoly
 from wild11.surface import (
+    COUNT_Q_LIMIT,
     _completed_cubic,
     _count_cubic_points,
     _every_fiber_irreducible,
-    _frobenius_table,
+    _field_tables,
     _is_irreducible_fiber,
-    _packed_chi,
 )
-from references import cubic_count, fiber_count_at, horner, infinity_chart, spec_with_modulus
+from references import (
+    cubic_count,
+    fiber_count_at,
+    horner,
+    infinity_chart,
+    quadratic_character,
+    spec_with_modulus,
+)
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
 
@@ -364,7 +372,7 @@ def test_count_at_1331_never_factors_delta():
     with mock.patch.object(
         surface_module, "singular_places", wraps=surface_module.singular_places
     ) as places, mock.patch.object(surface_module, "factor", wraps=fppoly.factor) as factored, mock.patch.object(
-        FieldSpec, "neg_trace_table", side_effect=AssertionError
+        equivariant, "_neg_trace_table", side_effect=AssertionError
     ), mock.patch.object(equivariant, "_trace_histogram", side_effect=AssertionError):
         counts = {pair: surface_count(make_model(*pair, 11), FieldSpec(11, 3)) for pair in SURFACES}
     assert places.call_count == 0 and factored.call_count == 0
@@ -537,16 +545,30 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
         return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
 
     a, b = element(), element()
-    pack, unpack = spec.packed_tables()
+    _, _, pack, unpack, chi, _ = _field_tables(spec)
     packed_sum = pack[spec.index_of(a)] + pack[spec.index_of(b)]
     assert unpack[packed_sum] == spec.index_of(spec.add(a, b))
-    assert _packed_chi(spec)[packed_sum] == spec.chi_table()[spec.index_of(spec.add(a, b))]
+    assert chi[packed_sum] == quadratic_character(spec, spec.add(a, b))
 
 
 @pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
 def test_frobenius_table_is_the_pth_power(spec):
     expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
-    assert _frobenius_table(spec) == expected
+    assert _field_tables(spec)[5] == expected
+
+
+def test_count_fields_have_small_packed_tables():
+    # surface_count builds the packed-addition table, of (2p - 1)^r entries,
+    # only after refusing p <= 3 and q > COUNT_Q_LIMIT; every field left has
+    # a table of at most 21^4 entries, at F_(11^4), in integer arithmetic
+    sizes = [
+        (2 * p - 1) ** r
+        for p in range(5, COUNT_Q_LIMIT + 1)
+        if all(p % d for d in range(2, math.isqrt(p) + 1))
+        for r in range(1, COUNT_Q_LIMIT.bit_length())
+        if p**r <= COUNT_Q_LIMIT
+    ]
+    assert max(sizes) == 21**4 == 194481
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
