@@ -19,11 +19,17 @@ character of v + c does, for SHIFTS shifts c, and at c = 0 on N(a) that is
 the Cantor-Zassenhaus test with a (Cantor and Zassenhaus 1981).  For d = 1,
 Tr(t) = t, so the first pass is the root search.  The values come in a fixed
 order instead of being sampled, so factorizations are reproducible.
+
+The factorization runs on plain lists of ints reduced mod p, constant term
+first, with no trailing zero ([] is the zero polynomial).  `_divmod` is the
+one F_p[t] division loop; the gcd, the modular powers (`polynomials.power`
+over `poly_mul` and that loop) and every `FpPoly` division call it.
+`factor` and `is_irreducible` take an `FpPoly`, and `factor` builds one
+only for each factor it returns.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
@@ -33,6 +39,62 @@ from .polynomials import poly_mul, poly_str, power
 # they run through all of F_p and gcd(f, v + c) separates every value of v
 # without a power.
 SHIFTS = 16
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b in F_p[t], both as reduced lists.
+
+    b is reduced and nonzero; a may hold unreduced ints, such as a product
+    from poly_mul.  Each step reduces the coefficient it clears, and stores
+    the quotient coefficient in its slot, since step `top` writes only below
+    `top`."""
+    db = len(b) - 1
+    low = b[:db]
+    inv = pow(b[-1], p - 2, p)
+    rem = list(a)
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top] % p
+        if c:
+            if inv != 1:
+                c = c * inv % p
+            for i, y in enumerate(low, top - db):
+                rem[i] -= c * y
+        rem[top] = c
+    r = [c % p for c in rem[:db]]
+    while r and not r[-1]:
+        r.pop()
+    return rem[db:], r
+
+
+def _add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a + b in F_p[t], for reduced a; b may hold unreduced ints."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _monic(a: Sequence[int], p: int) -> Sequence[int]:
+    """Nonzero a scaled to leading coefficient 1."""
+    inv = pow(a[-1], p - 2, p)
+    return a if inv == 1 else [c * inv % p for c in a]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """The monic gcd of a and b in F_p[t] ([] when both are zero), by Euclid
+    with each divisor made monic."""
+    a, b = list(a), list(b)
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    """a^e modulo monic mod in F_p[t], for e >= 0."""
+    return power(_divmod(a, mod, p)[1], e, lambda x, y: _divmod(poly_mul(x, y), mod, p)[1], [1])
 
 
 class FpPoly:
@@ -78,13 +140,7 @@ class FpPoly:
 
     def __add__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return FpPoly(self.p, out)
+        return FpPoly(self.p, _add(self.coeffs, other.coeffs, self.p))
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         return self + (-other)
@@ -104,21 +160,8 @@ class FpPoly:
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        dcs = other.coeffs
-        dd = len(dcs) - 1
-        inv_lead = pow(dcs[-1], p - 2, p)
-        quo = [0] * max(len(rem) - dd, 0)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top] % p
-            if c:
-                f = c * inv_lead % p
-                quo[top - dd] = f
-                for i, d in enumerate(dcs):
-                    rem[top - dd + i] -= f * d
-            rem[top] = 0
-        return FpPoly(p, quo), FpPoly(p, rem[:dd])
+        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
+        return FpPoly(self.p, quo), FpPoly(self.p, rem)
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
         return self.divmod(other)[0]
@@ -127,20 +170,11 @@ class FpPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "FpPoly":
-        if not self:
-            return self
-        inv = pow(self.lead, self.p - 2, self.p)
-        return self * inv
+        return FpPoly(self.p, _monic(self.coeffs, self.p)) if self else self
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
-
-    def pow_mod(self, e: int, mod: "FpPoly") -> "FpPoly":
-        """self^e modulo mod, for e >= 0."""
-        return power(self % mod, e, lambda a, b: a * b % mod, FpPoly(self.p, (1,)))
+        self._check(other)
+        return FpPoly(self.p, _gcd(self.coeffs, other.coeffs, self.p))
 
     def derivative(self) -> "FpPoly":
         return FpPoly(self.p, [n * c for n, c in enumerate(self.coeffs)][1:])
@@ -149,20 +183,23 @@ class FpPoly:
         """Largest m with g^m dividing self (self nonzero, g non-constant)."""
         if not self or g.degree < 1:
             raise ValueError(f"multiplicity of {g!r} in {self!r} is undefined")
+        self._check(g)
         m = 0
-        cur = self
+        cur = self.coeffs
         while True:
-            q, r = cur.divmod(g)
-            if r:
+            quo, rem = _divmod(cur, g.coeffs, self.p)
+            if rem:
                 return m
             m += 1
-            cur = q
+            cur = quo
 
     def __repr__(self) -> str:
         return f"FpPoly(p={self.p}, {poly_str(self.coeffs, 't')})"
 
 
-def _distinct_degree(f: FpPoly) -> tuple[list[tuple[FpPoly, int, int]], list[FpPoly]]:
+def _distinct_degree(
+    f: list[int], p: int
+) -> tuple[list[tuple[list[int], int, int]], list[list[int]]]:
     """f monic -> ([(product of the distinct irreducible factors of degree d
     and multiplicity m, d, m)], frobenius), where frobenius[j] is t^(p^j)
     modulo a multiple of every product of degree-d factors with d > j.
@@ -172,35 +209,34 @@ def _distinct_degree(f: FpPoly) -> tuple[list[tuple[FpPoly, int, int]], list[FpP
     multiplicity at least k, so gd_k // gd_(k+1) is those of multiplicity k.
     f keeps no factor of degree below d, and a remainder of degree below 2d
     is irreducible of multiplicity 1."""
-    p = f.p
     out = []
-    t = FpPoly.monomial(p, 1)
-    g = t % f
+    g = _divmod([0, 1], f, p)[1]
     frobenius = [g]
     d = 1
-    while f.degree >= 2 * d:
-        g = g.pow_mod(p, f)
+    while len(f) > 2 * d:
+        g = _pow_mod(g, p, f, p)
         frobenius.append(g)
-        gd = f.gcd(g - t)
-        if gd.degree > 0:
+        gd = _gcd(f, _add(g, (0, -1), p), p)
+        if len(gd) > 1:
             m = 0
-            while gd.degree > 0:
-                f //= gd
+            while len(gd) > 1:
+                f = _divmod(f, gd, p)[0]
                 m += 1
-                next_gd = f.gcd(gd)
-                if next_gd.degree < gd.degree:
-                    out.append((gd // next_gd, d, m))
+                next_gd = _gcd(f, gd, p)
+                if len(next_gd) < len(gd):
+                    out.append((_divmod(gd, next_gd, p)[0], d, m))
                 gd = next_gd
-            g = g % f
+            g = _divmod(g, f, p)[1]
         d += 1
-    if f.degree > 0:
-        out.append((f, f.degree, 1))
+    if len(f) > 1:
+        out.append((f, len(f) - 1, 1))
     return out, frobenius
 
 
 def is_irreducible(f: FpPoly) -> bool:
     """Whether f is monic and irreducible over F_p."""
-    return f.lead == 1 and _distinct_degree(f)[0] == [(f, f.degree, 1)]
+    cs = list(f.coeffs)
+    return f.lead == 1 and _distinct_degree(cs, f.p)[0] == [(cs, f.degree, 1)]
 
 
 def digits(index: int, p: int, r: int) -> tuple[int, ...]:
@@ -216,67 +252,74 @@ def digits(index: int, p: int, r: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def monic_polys(p: int, degree: int) -> Iterator[FpPoly]:
-    """The monic polynomials of one degree over F_p, in base-p order of their
-    lower coefficients (the constant term is the least significant digit)."""
+def monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """The coefficient tuples of the monic polynomials of one degree over
+    F_p, in base-p order of their lower coefficients (the constant term is
+    the least significant digit)."""
     for m in range(p**degree):
-        yield FpPoly(p, digits(m, p, degree) + (1,))
+        yield digits(m, p, degree) + (1,)
 
 
-def _separating_values(f: FpPoly, d: int, frobenius: list[FpPoly]) -> Iterator[FpPoly]:
+def _separating_values(
+    f: list[int], d: int, frobenius: list[list[int]], p: int
+) -> Iterator[list[int]]:
     """Tr(t), then N(a) for the monic a of degree 1 .. deg f in base-p order;
     each takes one value in F_p on every degree-d irreducible factor of f.
     N(t), the first norm, is the product of the Frobenius powers mod f."""
-    p = f.p
-    yield sum(frobenius[1:d], frobenius[0])
-    t = FpPoly.monomial(p, 1)
+    trace = frobenius[0]
+    for g in frobenius[1:d]:
+        trace = _add(trace, g, p)
+    yield trace
     norm = (p**d - 1) // (p - 1)
-    for degree in range(1, f.degree + 1):
+    for degree in range(1, len(f)):
         for a in monic_polys(p, degree):
-            if a == t:
-                yield reduce(lambda n, x: n * x % f, frobenius[1:d], t % f)
+            if a == (0, 1):
+                n = _divmod(a, f, p)[1]
+                for g in frobenius[1:d]:
+                    n = _divmod(poly_mul(n, g), f, p)[1]
+                yield n
             else:
-                yield a.pow_mod(norm, f)
+                yield _pow_mod(a, norm, f, p)
 
 
-def _refine(parts: list[FpPoly], d: int, v: FpPoly) -> list[FpPoly]:
+def _refine(parts: list[list[int]], d: int, v: list[int], p: int) -> list[list[int]]:
     """Split the parts by the values in F_p that v takes on their degree-d
     factors: by gcd(part, v + c), or for p > SHIFTS by the quadratic
     character of v + c, for each shift c < min(p, SHIFTS)."""
-    p = v.p
-    one = FpPoly.constant(p, 1)
     for c in range(min(p, SHIFTS)):
-        shifted = v + FpPoly.constant(p, c)
+        shifted = _add(v, (c,), p)
         refined = []
         for part in parts:
-            if part.degree > d:
-                w = shifted % part
-                if w.degree > 0:
+            if len(part) > d + 1:
+                w = _divmod(shifted, part, p)[1]
+                if len(w) > 1:
                     if p > SHIFTS:
-                        w = w.pow_mod((p - 1) // 2, part) - one
-                    g = part.gcd(w)
-                    if 0 < g.degree < part.degree:
-                        refined += [g, part // g]
+                        w = _add(_pow_mod(w, (p - 1) // 2, part, p), (-1,), p)
+                    g = _gcd(part, w, p)
+                    if 1 < len(g) < len(part):
+                        refined += [g, _divmod(part, g, p)[0]]
                         continue
             refined.append(part)
         parts = refined
     return parts
 
 
-def _equal_degree(f: FpPoly, d: int, frobenius: list[FpPoly]) -> list[FpPoly]:
+def _equal_degree(f: list[int], d: int, frobenius: list[list[int]], p: int) -> list[list[int]]:
     """Split monic squarefree f, all of whose irreducible factors have degree d.
 
     frobenius[j] is t^(p^j) modulo a multiple of f, for j < d."""
     parts = [f]
-    values = _separating_values(f, d, frobenius)
-    while any(part.degree > d for part in parts):
+    values = _separating_values(f, d, frobenius, p)
+    while any(len(part) > d + 1 for part in parts):
         v = next(values, None)
         if v is None:
             # every residue class mod f has a monic representative of degree
             # deg f, so some N(a) separates any two factors (for p > SHIFTS,
             # by its quadratic character): running out is an arithmetic bug
-            raise InconsistencyError(f"equal-degree splitting found no separating value for {f!r}")
-        parts = _refine(parts, d, v)
+            raise InconsistencyError(
+                f"equal-degree splitting found no separating value for {FpPoly(p, f)!r}"
+            )
+        parts = _refine(parts, d, v, p)
     return parts
 
 
@@ -289,10 +332,11 @@ def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    products, frobenius = _distinct_degree(f.monic())
-    pieces = [
-        (irr, m)
+    p = f.p
+    products, frobenius = _distinct_degree(list(f.monic().coeffs), p)
+    pieces = sorted(
+        (len(irr), irr, m)
         for prod, d, m in products
-        for irr in _equal_degree(prod, d, frobenius)
-    ]
-    return sorted(pieces, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        for irr in _equal_degree(prod, d, frobenius, p)
+    )
+    return [(FpPoly(p, irr), m) for _, irr, m in pieces]

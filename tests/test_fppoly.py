@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wild11 import fppoly
 from wild11.fppoly import FpPoly, factor, is_irreducible, monic_polys
+from wild11.polynomials import poly_mul
 from wild11.surface import c4_delta, make_model
 
 
@@ -133,6 +134,17 @@ def test_factor_gamma2_discriminant_f11_shared_trace():
     _refactor_check(delta)
 
 
+def _pow_mod_reference(base, e, mod):
+    """base^e % mod by square-and-multiply on FpPoly's * and %, for e >= 0."""
+    result, x = FpPoly.constant(base.p, 1) % mod, base % mod
+    while e:
+        if e & 1:
+            result = result * x % mod
+        x = x * x % mod
+        e >>= 1
+    return result
+
+
 def _cantor_zassenhaus_reference(f, d, rng):
     """Test-only equal-degree splitting: f squarefree with all factors of
     degree d, split by gcd(f, a^((p^d - 1)/2) - 1) for random a."""
@@ -142,7 +154,7 @@ def _cantor_zassenhaus_reference(f, d, rng):
     one = FpPoly.constant(p, 1)
     while True:
         a = FpPoly(p, [rng.randrange(p) for _ in range(f.degree)])
-        g = f.gcd(a.pow_mod((p**d - 1) // 2, f) - one)
+        g = f.gcd(_pow_mod_reference(a, (p**d - 1) // 2, f) - one)
         if 0 < g.degree < f.degree:
             return _cantor_zassenhaus_reference(g, d, rng) + _cantor_zassenhaus_reference(
                 f // g, d, rng
@@ -199,8 +211,8 @@ def test_factor_needs_the_degree_one_norms():
     delta = c4_delta(make_model("epsilon", 1, p))[1]
     values = fppoly._separating_values
 
-    def capped(f, d, frobenius):
-        for k, v in enumerate(values(f, d, frobenius)):
+    def capped(f, d, frobenius, p):
+        for k, v in enumerate(values(f, d, frobenius, p)):
             if k == 200:
                 raise AssertionError(f"degree-{d} parts still unsplit after 200 values")
             yield v
@@ -212,13 +224,84 @@ def test_factor_needs_the_degree_one_norms():
     assert all(is_irreducible(g) for g, _ in pieces)
 
 
+@pytest.mark.parametrize("kind,param", [("epsilon", 1), ("gamma", 2)])
+def test_factor_builds_fppoly_only_for_its_result(kind, param):
+    # the splitting runs on coefficient lists: FpPoly is built for the monic
+    # input and for each factor returned
+    delta = c4_delta(make_model(kind, param, 11))[1]
+    built = []
+    init = FpPoly.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(FpPoly, "__init__", counting):
+        pieces = factor(delta)
+    assert len(built) <= len(pieces) + 2
+    assert [(g.degree, m) for g, m in pieces] == (
+        [(1, 1)] * 11 + [(11, 1)] if kind == "epsilon" else [(11, 1)] * 2
+    )
+
+
+def _reduced(cs, p):
+    out = [c % p for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _evaluate(cs, x, p):
+    return sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 11, 577, 10**16 + 61]), st.data())
+def test_list_division_gcd_and_power_against_integer_references(p, data):
+    # the one division loop, the gcd and the power on reduced lists, checked
+    # by products in Z[t] reduced mod p and by evaluation at points of F_p
+    def draw(max_size, monic=False):
+        cs = data.draw(st.lists(st.integers(0, p - 1), max_size=max_size))
+        return _reduced(cs + [1] if monic else cs, p)
+
+    a, b = draw(9), draw(5)
+    if b:
+        quo, rem = fppoly._divmod(a, b, p)
+        assert _reduced(quo, p) == quo and _reduced(rem, p) == rem
+        assert len(rem) < len(b)
+        product = itertools.zip_longest(poly_mul(quo, b), rem, fillvalue=0)
+        assert _reduced([x + y for x, y in product], p) == a
+        exact = _reduced(poly_mul(a, b), p)
+        assert fppoly._divmod(exact, b, p) == (a, [])
+    common, u, v = draw(3, monic=True), draw(4), draw(4)
+    x, y = _reduced(poly_mul(common, u), p), _reduced(poly_mul(common, v), p)
+    g = fppoly._gcd(x, y, p)
+
+    def divides(d, z):
+        return _reduced(poly_mul(fppoly._divmod(z, d, p)[0], d), p) == z
+
+    if x or y:
+        assert g[-1] == 1 and divides(g, x) and divides(g, y) and divides(common, g)
+    else:
+        assert g == []
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 4), unique=True))
+    mod = [1]
+    for r in roots:
+        mod = _reduced(poly_mul(mod, [-r, 1]), p)
+    base, e = draw(7), data.draw(st.integers(0, 3 * p))
+    power = fppoly._pow_mod(base, e, mod, p)
+    assert len(power) < len(mod) and _reduced(power, p) == power
+    for r in roots:
+        assert _evaluate(power, r, p) == pow(_evaluate(base, r, p), e, p)
+
+
 def test_monic_polys_base_p_order():
-    assert [g.coeffs for g in monic_polys(3, 2)] == [
+    assert list(monic_polys(3, 2)) == [
         (c0, c1, 1) for c1 in range(3) for c0 in range(3)
     ]
-    assert [g.coeffs for g in monic_polys(7, 1)] == [(c, 1) for c in range(7)]
+    assert list(monic_polys(7, 1)) == [(c, 1) for c in range(7)]
     # lazy in p: the norms after Tr(t) may be reached at p = 2^61 - 1
-    assert next(monic_polys(2**61 - 1, 2)).coeffs == (0, 0, 1)
+    assert next(monic_polys(2**61 - 1, 2)) == (0, 0, 1)
 
 
 def _monic_polys(p, degree):
@@ -316,7 +399,7 @@ def test_factor_multiplicities_match_multiplicity_of(p, data):
         m = data.draw(st.integers(1, p + 2))
         for _ in range(m):
             f = f * FpPoly(p, lower + [1])
-    products, _ = fppoly._distinct_degree(f)
+    products = [(FpPoly(p, g), d, m) for g, d, m in fppoly._distinct_degree(list(f.coeffs), p)[0]]
     prod = FpPoly.constant(p, 1)
     for i, (g, d, m) in enumerate(products):
         assert g.lead == 1 and g.degree % d == 0 and _squarefree(g), (f, g)
@@ -357,17 +440,19 @@ def _equal_degree_product(p, d, count, rng):
 )
 def test_norm_of_t_is_the_product_of_the_frobenius_powers(f):
     # the loop's N(t) = prod_(j<d) t^(p^j) mod f against the power of t it
-    # replaces, and every value after it against the norms by pow_mod in
+    # replaces, and every value after it against the norms by a reference power in
     # base-p order, so the sequence of values is the one before the product
     p = f.p
-    [(prod, d, m)], frobenius = fppoly._distinct_degree(f)
+    [(prod, d, m)], frobenius = fppoly._distinct_degree(list(f.coeffs), p)
+    prod, frobenius = FpPoly(p, prod), [FpPoly(p, g) for g in frobenius]
     assert (prod, m) == (f, 1) and f.degree > d
     norm = (p**d - 1) // (p - 1)
-    values = list(itertools.islice(fppoly._separating_values(f, d, frobenius), 8))
+    separating = fppoly._separating_values(list(f.coeffs), d, [list(g.coeffs) for g in frobenius], p)
+    values = [FpPoly(p, v) for v in itertools.islice(separating, 8)]
     assert values[0] == sum(frobenius[1:d], frobenius[0])
     monics = itertools.chain.from_iterable(monic_polys(p, k) for k in range(1, f.degree + 1))
-    expected = [a.pow_mod(norm, f) for a in itertools.islice(monics, 7)]
-    assert values[1] == FpPoly.monomial(p, 1).pow_mod(norm, f) == expected[0]
+    expected = [_pow_mod_reference(FpPoly(p, a), norm, f) for a in itertools.islice(monics, 7)]
+    assert values[1] == _pow_mod_reference(FpPoly.monomial(p, 1), norm, f) == expected[0]
     assert values[1:] == expected
 
 
@@ -379,10 +464,10 @@ def test_pow_mod_matches_repeated_multiplication(p):
     base = FpPoly(p, [rng.randrange(p) for _ in range(8)] + [1])
     expected = FpPoly.constant(p, 1)
     for e in range(65):
-        assert base.pow_mod(e, mod) == expected, e
+        assert FpPoly(p, fppoly._pow_mod(list(base.coeffs), e, list(mod.coeffs), p)) == expected, e
         expected = expected * base % mod
     with pytest.raises(ValueError):  # refused, not looped on
-        base.pow_mod(-1, mod)
+        fppoly._pow_mod(list(base.coeffs), -1, list(mod.coeffs), p)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +481,7 @@ def test_factor_work_count_on_discriminants_f11(kind, param):
     p = 11
     delta = c4_delta(make_model(kind, param, p))[1]
     with mock.patch.object(
-        FpPoly, "pow_mod", autospec=True, side_effect=FpPoly.pow_mod
+        fppoly, "_pow_mod", side_effect=fppoly._pow_mod
     ) as pow_mod, mock.patch.object(
         FpPoly, "multiplicity_of", autospec=True, side_effect=FpPoly.multiplicity_of
     ) as multiplicity_of:
