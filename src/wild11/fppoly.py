@@ -292,11 +292,18 @@ def _refine(parts: list[list[int]], d: int, v: list[int], p: int) -> list[list[i
         for part in parts:
             if len(part) > d + 1:
                 w = _divmod(shifted, part, p)[1]
+                if len(w) > 1 and p > SHIFTS:
+                    w = _add(_pow_mod(w, (p - 1) // 2, part, p), (-1,), p)
                 if len(w) > 1:
-                    if p > SHIFTS:
-                        w = _add(_pow_mod(w, (p - 1) // 2, part, p), (-1,), p)
-                    g = _gcd(part, w, p)
-                    if 1 < len(g) < len(part):
+                    # the first step of Euclid's gcd(part, w); when monic w
+                    # divides part, w and its quotient are the split
+                    w = _monic(w, p)
+                    quo, rem = _divmod(part, w, p)
+                    if not rem:
+                        refined += [w, quo]
+                        continue
+                    g = _gcd(w, rem, p)
+                    if len(g) > 1:
                         refined += [g, _divmod(part, g, p)[0]]
                         continue
             refined.append(part)

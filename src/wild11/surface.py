@@ -21,13 +21,16 @@ fiber (odd characteristic; the substitution y -> y - (a1*x + a3)/2 removes
 the crossed terms first).  Counts are exact integers, and identical no
 matter how the enumeration is partitioned.  surface_count works on element
 indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
-t in one pass through log/exp tables, and each fiber's character sum is one
-lookup per distinct value w of the x-part x^3 + A2 x^2 + A4 x (about 2q/3
-of them), weighted by the number of x that take it, in a table indexed by
-carry-free packed sums.  Those tables, the Frobenius map and the character
-are built once per field here (_field_tables), from FieldSpec's indices.  The
-values and their preimage counts come from enumerating every x once per
-(A2, A4).  One table of coefficient triples covers P^1(F_q): the q
+t in one pass through log/exp tables, and each fiber's character sum is
+read from bitsets.  The distinct values w of the x-part
+x^3 + A2 x^2 + A4 x are the bits of one int per preimage count n (at most
+three ints), set at their carry-free packed positions, so adding A6 to
+every value is one shift, and the squares and nonsquares among the sums are
+two ANDs and two popcounts against the character's bitsets over packed
+sums.  Those tables, the Frobenius map and the character bitsets are built
+once per field here (_field_tables), from FieldSpec's indices; the value
+masks come from enumerating every x once per (A2, A4).  Every build is
+linear in its table.  One table of coefficient triples covers P^1(F_q): the q
 finite fibers, and the fiber at infinity, the cubic of those top
 coefficients, as one more key.  It counts one fiber per Frobenius orbit:
 x -> x^p is an automorphism of F_q, so the fibers with coefficients
@@ -40,32 +43,35 @@ singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant without factoring it (a squarefree test
 on gcd(Delta, Delta')), names the first reducible fiber from the
 factorisation only when it refuses, and refuses characteristics 2 and 3
-outright, where that test is invalid.  The count costs one lookup per
-distinct x-part value per distinct Frobenius orbit of fibers, about 2q^2/3
-in all when every orbit is a single fiber, so fields larger than 11^4 are
-refused up front (COUNT_Q_LIMIT).
+outright, where that test is invalid.  The count costs a shift, two ANDs
+and two popcounts of (2p - 1)^r-bit ints per mask per distinct Frobenius
+orbit of fibers, still quadratic in q but word-parallel, so fields larger
+than 11^4 are refused up front (COUNT_Q_LIMIT).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
 from .fppoly import FpPoly, factor
-from .polynomials import poly_str
+from .polynomials import poly_mul, poly_str
 from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
 
-# surface_count counts one fiber per Frobenius orbit, one lookup per distinct
-# value of the x-part x^3 + A2 x^2 + A4 x (about 2q/3) per counted fiber, up
-# to about 2q^2/3 in all.  Near the limit (Python 3.11, one core of a 2-core
-# x86 host, epsilon 1 and gamma 1 in a fresh process) a count at q = 11^4
-# (1331 distinct fibers in 336 orbits, 9761 x-part values) takes 0.26-0.51 s
-# and at the prime 14639 (9255 distinct fibers, Frobenius the identity, 9759
-# x-part values) 5.0-7.5 s; at 31^4 it would take hours.
+# surface_count counts one fiber per Frobenius orbit, each by at most three
+# shifted masks of (2p - 1)^r bits against the character bitsets.  Near the
+# limit (Python 3.11, one core of a 2-core x86 host, epsilon 1 and gamma 1 in
+# a fresh process, tables included) a count at q = 11^4 (1331 distinct fibers
+# in 336 orbits, masks of 21^4 bits) takes 70-80 ms and at the prime 14639
+# (9255 distinct fibers, Frobenius the identity) 0.14-0.25 s.  At 31^4 the
+# tables would hold 61^4 = 1.4e7 packed sums, and about 230000 orbits at
+# 1.3 ms of bitset work per mask would take a quarter of an hour.
 COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and t = infinity in
@@ -141,16 +147,41 @@ def make_model(kind: str, param: int | None, p: int) -> WeierstrassModel:
     return WeierstrassModel(p=p, kind=kind, param=param, a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
 
 
+def _combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
+    """sum k * a over the (k, a) terms, in Z[t]."""
+    out = [0] * max(len(a) for _, a in terms)
+    for k, a in terms:
+        for i, c in enumerate(a):
+            out[i] += k * c
+    return out
+
+
 def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
-    """Standard covariants c4 and Delta of the model, in F_p[t]."""
-    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    delta = -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
-    return c4, delta
+    """Standard covariants c4 and Delta of the model, in F_p[t].
+
+    The b_i, c4 and Delta are integer combinations of products of the
+    coefficient tuples, taken in Z[t] and reduced mod p once."""
+    a1, a2, a3, a4, a6 = (poly.coeffs for poly in (model.a1, model.a2, model.a3, model.a4, model.a6))
+    a1a1, a1a3, a3a3 = poly_mul(a1, a1), poly_mul(a1, a3), poly_mul(a3, a3)
+    b2 = _combine((1, a1a1), (4, a2))
+    b4 = _combine((2, a4), (1, a1a3))
+    b6 = _combine((1, a3a3), (4, a6))
+    b8 = _combine(
+        (1, poly_mul(a1a1, a6)),
+        (4, poly_mul(a2, a6)),
+        (-1, poly_mul(a1a3, a4)),
+        (1, poly_mul(a2, a3a3)),
+        (-1, poly_mul(a4, a4)),
+    )
+    b2b2 = poly_mul(b2, b2)
+    c4 = _combine((1, b2b2), (-24, b4))
+    delta = _combine(
+        (-1, poly_mul(b2b2, b8)),
+        (-8, poly_mul(b4, poly_mul(b4, b4))),
+        (-27, poly_mul(b6, b6)),
+        (9, poly_mul(b2, poly_mul(b4, b6))),
+    )
+    return FpPoly(model.p, c4), FpPoly(model.p, delta)
 
 
 def _covariants_and_infinity(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FiberPlace | None]:
@@ -216,9 +247,15 @@ def _completed_cubic(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FpPoly]:
     return A2, A4, A6
 
 
+def _bits(classes: bytes | bytearray, c: int) -> int:
+    """The int whose bit s is set iff classes[s] == c, in linear time: one
+    translate to the base-2 digits, most significant first, and one parse."""
+    return int(classes[::-1].translate(bytes([48 + (b == c) for b in range(256)])), 2)
+
+
 @lru_cache(maxsize=None)  # one entry per field; equal FieldSpecs share it
-def _field_tables(spec: FieldSpec) -> tuple[list[int], ...]:
-    """(log, exp, pack, unpack, chi, frob): the count's lookup tables for F_q, odd p.
+def _field_tables(spec: FieldSpec) -> tuple:
+    """(log, exp, pack, unpack, squares, nonsquares, frob): the count's tables for F_q, odd p.
 
     pack[i] reads the coordinates c_j of element i as digits in base
     2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
@@ -226,10 +263,12 @@ def _field_tables(spec: FieldSpec) -> tuple[list[int], ...]:
     (2p - 1)^r, maps it to the index of the field sum: unpack[pack[a] +
     pack[b]] is the index of a + b.  exp[k] is the index of g^k for
     0 <= k < q - 1 and the first generator g of F_q^* in index order, and
-    log[exp[k]] = k; log[0] is -1, since zero has no logarithm.
-    chi[pack[a] + pack[b]] is the quadratic character of a + b, read from
-    the logarithm as chi(g^k) = (-1)^k.  frob[i] is the index of x^p for x
-    of index i, exp[p * log x mod (q - 1)], and 0 -> 0.
+    log[exp[k]] = k; log[0] is -1, since zero has no logarithm.  squares and
+    nonsquares are the quadratic character over packed sums as two bitsets:
+    bit pack[a] + pack[b] of squares is set iff a + b is a nonzero square,
+    of nonsquares iff it is a nonsquare, read from the logarithm as
+    chi(g^k) = (-1)^k.  frob[i] is the index of x^p for x of index i,
+    exp[p * log x mod (q - 1)], and 0 -> 0.
     """
     p, q = spec.p, spec.q
     base = 2 * p - 1
@@ -257,15 +296,20 @@ def _field_tables(spec: FieldSpec) -> tuple[list[int], ...]:
         times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
     log = [-1] * q
     exp = []
-    chi = [0] * q
     i = 1
     for k in range(q - 1):
         exp.append(i)
         log[i] = k
-        chi[i] = -1 if k & 1 else 1
         i = times_g[i]
     frob = [0] + [exp[p * k % (q - 1)] for k in log[1:]]
-    return log, exp, pack, unpack, [chi[i] for i in unpack], frob
+    # the character class of each element, then of each packed sum: 0 for
+    # zero, 1 for a square (an even power of g), 2 for a nonsquare
+    classes = bytearray([2]) * q
+    classes[0] = 0
+    for i in exp[::2]:
+        classes[i] = 1
+    classes = bytes(itemgetter(*unpack)(classes))
+    return log, exp, pack, unpack, _bits(classes, 1), _bits(classes, 2), frob
 
 
 def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
@@ -276,7 +320,7 @@ def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
     degree n >= 1 is exp[(log c + n*k) % (q - 1)], and the terms add by
     carry-free packed addition; t = 0 takes the constant term alone."""
     m = spec.q - 1
-    log, exp, pack, unpack, _, _ = _field_tables(spec)
+    log, exp, pack, unpack, *_ = _field_tables(spec)
     log_t = log[1:]
     c0 = coeffs[0] if coeffs else 0
     acc = [c0] * m
@@ -288,14 +332,16 @@ def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, int], ...]:
     """The distinct values of x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
-    by index, grouped by their number n of preimages x: ((n, packed values), ...)."""
-    _, _, pack, _, _, _ = _field_tables(spec)
-    groups: dict[int, list[int]] = {}
-    for w, n in Counter(_values_everywhere((0, a4, a2, 1), spec)).items():
-        groups.setdefault(n, []).append(pack[w])
-    return tuple((n, tuple(groups[n])) for n in sorted(groups))
+    by index, grouped by their number n of preimages x: ((n, mask), ...),
+    where bit pack[w] of mask is set for each value w with n preimages."""
+    _, _, pack, *_ = _field_tables(spec)
+    counts = Counter(_values_everywhere((0, a4, a2, 1), spec))
+    preimages = bytearray(pack[-1] + 1)  # pack[-1], of index q - 1, is the largest
+    for w, n in counts.items():
+        preimages[pack[w]] = n
+    return tuple((n, _bits(preimages, n)) for n in sorted(set(counts.values())))
 
 
 @lru_cache(maxsize=None)
@@ -304,13 +350,17 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
 
     The coefficients are element indices.  The count is
     1 + q + sum_x chi(w(x) + a6) over every x, summed over the distinct
-    values w of w(x) = x^3 + a2 x^2 + a4 x, one packed lookup each, times
-    the number of x that take each value."""
-    _, _, pack, _, chi, _ = _field_tables(spec)
+    values w of w(x) = x^3 + a2 x^2 + a4 x, times the number n of x that
+    take each value.  Packed addition never carries, so shifting the mask
+    of the values with n preimages left by pack[a6] gives the packed values
+    w + a6, and the squares and nonsquares among them are two popcounts."""
+    _, _, pack, _, squares, nonsquares, _ = _field_tables(spec)
     c = pack[a6]
-    return 1 + spec.q + sum(
-        [n * sum([chi[w + c] for w in values]) for n, values in _cubic_linear_part(spec, a2, a4)]
-    )
+    total = 1 + spec.q
+    for n, mask in _cubic_linear_part(spec, a2, a4):
+        shifted = mask << c
+        total += n * ((shifted & squares).bit_count() - (shifted & nonsquares).bit_count())
+    return total
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:

@@ -147,6 +147,20 @@ def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1
 
 
+def c4_delta_reference(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
+    """c4 and Delta by the textbook formulas in FpPoly arithmetic, every
+    sum and product reduced mod p.  The reference for wild11.c4_delta,
+    which combines the coefficient tuples over Z and reduces once."""
+    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    delta = -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+    return c4, delta
+
+
 def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
     """The model in the chart s = 1/t: a_i -> s^(2i) * a_i(1/s).
 

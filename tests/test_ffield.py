@@ -258,14 +258,17 @@ def test_extension_degrees_3_and_4():
 # -- the counting layers' own tables, against the field's arithmetic -------
 #
 # FieldSpec holds no table.  The point count builds log/exp, packed addition,
-# the packed character and Frobenius in surface._field_tables; the tally
+# the character bitsets and Frobenius in surface._field_tables; the tally
 # builds the negated traces in equivariant._neg_trace_table.
 
 
 def _chi_by_index(spec):
-    """The point count's character by element index: chi(x + 0) in its packed table."""
-    _, _, pack, _, chi, _ = _field_tables(spec)
-    return [chi[pack[i]] for i in range(spec.q)]
+    """The point count's character by element index: bit pack[x] (of x + 0)
+    of its squares and nonsquares bitsets, never both set."""
+    _, _, pack, _, squares, nonsquares, _ = _field_tables(spec)
+    bits = [(squares >> pack[i] & 1, nonsquares >> pack[i] & 1) for i in range(spec.q)]
+    assert (1, 1) not in bits
+    return [square - nonsquare for square, nonsquare in bits]
 
 
 def test_chi_table_matches_character():
@@ -280,7 +283,7 @@ def test_chi_table_matches_character():
 def test_log_tables(p, r, modulus):
     spec = _spec(p, r, modulus)
     q = spec.q
-    log, exp, _, _, _, _ = _field_tables(spec)
+    log, exp, *_ = _field_tables(spec)
     assert sorted(exp) == list(range(1, q))  # a permutation of the nonzero indices
     assert all(log[i] == k for k, i in enumerate(exp))
     g = spec.coords_at(exp[1])
@@ -298,7 +301,7 @@ def test_chi_table_matches_character_in_larger_fields(p, r, modulus):
 
 def test_packed_tables_add_exhaustively():
     spec = FieldSpec(3, 3)
-    _, _, pack, unpack, _, _ = _field_tables(spec)
+    _, _, pack, unpack, *_ = _field_tables(spec)
     assert len(unpack) == 5**3
     for a in range(spec.q):
         for b in range(spec.q):

@@ -491,3 +491,19 @@ def test_factor_work_count_on_discriminants_f11(kind, param):
     assert max(call.args[1] for call in pow_mod.call_args_list) <= p
     degrees = [(g.degree, m) for g, m in pieces]
     assert degrees == ([(1, 2)] * 11 if kind == "epsilon" else [(11, 1)] * 2)
+
+
+def test_root_search_divides_once_per_split():
+    # t^11 - t at p = 11, every epsilon surface's root search: each shift
+    # c = 0 .. 9 reduces t + c modulo the unsplit part and divides the part
+    # by that monic value, whose quotient is the rest of the split, so 20
+    # divisions, none of them repeated
+    p = 11
+    f = [0, p - 1] + [0] * 9 + [1]
+    _, frobenius = fppoly._distinct_degree(list(f), p)
+    with mock.patch.object(fppoly, "_divmod", side_effect=fppoly._divmod) as divmod_:
+        parts = fppoly._equal_degree(f, 1, frobenius, p)
+    assert sorted(parts) == [[c, 1] for c in range(p)]
+    calls = [(tuple(call.args[0]), tuple(call.args[1])) for call in divmod_.call_args_list]
+    assert len(calls) == 20
+    assert len(set(calls)) == len(calls)

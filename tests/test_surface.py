@@ -32,6 +32,7 @@ from wild11.surface import (
     _is_irreducible_fiber,
 )
 from references import (
+    c4_delta_reference,
     cubic_count,
     fiber_count_at,
     horner,
@@ -137,6 +138,17 @@ def test_place_at_infinity_matches_reference_chart(kind, param, p):
     # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4, against the s-chart
     m = make_model(kind, param, p)
     assert _place_at_infinity(m) == _reference_place_at_infinity(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 11, 101, 10**16 + 61]), st.data())
+def test_c4_delta_matches_fppoly_formula_on_random_models(p, data):
+    # any a_i up to the K3 degree bound 2i, including the zero polynomial
+    def coefficient(i):
+        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=2 * i + 1)))
+
+    model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
+    assert c4_delta(model) == c4_delta_reference(model)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -515,12 +527,28 @@ def test_surface_count_over_f_5_to_the_5():
     assert count == at_infinity + sum(fiber_count_at(m, t0, spec) for t0 in range(q))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.sampled_from([FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 4), FieldSpec(11, 3)]), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(
+        [FieldSpec(13), FieldSpec(101), FieldSpec(7, 2), FieldSpec(11, 2), FieldSpec(5, 4), FieldSpec(11, 3)]
+    ),
+    st.data(),
+)
 def test_count_cubic_points_matches_per_x_reference(spec, data):
-    # the grouped sum over the distinct values of the x-part, against a sum
-    # over every x in coordinate arithmetic
+    # the popcounts over the shifted masks of the x-part's values, against a
+    # sum over every x in coordinate arithmetic
     a2, a4, a6 = (tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r)) for _ in range(3))
+    count = _count_cubic_points(spec, spec.index_of(a2), spec.index_of(a4), spec.index_of(a6))
+    assert count == cubic_count(spec, a2, a4, a6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_count_cubic_points_matches_per_x_reference_at_11_4(seed):
+    # the largest packed tables a count builds, 21^4 packed sums: a few draws,
+    # since the per-x reference takes about half a second each
+    spec = FieldSpec(11, 4)
+    rng = random.Random(seed)
+    a2, a4, a6 = (tuple(rng.randrange(11) for _ in range(4)) for _ in range(3))
     count = _count_cubic_points(spec, spec.index_of(a2), spec.index_of(a4), spec.index_of(a6))
     assert count == cubic_count(spec, a2, a4, a6)
 
@@ -545,16 +573,28 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
         return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
 
     a, b = element(), element()
-    _, _, pack, unpack, chi, _ = _field_tables(spec)
+    _, _, pack, unpack, squares, nonsquares, _ = _field_tables(spec)
     packed_sum = pack[spec.index_of(a)] + pack[spec.index_of(b)]
     assert unpack[packed_sum] == spec.index_of(spec.add(a, b))
-    assert chi[packed_sum] == quadratic_character(spec, spec.add(a, b))
+    chi = quadratic_character(spec, spec.add(a, b))
+    assert (squares >> packed_sum & 1, nonsquares >> packed_sum & 1) == (chi == 1, chi == -1)
+
+
+@pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
+def test_character_bitsets_match_chi_at_every_packed_sum(spec):
+    # every s < (2p - 1)^r is a packed sum (each digit up to 2p - 2 is a sum
+    # of two digits below p); bit s of the two bitsets must read chi(unpack[s])
+    _, _, _, unpack, squares, nonsquares, _ = _field_tables(spec)
+    chi = [quadratic_character(spec, spec.coords_at(i)) for i in range(spec.q)]
+    assert squares.bit_length() <= len(unpack) and nonsquares.bit_length() <= len(unpack)
+    for s, i in enumerate(unpack):
+        assert (squares >> s & 1, nonsquares >> s & 1) == (chi[i] == 1, chi[i] == -1)
 
 
 @pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
 def test_frobenius_table_is_the_pth_power(spec):
     expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
-    assert _field_tables(spec)[5] == expected
+    assert _field_tables(spec)[-1] == expected
 
 
 def test_count_fields_have_small_packed_tables():
