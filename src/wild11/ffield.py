@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import FpPoly, digits, is_irreducible, monic_polys
+from .fppoly import digits, is_irreducible, monic_polys
 from .polynomials import divmod_monic, poly_mul, poly_str, power
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
@@ -68,7 +68,7 @@ def is_prime(n: int) -> bool:
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     """The first monic irreducible of degree r over F_p in monic_polys order."""
     for cand in monic_polys(p, r):
-        if is_irreducible(FpPoly(p, cand)):
+        if is_irreducible(cand, p):
             return cand
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 

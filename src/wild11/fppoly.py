@@ -20,16 +20,17 @@ the Cantor-Zassenhaus test with a (Cantor and Zassenhaus 1981).  For d = 1,
 Tr(t) = t, so the first pass is the root search.  The values come in a fixed
 order instead of being sampled, so factorizations are reproducible.
 
-The factorization runs on plain lists of ints reduced mod p, constant term
-first, with no trailing zero ([] is the zero polynomial).  `_divmod` is the
-one F_p[t] division loop; the gcd, the modular powers (`polynomials.power`
-over `poly_mul` and that loop) and every `FpPoly` division call it.
-`factor` and `is_irreducible` take an `FpPoly`, and `factor` builds one
-only for each factor it returns.
+A polynomial in F_p[t] is a reduced tuple of ints: constant term first,
+every entry in 0 .. p - 1, no trailing zero, () for zero, so equality is
+tuple equality.  `reduced` brings any integer coefficients to that form.
+The functions here take p as their last argument.  `_divmod` is the one
+F_p[t] division loop; the gcd, the modular powers (`polynomials.power` over
+`poly_mul` and that loop), `multiplicity` and the factorization call it.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
@@ -41,13 +42,21 @@ from .polynomials import poly_mul, poly_str, power
 SHIFTS = 16
 
 
-def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by b in F_p[t], both as reduced lists.
+def reduced(a: Sequence[int], p: int) -> tuple[int, ...]:
+    """a in F_p[t]: every coefficient mod p, trailing zeros stripped."""
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of a by b in F_p[t], both reduced.
 
     b is reduced and nonzero; a may hold unreduced ints, such as a product
-    from poly_mul.  Each step reduces the coefficient it clears, and stores
-    the quotient coefficient in its slot, since step `top` writes only below
-    `top`."""
+    from poly_mul, if its leading coefficient is nonzero mod p.  Each step
+    reduces the coefficient it clears, and stores the quotient coefficient
+    in its slot, since step `top` writes only below `top`."""
     db = len(b) - 1
     low = b[:db]
     inv = pow(b[-1], p - 2, p)
@@ -60,146 +69,55 @@ def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list
             for i, y in enumerate(low, top - db):
                 rem[i] -= c * y
         rem[top] = c
-    r = [c % p for c in rem[:db]]
-    while r and not r[-1]:
-        r.pop()
-    return rem[db:], r
+    return tuple(rem[db:]), reduced(rem[:db], p)
 
 
-def _add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """a + b in F_p[t], for reduced a; b may hold unreduced ints."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _add(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """a + b in F_p[t]; either may hold unreduced ints."""
+    return reduced([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
 
 
-def _monic(a: Sequence[int], p: int) -> Sequence[int]:
-    """Nonzero a scaled to leading coefficient 1."""
+def _monic(a: Sequence[int], p: int) -> tuple[int, ...]:
+    """Nonzero reduced a scaled to leading coefficient 1."""
     inv = pow(a[-1], p - 2, p)
-    return a if inv == 1 else [c * inv % p for c in a]
+    return tuple(a) if inv == 1 else tuple([c * inv % p for c in a])
 
 
-def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """The monic gcd of a and b in F_p[t] ([] when both are zero), by Euclid
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """The monic gcd of a and b in F_p[t] (() when both are zero), by Euclid
     with each divisor made monic."""
-    a, b = list(a), list(b)
     while b:
         b = _monic(b, p)
         a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p) if a else a
+    return _monic(a, p) if a else ()
 
 
-def _pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+def _pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
     """a^e modulo monic mod in F_p[t], for e >= 0."""
-    return power(_divmod(a, mod, p)[1], e, lambda x, y: _divmod(poly_mul(x, y), mod, p)[1], [1])
+    return power(_divmod(a, mod, p)[1], e, lambda x, y: _divmod(poly_mul(x, y), mod, p)[1], (1,))
 
 
-class FpPoly:
-    """Immutable polynomial over F_p, coefficients constant-term first."""
+def derivative(f: Sequence[int], p: int) -> tuple[int, ...]:
+    """The formal derivative f' in F_p[t]."""
+    return reduced([n * c for n, c in enumerate(f)][1:], p)
 
-    __slots__ = ("p", "coeffs")
 
-    def __init__(self, p: int, coeffs: Sequence[int] = ()):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.p = p
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def constant(p: int, c: int) -> "FpPoly":
-        return FpPoly(p, (c,))
-
-    @staticmethod
-    def monomial(p: int, degree: int, c: int = 1) -> "FpPoly":
-        return FpPoly(p, (0,) * degree + (c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FpPoly) and (self.p, self.coeffs) == (other.p, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
-    def _check(self, other: "FpPoly") -> None:
-        if self.p != other.p:
-            raise ValueError("polynomials over different prime fields")
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, _add(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "FpPoly | int") -> "FpPoly":
-        if isinstance(other, int):
-            return FpPoly(self.p, [c * other for c in self.coeffs])
-        self._check(other)
-        return FpPoly(self.p, poly_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        self._check(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
-        return FpPoly(self.p, quo), FpPoly(self.p, rem)
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "FpPoly":
-        return FpPoly(self.p, _monic(self.coeffs, self.p)) if self else self
-
-    def gcd(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, _gcd(self.coeffs, other.coeffs, self.p))
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [n * c for n, c in enumerate(self.coeffs)][1:])
-
-    def multiplicity_of(self, g: "FpPoly") -> int:
-        """Largest m with g^m dividing self (self nonzero, g non-constant)."""
-        if not self or g.degree < 1:
-            raise ValueError(f"multiplicity of {g!r} in {self!r} is undefined")
-        self._check(g)
-        m = 0
-        cur = self.coeffs
-        while True:
-            quo, rem = _divmod(cur, g.coeffs, self.p)
-            if rem:
-                return m
-            m += 1
-            cur = quo
-
-    def __repr__(self) -> str:
-        return f"FpPoly(p={self.p}, {poly_str(self.coeffs, 't')})"
+def multiplicity(g: Sequence[int], f: Sequence[int], p: int) -> int:
+    """Largest m with g^m dividing f in F_p[t] (f nonzero, g non-constant)."""
+    if not f or len(g) < 2:
+        raise ValueError(f"multiplicity of {poly_str(g, 't')} in {poly_str(f, 't')} is undefined")
+    m = 0
+    while True:
+        quo, rem = _divmod(f, g, p)
+        if rem:
+            return m
+        m += 1
+        f = quo
 
 
 def _distinct_degree(
-    f: list[int], p: int
-) -> tuple[list[tuple[list[int], int, int]], list[list[int]]]:
+    f: tuple[int, ...], p: int
+) -> tuple[list[tuple[tuple[int, ...], int, int]], list[tuple[int, ...]]]:
     """f monic -> ([(product of the distinct irreducible factors of degree d
     and multiplicity m, d, m)], frobenius), where frobenius[j] is t^(p^j)
     modulo a multiple of every product of degree-d factors with d > j.
@@ -210,7 +128,7 @@ def _distinct_degree(
     f keeps no factor of degree below d, and a remainder of degree below 2d
     is irreducible of multiplicity 1."""
     out = []
-    g = _divmod([0, 1], f, p)[1]
+    g = _divmod((0, 1), f, p)[1]
     frobenius = [g]
     d = 1
     while len(f) > 2 * d:
@@ -233,10 +151,9 @@ def _distinct_degree(
     return out, frobenius
 
 
-def is_irreducible(f: FpPoly) -> bool:
-    """Whether f is monic and irreducible over F_p."""
-    cs = list(f.coeffs)
-    return f.lead == 1 and _distinct_degree(cs, f.p)[0] == [(cs, f.degree, 1)]
+def is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Whether reduced f is monic and irreducible over F_p."""
+    return bool(f) and f[-1] == 1 and _distinct_degree(f, p)[0] == [(f, len(f) - 1, 1)]
 
 
 def digits(index: int, p: int, r: int) -> tuple[int, ...]:
@@ -261,8 +178,8 @@ def monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 def _separating_values(
-    f: list[int], d: int, frobenius: list[list[int]], p: int
-) -> Iterator[list[int]]:
+    f: tuple[int, ...], d: int, frobenius: list[tuple[int, ...]], p: int
+) -> Iterator[tuple[int, ...]]:
     """Tr(t), then N(a) for the monic a of degree 1 .. deg f in base-p order;
     each takes one value in F_p on every degree-d irreducible factor of f.
     N(t), the first norm, is the product of the Frobenius powers mod f."""
@@ -282,7 +199,9 @@ def _separating_values(
                 yield _pow_mod(a, norm, f, p)
 
 
-def _refine(parts: list[list[int]], d: int, v: list[int], p: int) -> list[list[int]]:
+def _refine(
+    parts: list[tuple[int, ...]], d: int, v: tuple[int, ...], p: int
+) -> list[tuple[int, ...]]:
     """Split the parts by the values in F_p that v takes on their degree-d
     factors: by gcd(part, v + c), or for p > SHIFTS by the quadratic
     character of v + c, for each shift c < min(p, SHIFTS)."""
@@ -311,7 +230,9 @@ def _refine(parts: list[list[int]], d: int, v: list[int], p: int) -> list[list[i
     return parts
 
 
-def _equal_degree(f: list[int], d: int, frobenius: list[list[int]], p: int) -> list[list[int]]:
+def _equal_degree(
+    f: tuple[int, ...], d: int, frobenius: list[tuple[int, ...]], p: int
+) -> list[tuple[int, ...]]:
     """Split monic squarefree f, all of whose irreducible factors have degree d.
 
     frobenius[j] is t^(p^j) modulo a multiple of f, for j < d."""
@@ -324,26 +245,26 @@ def _equal_degree(f: list[int], d: int, frobenius: list[list[int]], p: int) -> l
             # deg f, so some N(a) separates any two factors (for p > SHIFTS,
             # by its quadratic character): running out is an arithmetic bug
             raise InconsistencyError(
-                f"equal-degree splitting found no separating value for {FpPoly(p, f)!r}"
+                f"equal-degree splitting found no separating value for {poly_str(f, 't')}"
             )
         parts = _refine(parts, d, v, p)
     return parts
 
 
-def factor(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Factor nonzero f into monic irreducibles: [(g, multiplicity)], sorted.
+def factor(f: tuple[int, ...], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Factor nonzero reduced f into monic irreducibles: [(g, multiplicity)],
+    sorted by degree, then by coefficients.
 
     Each (product, d, m) of the distinct-degree pass splits into its degree-d
     factors, all of multiplicity m.  The unit leading coefficient is
-    discarded; callers that need it use f.lead directly.
+    discarded; callers that need it read f[-1].
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    p = f.p
-    products, frobenius = _distinct_degree(list(f.monic().coeffs), p)
+    products, frobenius = _distinct_degree(_monic(f, p), p)
     pieces = sorted(
         (len(irr), irr, m)
         for prod, d, m in products
         for irr in _equal_degree(prod, d, frobenius, p)
     )
-    return [(FpPoly(p, irr), m) for _, irr, m in pieces]
+    return [(irr, m) for _, irr, m in pieces]

@@ -58,7 +58,7 @@ from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
-from .fppoly import FpPoly, factor
+from .fppoly import _divmod, _gcd, derivative, factor, multiplicity, reduced
 from .polynomials import poly_mul, poly_str
 from .record import Record
 
@@ -83,29 +83,39 @@ INFINITY = "infinity"
 
 
 class WeierstrassModel(Record):
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, each a_i a reduced tuple
+    in F_p[t]; the point count reads its entries as element indices."""
+
     __slots__ = ("p", "kind", "param", "a1", "a2", "a3", "a4", "a6")
     p: int
     kind: str
     param: int | None
-    a1: FpPoly
-    a2: FpPoly
-    a3: FpPoly
-    a4: FpPoly
-    a6: FpPoly
+    a1: tuple[int, ...]
+    a2: tuple[int, ...]
+    a3: tuple[int, ...]
+    a4: tuple[int, ...]
+    a6: tuple[int, ...]
 
     def __post_init__(self):
         for name, bound in _DEGREE_BOUNDS.items():
-            poly: FpPoly = getattr(self, name)
-            if poly.degree > bound:
-                raise ValueError(f"deg {name} = {poly.degree} exceeds the K3 bound {bound}")
+            poly = getattr(self, name)
+            if not isinstance(poly, tuple) or any(not isinstance(c, int) for c in poly):
+                raise TypeError(f"a coefficient in F_p[t] is a tuple of ints, got {name} = {poly!r}")
+            if poly != reduced(poly, self.p):
+                raise ValueError(
+                    f"{name} = {poly!r} is not reduced mod {self.p}: "
+                    f"entries lie in 0..{self.p - 1}, with no trailing zero"
+                )
+            if len(poly) - 1 > bound:
+                raise ValueError(f"deg {name} = {len(poly) - 1} exceeds the K3 bound {bound}")
 
 
 class FiberPlace(Record):
     """A closed point of the t-line where the discriminant vanishes.
 
-    `location` is an int residue for a rational point, an irreducible FpPoly
-    for a closed point of higher degree, or INFINITY.  `vc4` is None when c4
-    vanishes identically (the j = 0 families).
+    `location` is an int residue for a rational point, the monic irreducible
+    (a reduced tuple) for a closed point of higher degree, or INFINITY.
+    `vc4` is None when c4 vanishes identically (the j = 0 families).
     """
 
     __slots__ = ("location", "degree", "vdelta", "vc4")
@@ -119,7 +129,7 @@ class FiberPlace(Record):
             return INFINITY
         if isinstance(self.location, int):
             return f"t={self.location}"
-        return poly_str(self.location.coeffs, "t")
+        return poly_str(self.location, "t")
 
 
 def make_model(kind: str, param: int | None, p: int) -> WeierstrassModel:
@@ -128,22 +138,21 @@ def make_model(kind: str, param: int | None, p: int) -> WeierstrassModel:
         raise ValueError(f"characteristic {p} is not prime")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    zero = FpPoly(p)
-    one = FpPoly.constant(p, 1)
     # t^11 - t and t^11
-    t11_minus_t = FpPoly(p, (0, -1) + (0,) * 9 + (1,))
-    t11 = FpPoly.monomial(p, 11)
+    t11_minus_t = (0, p - 1) + (0,) * 9 + (1,)
+    t11 = (0,) * 11 + (1,)
     if kind == "uniform":
         param = None
-        a1, a2, a3, a4, a6 = one, zero, zero, zero, t11
+        a1, a2, a3, a4, a6 = (1,), (), (), (), t11
     else:
         if param is None:
             raise ValueError(f"kind {kind!r} requires a parameter in F_{p}")
         param = param % p
+        constant = reduced((param,), p)
         if kind == "epsilon":
-            a1, a2, a3, a4, a6 = zero, FpPoly.constant(p, param), zero, zero, t11_minus_t
+            a1, a2, a3, a4, a6 = (), constant, (), (), t11_minus_t
         else:
-            a1, a2, a3, a4, a6 = zero, zero, zero, FpPoly.constant(p, param), t11_minus_t
+            a1, a2, a3, a4, a6 = (), (), (), constant, t11_minus_t
     return WeierstrassModel(p=p, kind=kind, param=param, a1=a1, a2=a2, a3=a3, a4=a4, a6=a6)
 
 
@@ -156,12 +165,12 @@ def _combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
     return out
 
 
-def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
+def c4_delta(model: WeierstrassModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Standard covariants c4 and Delta of the model, in F_p[t].
 
     The b_i, c4 and Delta are integer combinations of products of the
     coefficient tuples, taken in Z[t] and reduced mod p once."""
-    a1, a2, a3, a4, a6 = (poly.coeffs for poly in (model.a1, model.a2, model.a3, model.a4, model.a6))
+    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     a1a1, a1a3, a3a3 = poly_mul(a1, a1), poly_mul(a1, a3), poly_mul(a3, a3)
     b2 = _combine((1, a1a1), (4, a2))
     b4 = _combine((2, a4), (1, a1a3))
@@ -181,18 +190,21 @@ def c4_delta(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
         (-27, poly_mul(b6, b6)),
         (9, poly_mul(b2, poly_mul(b4, b6))),
     )
-    return FpPoly(model.p, c4), FpPoly(model.p, delta)
+    return reduced(c4, model.p), reduced(delta, model.p)
 
 
-def _covariants_and_infinity(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FiberPlace | None]:
+def _covariants_and_infinity(
+    model: WeierstrassModel,
+) -> tuple[tuple[int, ...], tuple[int, ...], FiberPlace | None]:
     """c4, Delta and the place t = infinity, None when Delta does not vanish
     there, its valuations read off the degrees; refuses Delta = 0."""
     c4, delta = c4_delta(model)
     if not delta:
         raise ValueError("discriminant vanishes identically; the model is not elliptic")
-    if delta.degree == 24:
+    # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4
+    if len(delta) == 25:
         return c4, delta, None
-    return c4, delta, FiberPlace(INFINITY, 1, 24 - delta.degree, 8 - c4.degree if c4 else None)
+    return c4, delta, FiberPlace(INFINITY, 1, 25 - len(delta), 9 - len(c4) if c4 else None)
 
 
 def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
@@ -202,10 +214,11 @@ def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     place at infinity comes first, its valuations read off the degrees."""
     c4, delta, infinity = _covariants_and_infinity(model)
     places = [] if infinity is None else [infinity]
-    for g, mult in factor(delta):
-        vc4 = c4.multiplicity_of(g) if c4 else None
-        location: object = (-g.coeffs[0]) % model.p if g.degree == 1 else g
-        places.append(FiberPlace(location, g.degree, mult, vc4))
+    p = model.p
+    for g, mult in factor(delta, p):
+        vc4 = multiplicity(g, c4, p) if c4 else None
+        location: object = -g[0] % p if len(g) == 2 else g
+        places.append(FiberPlace(location, len(g) - 1, mult, vc4))
     return places
 
 
@@ -226,25 +239,27 @@ def _every_fiber_irreducible(model: WeierstrassModel) -> bool:
     fiber is irreducible iff g is squarefree (gcd(g, g') = 1, which fails
     for a nonconstant g with g' = 0) and the double factors, those of g,
     all divide c4 or c4 vanishes identically."""
+    p = model.p
     c4, delta, infinity = _covariants_and_infinity(model)
     if infinity is not None and not _is_irreducible_fiber(infinity):
         return False
-    g = delta.gcd(delta.derivative())
-    if g.gcd(g.derivative()).degree > 0:
+    g = _gcd(delta, derivative(delta, p), p)
+    if len(_gcd(g, derivative(g, p), p)) > 1:
         return False
-    return not c4 or not c4 % g
+    return not c4 or not _divmod(c4, g, p)[1]
 
 
-def _completed_cubic(model: WeierstrassModel) -> tuple[FpPoly, FpPoly, FpPoly]:
-    """(A2, A4, A6) with y^2 = x^3 + A2 x^2 + A4 x + A6 after removing a1, a3 (odd p)."""
+def _completed_cubic(model: WeierstrassModel) -> tuple[tuple[int, ...], ...]:
+    """(A2, A4, A6) with y^2 = x^3 + A2 x^2 + A4 x + A6 after removing a1, a3
+    (odd p), each combined in Z[t] and reduced mod p once."""
     p = model.p
-    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
+    a1, a3 = model.a1, model.a3
     inv2 = pow(2, p - 2, p)
-    inv4 = inv2 * inv2 % p
-    A2 = a2 + a1 * a1 * inv4
-    A4 = a4 + a1 * a3 * inv2
-    A6 = a6 + a3 * a3 * inv4
-    return A2, A4, A6
+    inv4 = inv2 * inv2
+    A2 = _combine((1, model.a2), (inv4, poly_mul(a1, a1)))
+    A4 = _combine((1, model.a4), (inv2, poly_mul(a1, a3)))
+    A6 = _combine((1, model.a6), (inv4, poly_mul(a3, a3)))
+    return reduced(A2, p), reduced(A4, p), reduced(A6, p)
 
 
 def _bits(classes: bytes | bytearray, c: int) -> int:
@@ -397,10 +412,10 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
             "factored discriminant has an irreducible fiber"
         )
     completed = _completed_cubic(model)
-    fibers = Counter(zip(*(_values_everywhere(poly.coeffs, spec) for poly in completed)))
+    fibers = Counter(zip(*(_values_everywhere(poly, spec) for poly in completed)))
     # the fiber at infinity is one more key, its top coefficients (of t^4,
     # t^8 and t^12); an F_p coefficient c is the element index c
-    fibers[tuple([poly.coeffs[w] if poly.degree == w else 0 for poly, w in zip(completed, (4, 8, 12))])] += 1
+    fibers[tuple([poly[w] if len(poly) == w + 1 else 0 for poly, w in zip(completed, (4, 8, 12))])] += 1
     *_, frob = _field_tables(spec)
     orbits: Counter = Counter()
     for triple, n in fibers.items():

@@ -7,11 +7,13 @@ command's path, so they live beside the tests rather than in the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import zip_longest
 from unittest import mock
 
 from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
 from wild11.cyclotomic import DEGREE, ORDER
-from wild11.fppoly import FpPoly, is_irreducible
+from wild11.fppoly import is_irreducible, reduced
 from wild11.polynomials import divmod_monic, cyclotomic_poly, poly_mul
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
@@ -130,7 +132,7 @@ def spec_with_modulus(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:
     FieldSpec takes only its canonical modulus.  To check the counting
     layers' cached tables in another basis too (one where Tr(u) != 0),
     this substitutes the modulus at its one source while the spec is built."""
-    if not is_irreducible(FpPoly(p, modulus)):
+    if not is_irreducible(tuple(modulus), p):
         raise ValueError(f"{modulus} is not a monic irreducible over F_{p}")
     with mock.patch.object(ffield, "_canonical_modulus", lambda p, r: tuple(modulus)):
         return FieldSpec(p, r)
@@ -147,42 +149,82 @@ def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1
 
 
-def c4_delta_reference(model: WeierstrassModel) -> tuple[FpPoly, FpPoly]:
-    """c4 and Delta by the textbook formulas in FpPoly arithmetic, every
-    sum and product reduced mod p.  The reference for wild11.c4_delta,
-    which combines the coefficient tuples over Z and reduces once."""
+def fp_mul(p: int, *factors) -> tuple[int, ...]:
+    """The product of the factors in F_p[t], reduced after every step; a
+    scalar k is passed as the constant (k,)."""
+    out = (1,)
+    for f in factors:
+        out = reduced(poly_mul(out, f), p)
+    return out
+
+
+def fp_add(p: int, *terms) -> tuple[int, ...]:
+    """The sum of the terms in F_p[t], reduced after every step."""
+    out = ()
+    for a in terms:
+        out = reduced([x + y for x, y in zip_longest(out, a, fillvalue=0)], p)
+    return out
+
+
+def c4_delta_reference(model: WeierstrassModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """c4 and Delta by the textbook formulas in F_p[t], every sum and
+    product reduced mod p.  The reference for wild11.c4_delta, which
+    combines the coefficient tuples over Z and reduces once."""
+    p = model.p
     a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    delta = -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+    b2 = fp_add(p, fp_mul(p, a1, a1), fp_mul(p, (4,), a2))
+    b4 = fp_add(p, fp_mul(p, (2,), a4), fp_mul(p, a1, a3))
+    b6 = fp_add(p, fp_mul(p, a3, a3), fp_mul(p, (4,), a6))
+    b8 = fp_add(
+        p,
+        fp_mul(p, a1, a1, a6),
+        fp_mul(p, (4,), a2, a6),
+        fp_mul(p, (-1,), a1, a3, a4),
+        fp_mul(p, a2, a3, a3),
+        fp_mul(p, (-1,), a4, a4),
+    )
+    c4 = fp_add(p, fp_mul(p, b2, b2), fp_mul(p, (-24,), b4))
+    delta = fp_add(
+        p,
+        fp_mul(p, (-1,), b2, b2, b8),
+        fp_mul(p, (-8,), b4, b4, b4),
+        fp_mul(p, (-27,), b6, b6),
+        fp_mul(p, (9,), b2, b4, b6),
+    )
     return c4, delta
 
 
 def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
     """The model in the chart s = 1/t: a_i -> s^(2i) * a_i(1/s).
 
-    Each coefficient list is padded to length 2i + 1 and reversed.  The
-    reference for the place at infinity that wild11.singular_places and
-    wild11.surface_count read off the top coefficients of the affine chart."""
+    Each coefficient tuple is padded to length 2i + 1, reversed and
+    stripped of its trailing zeros.  The reference for the place at infinity
+    that wild11.singular_places and wild11.surface_count read off the top
+    coefficients of the affine chart."""
 
-    def reversed_at(i: int) -> FpPoly:
+    def reversed_at(i: int) -> tuple[int, ...]:
         poly = getattr(model, f"a{i}")
-        return FpPoly(model.p, (list(poly.coeffs) + [0] * (2 * i + 1 - len(poly.coeffs)))[::-1])
+        return reduced((poly + (0,) * (2 * i + 1 - len(poly)))[::-1], model.p)
 
     return WeierstrassModel(
         model.p, model.kind, model.param, *(reversed_at(i) for i in (1, 2, 3, 4, 6))
     )
 
 
-def horner(poly: FpPoly, t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
+def horner(poly: tuple[int, ...], t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
     """poly in F_p[t] at the coordinate tuple t of spec, by Horner's rule."""
     acc = spec.coords_at(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
     return acc
+
+
+@lru_cache(maxsize=None)
+def _elements_and_squares(spec: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
+    """Every element of spec as a coordinate tuple, in index order, and the
+    set of their squares, by coordinate multiplication; built once per field."""
+    elements = tuple([spec.coords_at(i) for i in range(spec.q)])
+    return elements, frozenset(spec.mul(x, x) for x in elements)
 
 
 def cubic_count(spec: FieldSpec, a2: tuple[int, ...], a4: tuple[int, ...], a6: tuple[int, ...]) -> int:
@@ -193,9 +235,8 @@ def cubic_count(spec: FieldSpec, a2: tuple[int, ...], a4: tuple[int, ...], a6: t
     the value, read from the set of squares of every element: the reference
     for wild11.surface._count_cubic_points, which sums the quadratic
     character over the distinct values of the cubic's x-part."""
-    elements = [spec.coords_at(i) for i in range(spec.q)]
+    elements, squares = _elements_and_squares(spec)
     zero = elements[0]
-    squares = {spec.mul(x, x) for x in elements}
     count = 1  # the point at infinity
     for x in elements:
         w = spec.add(spec.mul(spec.add(spec.mul(spec.add(x, a2), x), a4), x), a6)

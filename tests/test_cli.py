@@ -459,7 +459,7 @@ def test_equal_degree_splitting_without_values_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr(fppoly, "monic_polys", lambda p, degree: iter(()))
     with pytest.raises(InconsistencyError):
-        fppoly.factor(c4_delta(make_model("gamma", 2, 11))[1])
+        fppoly.factor(c4_delta(make_model("gamma", 2, 11))[1], 11)
     code, out, err = run_cli(capsys, "fibers", "--kind", "gamma", "--param", "2", "--p", "11")
     assert code == EXIT_INCONSISTENT
     assert out == ""

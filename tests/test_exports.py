@@ -94,6 +94,6 @@ def test_every_public_method_has_a_use():
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
     ]
-    assert "FpPoly.degree" in methods and "FieldSpec.mul" in methods  # properties and methods
+    assert "KodairaFiber.degree" in methods and "FieldSpec.mul" in methods  # properties and methods
     attributes = _uses().attributes
     assert [name for name in methods if name.split(".")[1] not in attributes] == []

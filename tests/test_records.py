@@ -22,21 +22,20 @@ from wild11 import (
     LatticeSummary,
     WeierstrassModel,
 )
-from wild11.fppoly import FpPoly
 from wild11.record import Record
 
 ZERO = (0,) * 10
 ONE = (1,) + ZERO[1:]
-NIL = FpPoly(11)
-T11_MINUS_T = FpPoly(11, (0, -1) + (0,) * 9 + (1,))
+NIL = ()
+T11_MINUS_T = (0, 10) + (0,) * 9 + (1,)
 PLACE = FiberPlace(location=3, degree=1, vdelta=2, vc4=0)
 
 # (record class, valid field values in order, the same with one field changed)
 SAMPLES = [
     (
         WeierstrassModel,
-        (11, "epsilon", 1, NIL, FpPoly.constant(11, 1), NIL, NIL, T11_MINUS_T),
-        (11, "epsilon", 2, NIL, FpPoly.constant(11, 2), NIL, NIL, T11_MINUS_T),
+        (11, "epsilon", 1, NIL, (1,), NIL, NIL, T11_MINUS_T),
+        (11, "epsilon", 2, NIL, (2,), NIL, NIL, T11_MINUS_T),
     ),
     (FiberPlace, (3, 1, 2, 0), (3, 1, 2, None)),
     (KodairaFiber, (PLACE, "I2", 2, 2, "A1"), (PLACE, "I2", 2, 2, None)),
@@ -125,14 +124,19 @@ def test_attributes_are_read_only(cls, values, other):
     assert getattr(record, name) == values[0]
 
 
-def _model(a2: FpPoly) -> WeierstrassModel:
+def _model(a2) -> WeierstrassModel:
     return WeierstrassModel(11, "epsilon", 1, NIL, a2, NIL, NIL, NIL)
 
 
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: _model(FpPoly.monomial(11, 5)), ValueError, "deg a2 = 5 exceeds the K3 bound 4"),
+        (lambda: _model((0,) * 5 + (1,)), ValueError, "deg a2 = 5 exceeds the K3 bound 4"),
+        (lambda: _model([1]), TypeError, r"a coefficient in F_p\[t\] is a tuple of ints, got a2 = \[1\]"),
+        (lambda: _model((1.0,)), TypeError, r"a coefficient in F_p\[t\] is a tuple of ints"),
+        (lambda: _model((-1,)), ValueError, r"a2 = \(-1,\) is not reduced mod 11: entries lie in 0..10"),
+        (lambda: _model((11,)), ValueError, r"a2 = \(11,\) is not reduced mod 11"),
+        (lambda: _model((1, 0)), ValueError, r"a2 = \(1, 0\) is not reduced mod 11: .* no trailing zero"),
         (lambda: FixTally(q=11, fix=(1, 2, 3)), ValueError, "expected 11 buckets, got 3"),
         (lambda: EigenTraces(q=11, a=(ZERO,) * 9), ValueError, "expected 10 traces, got 9"),
         (
@@ -158,6 +162,11 @@ def _model(a2: FpPoly) -> WeierstrassModel:
     ],
     ids=[
         "model-degree",
+        "model-list",
+        "model-float",
+        "model-negative",
+        "model-unreduced",
+        "model-trailing-zero",
         "tally-buckets",
         "traces-count",
         "traces-type",

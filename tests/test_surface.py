@@ -22,7 +22,7 @@ from wild11 import (
 import wild11.surface as surface_module
 from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
-from wild11.fppoly import FpPoly
+from wild11.fppoly import _monic, multiplicity, reduced
 from wild11.surface import (
     COUNT_Q_LIMIT,
     _completed_cubic,
@@ -35,6 +35,8 @@ from references import (
     c4_delta_reference,
     cubic_count,
     fiber_count_at,
+    fp_add,
+    fp_mul,
     horner,
     infinity_chart,
     quadratic_character,
@@ -50,11 +52,11 @@ def _fp11():
 
 def test_make_model_coefficients():
     m = make_model("epsilon", 1, 11)
-    assert m.a2 == FpPoly.constant(11, 1)
-    assert m.a6 == FpPoly(11, (0, -1) + (0,) * 9 + (1,))
+    assert m.a2 == (1,)
+    assert m.a6 == reduced((0, -1) + (0,) * 9 + (1,), 11)
     u = make_model("uniform", None, 7)
-    assert u.a1 == FpPoly.constant(7, 1)
-    assert u.a6 == FpPoly.monomial(7, 11)
+    assert u.a1 == (1,)
+    assert u.a6 == (0,) * 11 + (1,)
     # epsilon = 0 and gamma = 0 describe the same surface
     e0 = make_model("epsilon", 0, 11)
     g0 = make_model("gamma", 0, 11)
@@ -75,14 +77,14 @@ def test_infinity_chart_of_epsilon_model():
     m = make_model("epsilon", 3, 11)
     chart = infinity_chart(m)
     a1s, a2s, a3s, a4s, a6s = chart.a1, chart.a2, chart.a3, chart.a4, chart.a6
-    assert a2s == FpPoly(11, (0, 0, 0, 0, 3))
-    assert a6s == FpPoly(11, (0, 1) + (0,) * 9 + (10,))
+    assert a2s == (0, 0, 0, 0, 3)
+    assert a6s == (0, 1) + (0,) * 9 + (10,)
     assert not a1s and not a3s and not a4s
 
 
-def _assert_unit_multiple(actual: FpPoly, expected: FpPoly):
-    # same polynomial up to one scalar: compare monic normalizations
-    assert actual.monic() == expected.monic()
+def _assert_unit_multiple(actual, expected, p):
+    # same nonzero polynomial up to one scalar: compare monic normalizations
+    assert actual and _monic(actual, p) == _monic(expected, p)
 
 
 @pytest.mark.parametrize("eps", range(1, 11))
@@ -90,23 +92,23 @@ def test_epsilon_discriminant_formula(eps):
     m = make_model("epsilon", eps, 11)
     _, delta = c4_delta(m)
     p = 11
-    t11_minus_t = FpPoly(p, (0, -1) + (0,) * 9 + (1,))
-    second = FpPoly(p, (4 * eps**3, -5) + (0,) * 9 + (5,))  # 5t^11 - 5t + 4 eps^3
-    _assert_unit_multiple(delta, t11_minus_t * second)
+    t11_minus_t = reduced((0, -1) + (0,) * 9 + (1,), p)
+    second = reduced((4 * eps**3, -5) + (0,) * 9 + (5,), p)  # 5t^11 - 5t + 4 eps^3
+    _assert_unit_multiple(delta, fp_mul(p, t11_minus_t, second), p)
 
 
 def test_epsilon_zero_discriminant_degenerates_to_square():
     m = make_model("epsilon", 0, 11)
     _, delta = c4_delta(m)
-    t11_minus_t = FpPoly(11, (0, -1) + (0,) * 9 + (1,))
-    _assert_unit_multiple(delta, t11_minus_t * t11_minus_t)
+    t11_minus_t = reduced((0, -1) + (0,) * 9 + (1,), 11)
+    _assert_unit_multiple(delta, fp_mul(11, t11_minus_t, t11_minus_t), 11)
 
 
 def test_uniform_discriminant_formula():
     m = make_model("uniform", None, 7)
     _, delta = c4_delta(m)
-    expected = FpPoly.monomial(7, 11) * FpPoly(7, (1,) + (0,) * 10 + (432,))
-    _assert_unit_multiple(delta, expected)
+    expected = fp_mul(7, (0,) * 11 + (1,), (1,) + (0,) * 10 + (432,))
+    _assert_unit_multiple(delta, expected, 7)
 
 
 @pytest.mark.parametrize("kind,param", [("epsilon", 1), ("gamma", 1), ("uniform", None)])
@@ -114,16 +116,16 @@ def test_discriminant_total_degree_is_24(kind, param):
     m = make_model(kind, param, 11)
     _, delta = c4_delta(m)
     _, delta_inf = c4_delta(infinity_chart(m))
-    v_inf = next(i for i, c in enumerate(delta_inf.coeffs) if c)
-    assert delta.degree + v_inf == 24
+    v_inf = next(i for i, c in enumerate(delta_inf) if c)
+    assert len(delta) - 1 + v_inf == 24
 
 
 def _reference_place_at_infinity(model):
     """[(v(Delta), v(c4))] at s = 0 on the reference chart, or [] when Delta(0) != 0 there."""
     c4_s, delta_s = c4_delta(infinity_chart(model))
-    s = FpPoly.monomial(model.p, 1)
-    v_delta = delta_s.multiplicity_of(s)
-    return [(v_delta, c4_s.multiplicity_of(s) if c4_s else None)] if v_delta else []
+    s, p = (0, 1), model.p
+    v_delta = multiplicity(s, delta_s, p)
+    return [(v_delta, multiplicity(s, c4_s, p) if c4_s else None)] if v_delta else []
 
 
 def _place_at_infinity(model):
@@ -145,7 +147,7 @@ def test_place_at_infinity_matches_reference_chart(kind, param, p):
 def test_c4_delta_matches_fppoly_formula_on_random_models(p, data):
     # any a_i up to the K3 degree bound 2i, including the zero polynomial
     def coefficient(i):
-        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=2 * i + 1)))
+        return reduced(data.draw(st.lists(st.integers(0, p - 1), max_size=2 * i + 1)), p)
 
     model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
     assert c4_delta(model) == c4_delta_reference(model)
@@ -160,7 +162,7 @@ def test_place_at_infinity_of_random_models(p, data):
 
     def coefficient(i):
         length = 2 * i + 1 if full else data.draw(st.integers(0, 2 * i + 1))
-        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)))
+        return reduced(data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)), p)
 
     model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
     assume(c4_delta(model)[1])
@@ -170,7 +172,7 @@ def test_place_at_infinity_of_random_models(p, data):
     # surface_count's table beyond the finite fibers (the guard is bypassed:
     # a Weierstrass model's count is defined whatever its fibers)
     chart = infinity_chart(model)
-    a1, a2, a3, a4, a6 = (a.coeffs[0] if a else 0 for a in (chart.a1, chart.a2, chart.a3, chart.a4, chart.a6))
+    a1, a2, a3, a4, a6 = (a[0] if a else 0 for a in (chart.a1, chart.a2, chart.a3, chart.a4, chart.a6))
     affine = sum(
         (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
         for x in range(p)
@@ -304,29 +306,28 @@ def test_squarefree_guard_matches_place_classification(p, data):
     # beside the simple ones; y^2 = x^3 + a6 has c4 = 0, where only the
     # squarefree test tells a cusp (v(Delta) = 2) from worse
     def poly(degree):
-        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1)))
+        return reduced(data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1)), p)
 
     pi = poly(data.draw(st.integers(1, 2)))
 
     def coefficient(i):
-        planted = FpPoly.constant(p, 1)
+        planted = (1,)
         for _ in range(data.draw(st.integers(0, 3))):
-            planted = planted * pi
-        if planted.degree > 2 * i:
-            planted = FpPoly.constant(p, 1)
-        return planted * poly(data.draw(st.integers(0, 2 * i - planted.degree)))
+            planted = fp_mul(p, planted, pi)
+        if len(planted) - 1 > 2 * i:
+            planted = (1,)
+        return fp_mul(p, planted, poly(data.draw(st.integers(0, 2 * i - (len(planted) - 1)))))
 
     j_zero = data.draw(st.booleans())
     model = WeierstrassModel(
-        p, "random", None, *(FpPoly(p) if j_zero and i < 6 else coefficient(i) for i in (1, 2, 3, 4, 6))
+        p, "random", None, *(() if j_zero and i < 6 else coefficient(i) for i in (1, 2, 3, 4, 6))
     )
     assume(c4_delta(model)[1])
     assert _every_fiber_irreducible(model) == _fibers_irreducible_by_places(model)
 
 
 def _model_11(a1, a4, a6):
-    p = 11
-    return WeierstrassModel(p, "random", None, FpPoly(p, a1), FpPoly(p), FpPoly(p), FpPoly(p, a4), FpPoly(p, a6))
+    return WeierstrassModel(11, "random", None, a1, (), (), a4, a6)
 
 
 # y^2 + x y = x^3 + a6 has Delta = -a6 (1 + 432 a6) and c4 = 1, so v(Delta)
@@ -358,8 +359,7 @@ def test_squarefree_guard_accepts_double_factors_of_c4():
 
 
 def test_vanishing_discriminant_is_refused():
-    zero = FpPoly(11)
-    model = WeierstrassModel(11, "random", None, zero, zero, zero, zero, zero)
+    model = WeierstrassModel(11, "random", None, (), (), (), (), ())
     for check in (_every_fiber_irreducible, singular_places, lambda m: surface_count(m, _fp11())):
         with pytest.raises(ValueError, match="discriminant vanishes identically"):
             check(model)
@@ -424,7 +424,11 @@ def _reference_surface_count(model, spec):
 
     def fiber(chart, t):
         a1, a2, a3, a4, a6 = chart.a1, chart.a2, chart.a3, chart.a4, chart.a6
-        completed = (a2 + a1 * a1 * (inv2 * inv2), a4 + a1 * a3 * inv2, a6 + a3 * a3 * (inv2 * inv2))
+        completed = (
+            fp_add(p, a2, fp_mul(p, a1, a1, (inv2 * inv2,))),
+            fp_add(p, a4, fp_mul(p, a1, a3, (inv2,))),
+            fp_add(p, a6, fp_mul(p, a3, a3, (inv2 * inv2,))),
+        )
         A2, A4, A6 = (horner(poly, t, spec) for poly in completed)
         if (A2, A4) not in linear_parts:
             linear_parts[A2, A4] = [add(add(x3, mul(A2, x2)), mul(A4, x)) for x, x2, x3 in powers]
@@ -489,7 +493,7 @@ def test_surface_count_of_random_models_matches_reference(field, data):
     p, r = field
 
     def coefficient(i):
-        return FpPoly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=2 * i + 1, max_size=2 * i + 1)))
+        return reduced(data.draw(st.lists(st.integers(0, p - 1), min_size=2 * i + 1, max_size=2 * i + 1)), p)
 
     model = WeierstrassModel(p, "random", None, *(coefficient(i) for i in (1, 2, 3, 4, 6)))
     assume(c4_delta(model)[1])
