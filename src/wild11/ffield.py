@@ -3,10 +3,11 @@
 Fields are bounded by size alone, q <= Q_LIMIT, whatever the degree; the
 point count stops at q = 11^4.  A FieldSpec is only the field: the counting
 layers build their own lookup tables from its indices (surface for the point
-count, equivariant for the tally), so no table is shared between them.  An
-extension is described by its canonical modulus, and an element is its
-coordinate tuple (c_0, ..., c_{r-1}) in the power basis of that modulus, or
-the index sum_j c_j p^j of that tuple.  One rule picks the modulus for every
+count, equivariant for the tally), so no table is shared between them.  F_q
+is F_p[u]/(m) for its canonical modulus m: an element is its remainder mod m
+as a reduced F_p[u] tuple of fppoly (() for zero), or the index sum_j c_j p^j
+of its coefficients c_j, and its products and powers are fppoly's `_divmod`
+and `_pow_mod` modulo m.  One rule picks the modulus for every
 (p, r): the first monic irreducible of degree r in `fppoly.monic_polys`
 order, that is, in base-p order of the lower coefficients.  So r = 1 gives
 t, F_4 is F_2[u]/(u^2 + u + 1), and for odd p, r = 2 gives u^2 + c with c
@@ -24,8 +25,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import digits, is_irreducible, monic_polys
-from .polynomials import divmod_monic, poly_mul, poly_str, power
+from .fppoly import _add, _divmod, _pow_mod, digits, is_irreducible, monic_polys, reduced
+from .polynomials import poly_mul, poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
 # O(q^2) point count has its own, lower limit (surface.COUNT_Q_LIMIT).
@@ -80,9 +81,9 @@ class FieldSpec:
     irreducible of degree r in `monic_polys` order, so two FieldSpecs of
     the same size describe the same field with the same indices.
 
-    The methods `add`, `mul`, `smul` and `pow` act on coordinate tuples;
-    `index_of` and `coords_at` convert between tuples and indices, the form
-    the counting layers' lookup tables are indexed by.
+    `mul` and `pow` hide the modulus; they take reduced or zero-padded tuples
+    and return reduced ones, and sums are `fppoly._add`.  `index_of` and
+    `coords_at` convert between tuples and the counting layers' indices.
     """
 
     __slots__ = ("p", "r", "q", "modulus")
@@ -126,35 +127,24 @@ class FieldSpec:
         return idx
 
     def coords_at(self, index: int) -> tuple[int, ...]:
-        return digits(index, self.p, self.r)
+        return reduced(digits(index, self.p, self.r), self.p)
 
-    # -- coordinate arithmetic --------------------------------------------------
+    # -- arithmetic modulo the modulus --------------------------------------------
 
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        return _divmod(poly_mul(a, b), self.modulus, self.p)[1]
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """poly_mul's product, reduced by the monic modulus with divmod_monic, then
-        mod p (a monic division never divides, so it commutes with reduction mod p)."""
-        p = self.p
-        return tuple([c % p for c in divmod_monic(poly_mul(a, b), self.modulus)[1]])
-
-    def smul(self, s: int, a: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple(s * x % p for x in a)
-
-    def pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    def pow(self, a: Sequence[int], e: int) -> tuple[int, ...]:
         """a^e for e >= 0."""
-        return power(a, e, self.mul, self.coords_at(1))
+        return _pow_mod(a, e, self.modulus, self.p)
 
 
-def trace_to_base(spec: FieldSpec, x: tuple[int, ...]) -> int:
+def trace_to_base(spec: FieldSpec, x: Sequence[int]) -> int:
     """Tr_{F_q/F_p}(x) = sum of x^(p^j), returned as an integer residue mod p."""
     acc = img = x
     for _ in range(spec.r - 1):
         img = spec.pow(img, spec.p)
-        acc = spec.add(acc, img)
-    if any(acc[1:]):
+        acc = _add(acc, img, spec.p)
+    if len(acc) > 1:
         raise InconsistencyError(f"trace {acc} has nonzero higher coordinates")
-    return acc[0]
+    return acc[0] if acc else 0

@@ -24,8 +24,9 @@ A polynomial in F_p[t] is a reduced tuple of ints: constant term first,
 every entry in 0 .. p - 1, no trailing zero, () for zero, so equality is
 tuple equality.  `reduced` brings any integer coefficients to that form.
 The functions here take p as their last argument.  `_divmod` is the one
-F_p[t] division loop; the gcd, the modular powers (`polynomials.power` over
-`poly_mul` and that loop), `multiplicity` and the factorization call it.
+F_p[t] division loop; the gcd, the modular powers `_pow_mod`
+(`polynomials.power` over `poly_mul` and that loop), `multiplicity`, the
+factorization and the products and powers of F_q = F_p[u]/(m) (ffield) call it.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def digits(index: int, p: int, r: int) -> tuple[int, ...]:
     """The r base-p digits of index, least significant first.
 
     They are the lower coefficients of the index-th monic polynomial of
-    degree r in monic_polys, and the coordinates of element `index` of
-    F_(p^r) in ffield's power basis."""
+    degree r in monic_polys; reduced, they are element `index` of F_(p^r)
+    (ffield.FieldSpec.coords_at)."""
     coords = []
     for _ in range(r):
         coords.append(index % p)

@@ -6,13 +6,13 @@ tuple equality.  Python ints are arbitrary precision: characteristic
 polynomials of Frobenius on a K3 surface have constant terms near 11^20,
 well past 64 bits.
 
-Provides the loops every quotient ring of the package reuses (the product,
-long division by a monic polynomial, square-and-multiply), cyclotomic
-polynomials, divisibility with multiplicity by a monic polynomial (the
-root-of-unity detector behind the Picard bound), the Newton slopes at a
-prime as plain (valuation, multiplicity) pairs, and the palindrome test for
-the Weil functional equation.  Division is only ever by monic divisors, so
-it never leaves Z[T].
+Provides the product every ring of the package reuses, square-and-multiply
+(fppoly's powers in F_p[t] and F_q), long division by a monic polynomial
+(Z[T] only), cyclotomic polynomials, divisibility with multiplicity by a
+monic polynomial (the root-of-unity detector behind the Picard bound), the
+Newton slopes at a prime as plain (valuation, multiplicity) pairs, and the
+palindrome test for the Weil functional equation.  Division is only ever by
+monic divisors, so it never leaves Z[T].
 """
 
 from __future__ import annotations

@@ -294,20 +294,19 @@ def _field_tables(spec: FieldSpec) -> tuple:
         bj, pj = base**j, p**j
         pack = [s + c * bj for c in range(p) for s in pack]
         unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
-    one = spec.coords_at(1)
     # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1
     cofactors = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
     g = next(
         spec.coords_at(i)
         for i in range(1, q)
-        if all(spec.pow(spec.coords_at(i), c) != one for c in cofactors)
+        if all(spec.pow(spec.coords_at(i), c) != (1,) for c in cofactors)
     )
     # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
     # time, adding the multiples of u^j * g by carry-free packed addition
     times_g = [0]
     for j in range(spec.r):
         column = spec.mul(spec.coords_at(p**j), g)
-        multiples = [pack[spec.index_of(spec.smul(c, column))] for c in range(p)]
+        multiples = [pack[spec.index_of(reduced([c * x for x in column], p))] for c in range(p)]
         times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
     log = [-1] * q
     exp = []
@@ -359,7 +358,6 @@ def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, in
     return tuple((n, _bits(preimages, n)) for n in sorted(set(counts.values())))
 
 
-@lru_cache(maxsize=None)
 def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q.
 

@@ -13,7 +13,7 @@ from unittest import mock
 
 from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
 from wild11.cyclotomic import DEGREE, ORDER
-from wild11.fppoly import is_irreducible, reduced
+from wild11.fppoly import _add, is_irreducible, reduced
 from wild11.polynomials import divmod_monic, cyclotomic_poly, poly_mul
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
@@ -212,17 +212,17 @@ def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
 
 
 def horner(poly: tuple[int, ...], t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
-    """poly in F_p[t] at the coordinate tuple t of spec, by Horner's rule."""
-    acc = spec.coords_at(0)
+    """poly in F_p[t] at the element t of spec, by Horner's rule."""
+    acc = ()
     for c in reversed(poly):
-        acc = spec.add(spec.mul(acc, t), spec.coords_at(c))
+        acc = _add(spec.mul(acc, t), (c,), spec.p)
     return acc
 
 
 @lru_cache(maxsize=None)
 def _elements_and_squares(spec: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
-    """Every element of spec as a coordinate tuple, in index order, and the
-    set of their squares, by coordinate multiplication; built once per field."""
+    """Every element of spec as a reduced tuple, in index order, and the
+    set of their squares, by FieldSpec.mul; built once per field."""
     elements = tuple([spec.coords_at(i) for i in range(spec.q)])
     return elements, frozenset(spec.mul(x, x) for x in elements)
 
@@ -230,16 +230,17 @@ def _elements_and_squares(spec: FieldSpec) -> tuple[tuple[tuple[int, ...], ...],
 def cubic_count(spec: FieldSpec, a2: tuple[int, ...], a4: tuple[int, ...], a6: tuple[int, ...]) -> int:
     """Projective F_q-points of y^2 = x^3 + a2 x^2 + a4 x + a6 (odd q), one x at a time.
 
-    The coefficients are coordinate tuples.  Each x goes through Horner's
-    rule in coordinate arithmetic and adds the number of y with y^2 equal to
+    The coefficients are F_q elements as tuples.  Each x goes through Horner's
+    rule in tuple arithmetic and adds the number of y with y^2 equal to
     the value, read from the set of squares of every element: the reference
     for wild11.surface._count_cubic_points, which sums the quadratic
     character over the distinct values of the cubic's x-part."""
+    p = spec.p
     elements, squares = _elements_and_squares(spec)
     zero = elements[0]
     count = 1  # the point at infinity
     for x in elements:
-        w = spec.add(spec.mul(spec.add(spec.mul(spec.add(x, a2), x), a4), x), a6)
+        w = _add(spec.mul(_add(spec.mul(_add(x, a2, p), x), a4, p), x), a6, p)
         count += 1 if w == zero else 2 if w in squares else 0
     return count
 
@@ -249,7 +250,7 @@ def fiber_count_at(model: WeierstrassModel, t0: int, spec: FieldSpec) -> int:
 
     t0 is the element index of t in `spec` (0 <= t0 < q), a field of the
     model's odd characteristic.  A2, A4 and A6 are evaluated at t by
-    Horner's rule in coordinate arithmetic, one fiber at a time: the
+    Horner's rule in tuple arithmetic, one fiber at a time: the
     per-fiber reference for wild11.surface_count, which evaluates them at
     every t at once through log/exp tables."""
     if not (isinstance(t0, int) and 0 <= t0 < spec.q):

@@ -32,6 +32,7 @@ from wild11.cyclotomic import ORDER
 from wild11.delsarte import supersingular_possible
 from wild11.equivariant import assemble_charpoly, check_conjugates
 from wild11.ffield import is_prime
+from wild11.fppoly import _add, reduced
 from reference_values import MU_TILDE_BY_CLASS, SQUARES_MOD_11
 from references import fiber_count_at, sum_as_int
 
@@ -104,7 +105,7 @@ def test_criterion_4_counting_identities():
     for spec in (FieldSpec(P), spec3):
         q = spec.q
         for t in range(1, q):
-            minus_t = spec.index_of(spec.smul(-1, spec.coords_at(t)))
+            minus_t = spec.index_of(reduced([-c for c in spec.coords_at(t)], spec.p))
             if fiber_count_at(model, t, spec) + fiber_count_at(model, minus_t, spec) != 2 * q + 2:
                 ok = False
                 break
@@ -188,15 +189,15 @@ def test_criterion_7_proposition_suite():
 
 def _missigned_tally(model, spec) -> FixTally:
     """The tally as computed with the wrong bucket sign n = +Tr(c)."""
-    q = spec.q
+    p, q = spec.p, spec.q
     fix = [2 * q + 1] * ORDER
     elements = [spec.coords_at(i) for i in range(q)]
     for x in elements:
         x2 = spec.mul(x, x)
-        w = spec.add(spec.mul(x2, x), spec.smul(model.param or 0, x2 if model.kind == "epsilon" else x))
-        minus_w = spec.smul(-1, w)
+        w = _add(spec.mul(x2, x), [(model.param or 0) * c for c in (x2 if model.kind == "epsilon" else x)], p)
+        minus_w = reduced([-c for c in w], p)
         for y in elements:
-            c = spec.add(spec.mul(y, y), minus_w)
+            c = _add(spec.mul(y, y), minus_w, p)
             fix[trace_to_base(spec, c) % ORDER] += ORDER
     return FixTally(q=q, fix=tuple(fix))
 

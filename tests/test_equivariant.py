@@ -23,6 +23,7 @@ from wild11 import (
 from wild11.analysis import normalize
 from wild11.cli import cmd_table
 from wild11.equivariant import _trace_histogram, check_conjugates
+from wild11.fppoly import _add, reduced
 from wild11.polynomials import poly_mul
 from reference_values import (
     GOLDEN_FIX0_EPS1_Q121,
@@ -58,20 +59,20 @@ def naive_tally_f11(kind, param, bucket_sign=-1):
 
 def _reference_tally(model, spec):
     """Slow reference: every (x, y) in F_q^2 adds 11 to bucket -Tr(y^2 - w(x))."""
-    q = spec.q
+    p, q = spec.p, spec.q
     buckets = [2 * q + 1] * 11
     coords = [spec.coords_at(i) for i in range(q)]
-    neg_trace = [(-trace_to_base(spec, x)) % spec.p for x in coords]
+    neg_trace = [(-trace_to_base(spec, x)) % p for x in coords]
     y_squares = [spec.mul(c, c) for c in coords]
     param = model.param or 0
     for x in coords:
         x2 = spec.mul(x, x)
         w = spec.mul(x2, x)
         if param:
-            w = spec.add(w, spec.smul(param, x2 if model.kind == "epsilon" else x))
-        minus_w = spec.smul(-1, w)
+            w = _add(w, [param * c for c in (x2 if model.kind == "epsilon" else x)], p)
+        minus_w = reduced([-c for c in w], p)
         for ysq in y_squares:
-            buckets[neg_trace[spec.index_of(spec.add(ysq, minus_w))]] += 11
+            buckets[neg_trace[spec.index_of(_add(ysq, minus_w, p))]] += 11
     return tuple(buckets)
 
 

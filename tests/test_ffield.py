@@ -8,14 +8,20 @@ import pytest
 from wild11 import CapabilityError, FieldSpec, fppoly, trace_to_base
 from wild11.equivariant import _neg_trace_table
 from wild11.ffield import is_prime
-from wild11.fppoly import is_irreducible
+from wild11.fppoly import _add, is_irreducible, reduced
+from wild11.polynomials import divmod_monic, poly_mul
 from wild11.surface import _field_tables
-from references import fp_mul, quadratic_character, spec_with_modulus
+from references import quadratic_character, spec_with_modulus
 
 
 def _elements(spec):
-    """Every element of spec as a coordinate tuple, in index order."""
+    """Every element of spec as a reduced F_p[u] tuple, in index order."""
     return [spec.coords_at(i) for i in range(spec.q)]
+
+
+def _padded(spec, x):
+    """x with trailing zeros up to the r coordinates of spec."""
+    return tuple(x) + (0,) * (spec.r - len(x))
 
 
 def _spec(p, r, modulus):
@@ -50,7 +56,8 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
 def test_canonical_quadratic_modulus():
     spec = FieldSpec(11, 2)
     assert spec.modulus == (1, 0, 1)  # u^2 + 1: -1 is a non-residue mod 11
-    assert spec.mul((0, 1), (0, 1)) == (10, 0)
+    assert spec.mul((0, 1), (0, 1)) == (10,)
+    assert spec.coords_at(0) == () and spec.coords_at(1) == (1,) and spec.coords_at(11) == (0, 1)
     assert repr(spec) == "FieldSpec(F_121 = F_11[u]/(u^2 + 1))"
     assert FieldSpec(3, 2).modulus == (1, 0, 1)  # u^2 + 1
 
@@ -103,9 +110,9 @@ def test_canonical_modulus_is_first_irreducible(p, r):
 
 
 def _reference_mul(spec, a, b):
-    """a * b as the product in F_p[u] reduced by polynomial division by the modulus."""
-    rem = fppoly._divmod(fp_mul(spec.p, a, b), spec.modulus, spec.p)[1]
-    return rem + (0,) * (spec.r - len(rem))
+    """a * b as the product in Z[u], divided by the monic modulus over Z,
+    then reduced mod p and stripped of trailing zeros."""
+    return reduced(divmod_monic(poly_mul(a, b), spec.modulus)[1], spec.p)
 
 
 @pytest.mark.parametrize("p,r", [(7, 2), (11, 2)])
@@ -114,7 +121,10 @@ def test_mul_matches_polynomial_reference_exhaustively(p, r):
     els = _elements(spec)
     for a in els:
         for b in els:
-            assert spec.mul(a, b) == _reference_mul(spec, a, b)
+            expected = _reference_mul(spec, a, b)
+            assert spec.mul(a, b) == expected
+            # padded inputs give the same reduced product
+            assert spec.mul(_padded(spec, a), _padded(spec, b)) == expected
 
 
 @pytest.mark.parametrize(
@@ -127,6 +137,19 @@ def test_mul_matches_polynomial_reference_sampled(p, r, modulus):
     for _ in range(3000):
         a, b = (tuple(rng.randrange(p) for _ in range(r)) for _ in range(2))
         assert spec.mul(a, b) == _reference_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("p,r", [(11, 2), (11, 3), (3, 5), (2, 10)])
+def test_pow_matches_repeated_reference_products(p, r):
+    spec = FieldSpec(p, r)
+    rng = random.Random(4100 + spec.q)
+    for _ in range(20):
+        x = reduced([rng.randrange(p) for _ in range(r)], p)
+        expected = (1,)
+        for e in range(30):
+            assert spec.pow(x, e) == expected, (x, e)
+            assert spec.pow(_padded(spec, x), e) == expected, (x, e)
+            expected = _reference_mul(spec, expected, x)
 
 
 def test_spec_construction_errors():
@@ -160,8 +183,9 @@ def test_fields_are_bounded_by_size_not_degree():
 
 def test_trace_examples():
     spec = FieldSpec(11, 2)
-    # base-field values double
+    # base-field values double, given reduced or padded
     for a in range(11):
+        assert trace_to_base(spec, reduced((a,), 11)) == 2 * a % 11
         assert trace_to_base(spec, (a, 0)) == 2 * a % 11
     # the generator u has trace zero: u^11 = -u
     assert trace_to_base(spec, (0, 1)) == 0
@@ -176,6 +200,7 @@ def test_trace_is_linear_and_balanced():
     hits = {v: 0 for v in range(11)}
     for x in _elements(spec):
         hits[trace_to_base(spec, x)] += 1
+        assert trace_to_base(spec, _padded(spec, x)) == trace_to_base(spec, x)
     # surjective onto F_p, each value hit exactly p times... q/p = 11 per value
     assert all(count == 11 for count in hits.values())
 
@@ -186,7 +211,7 @@ def test_artin_schreier_image_is_trace_kernel():
     spec = FieldSpec(11, 2)
     image_counts: dict[tuple, int] = {}
     for t in _elements(spec):
-        c = spec.add(spec.pow(t, 11), spec.smul(-1, t))
+        c = _add(spec.pow(t, 11), reduced([-x for x in t], 11), 11)
         image_counts[c] = image_counts.get(c, 0) + 1
     kernel = {x for x in _elements(spec) if trace_to_base(spec, x) == 0}
     assert set(image_counts) == kernel
@@ -221,7 +246,11 @@ def test_fermat_little_exhaustive(p, r):
 
 def test_field_axioms_exhaustive_f9():
     spec = FieldSpec(3, 2)
-    add, mul = spec.add, spec.mul
+    mul = spec.mul
+
+    def add(a, b):
+        return _add(a, b, 3)
+
     els = _elements(spec)
     for a in els:
         for b in els:
@@ -305,7 +334,7 @@ def test_packed_tables_add_exhaustively():
     assert len(unpack) == 5**3
     for a in range(spec.q):
         for b in range(spec.q):
-            expected = spec.index_of(spec.add(spec.coords_at(a), spec.coords_at(b)))
+            expected = spec.index_of(_add(spec.coords_at(a), spec.coords_at(b), spec.p))
             assert unpack[pack[a] + pack[b]] == expected
 
 
