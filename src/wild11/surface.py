@@ -20,23 +20,26 @@ is deliberately naive: enumerate x, add 1 + chi(cubic in x) points per
 fiber (odd characteristic; the substitution y -> y - (a1*x + a3)/2 removes
 the crossed terms first).  Counts are exact integers, and identical no
 matter how the enumeration is partitioned.  surface_count works on element
-indices: the cubic is completed once, A2, A4 and A6 are evaluated at every
-t in one pass through log/exp tables, and each fiber's character sum is
-read from bitsets.  The distinct values w of the x-part
+indices: the cubic is completed once, A2, A4 and A6 are evaluated once per
+closed point of the t-line (at t = 0 and at one t per Frobenius orbit of
+F_q^*) through log/exp tables, and each fiber's character sum is read from
+bitsets.  The distinct values w of the x-part
 x^3 + A2 x^2 + A4 x are the bits of one int per preimage count n (at most
 three ints), set at their carry-free packed positions, so adding A6 to
 every value is one shift, and the squares and nonsquares among the sums are
 two ANDs and two popcounts against the character's bitsets over packed
-sums.  Those tables, the Frobenius map and the character bitsets are built
-once per field here (_field_tables), from FieldSpec's indices; the value
-masks come from enumerating every x once per (A2, A4).  Every build is
-linear in its table.  One table of coefficient triples covers P^1(F_q): the q
-finite fibers, and the fiber at infinity, the cubic of those top
-coefficients, as one more key.  It counts one fiber per Frobenius orbit:
-x -> x^p is an automorphism of F_q, so the fibers with coefficients
-(a2, a4, a6) and (a2^p, a4^p, a6^p) have equal counts, and each orbit is
-counted once, on its least triple of indices, times the number of places
-in it.  None of these tables is used by the equivariant tally.
+sums.  Those tables, the Frobenius map, the cubes x^3, the orbits of
+F_q^* and the character bitsets are built once per field here
+(_field_tables), from FieldSpec's indices; the value masks come from
+enumerating every x once per (A2, A4), starting from the cubes.  Every build
+is linear in its table.  One table of coefficient triples covers P^1(F_q):
+t = 0, one t per orbit of F_q^*, and the fiber at infinity, the cubic of
+those top coefficients.  It counts one fiber per Frobenius orbit: x -> x^p
+is an automorphism of F_q and A_i(t^p) = A_i(t)^p, so the d fibers over an
+orbit of size d are conjugate, each key is weighted by its orbit's size,
+and the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p) have
+equal counts; each orbit of triples is counted once, on its least triple of
+indices.  None of these tables is used by the equivariant tally.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
@@ -64,13 +67,14 @@ from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
 
-# surface_count counts one fiber per Frobenius orbit, each by at most three
-# shifted masks of (2p - 1)^r bits against the character bitsets.  Near the
-# limit (Python 3.11, one core of a 2-core x86 host, epsilon 1 and gamma 1 in
-# a fresh process, tables included) a count at q = 11^4 (1331 distinct fibers
-# in 336 orbits, masks of 21^4 bits) takes 70-80 ms and at the prime 14639
-# (9255 distinct fibers, Frobenius the identity) 0.14-0.25 s.  At 31^4 the
-# tables would hold 61^4 = 1.4e7 packed sums, and about 230000 orbits at
+# surface_count evaluates the cubic once per closed point of the t-line and
+# counts one fiber per Frobenius orbit, each by at most three shifted masks of
+# (2p - 1)^r bits against the character bitsets.  Near the limit (Python 3.11,
+# one core of a 2-core x86 host, epsilon 1 and gamma 1 in a fresh process,
+# tables included) a count at q = 11^4 (3696 evaluation points, 1331 distinct
+# fibers in 336 orbits, masks of 21^4 bits) takes 65-80 ms and at the prime
+# 14639 (9255 distinct fibers, Frobenius the identity) 0.14-0.25 s.  At 31^4
+# the tables would hold 61^4 = 1.4e7 packed sums, and about 230000 orbits at
 # 1.3 ms of bitset work per mask would take a quarter of an hour.
 COUNT_Q_LIMIT = 11**4
 
@@ -270,7 +274,7 @@ def _bits(classes: bytes | bytearray, c: int) -> int:
 
 @lru_cache(maxsize=None)  # one entry per field; equal FieldSpecs share it
 def _field_tables(spec: FieldSpec) -> tuple:
-    """(log, exp, pack, unpack, squares, nonsquares, frob): the count's tables for F_q, odd p.
+    """(log, exp, pack, unpack, squares, nonsquares, frob, cubes, orbits): the count's tables for F_q, odd p.
 
     pack[i] reads the coordinates c_j of element i as digits in base
     2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
@@ -283,12 +287,17 @@ def _field_tables(spec: FieldSpec) -> tuple:
     bit pack[a] + pack[b] of squares is set iff a + b is a nonzero square,
     of nonsquares iff it is a nonsquare, read from the logarithm as
     chi(g^k) = (-1)^k.  frob[i] is the index of x^p for x of index i,
-    exp[p * log x mod (q - 1)], and 0 -> 0.
+    exp[p * log x mod (q - 1)], and 0 -> 0.  cubes[k] is the index of
+    g^(3k), x^3 at x = g^k.  orbits holds one log per Frobenius orbit of
+    F_q^*, as pairs (d, logs), one for each d | r: x -> x^p is k -> p*k
+    mod (q - 1) on logs, an orbit of size d lies in F_(p^d)^*, whose logs
+    are the multiples of (q - 1)/(p^d - 1), and its least log stands for it.
+    At r = 1 every orbit is one element, and logs is range(q - 1).
     """
-    p, q = spec.p, spec.q
+    p, r, q = spec.p, spec.r, spec.q
     base = 2 * p - 1
     pack, unpack = [0], [0]
-    for j in range(spec.r):
+    for j in range(r):
         # index c * p^j + k packs to c * base^j + pack[k]; packed d * base^j + s
         # unpacks to (d mod p) * p^j + unpack[s]
         bj, pj = base**j, p**j
@@ -304,7 +313,7 @@ def _field_tables(spec: FieldSpec) -> tuple:
     # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
     # time, adding the multiples of u^j * g by carry-free packed addition
     times_g = [0]
-    for j in range(spec.r):
+    for j in range(r):
         column = spec.mul(spec.coords_at(p**j), g)
         multiples = [pack[spec.index_of(reduced([c * x for x in column], p))] for c in range(p)]
         times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
@@ -323,26 +332,35 @@ def _field_tables(spec: FieldSpec) -> tuple:
     for i in exp[::2]:
         classes[i] = 1
     classes = bytes(itemgetter(*unpack)(classes))
-    return log, exp, pack, unpack, _bits(classes, 1), _bits(classes, 2), frob
+    cubes = (exp * 3)[::3]  # entry k is exp[3k mod (q - 1)]
+    orbits = []
+    for d in range(1, r + 1):
+        if r % d == 0:
+            # the logs of F_(p^d)^*, less each log below some conjugate and
+            # each of smaller degree e | d, its own e-th conjugate
+            least = range(0, q - 1, (q - 1) // (p**d - 1))
+            for j in range(1, d):
+                pj = p**j
+                least = [k for k in least if k < k * pj % (q - 1)]
+            orbits.append((d, least))
+    return log, exp, pack, unpack, _bits(classes, 1), _bits(classes, 2), frob, cubes, tuple(orbits)
 
 
-def _values_everywhere(coeffs: tuple[int, ...], spec: FieldSpec) -> list[int]:
-    """Index of sum_n coeffs[n] t^n for every t in F_q, in index order.
+def _values_at(coeffs: Sequence[int], spec: FieldSpec, logs: Sequence[int], acc: list[int]) -> list[int]:
+    """acc[i] plus sum_{n >= 1} coeffs[n] t^n at t = g^logs[i], by index.
 
-    The coefficients are element indices (an F_p coefficient c is index c).
-    The values start at the constant term; at t = g^k the term c*t^n of
-    degree n >= 1 is exp[(log c + n*k) % (q - 1)], and the terms add by
-    carry-free packed addition; t = 0 takes the constant term alone."""
+    The coefficients are element indices (an F_p coefficient c is index c);
+    coeffs[0] is not read, since acc holds what the caller has already
+    summed at each t, such as the constant term.  The term c*t^n at t = g^k
+    is exp[(log c + n*k) % (q - 1)], and the terms add by carry-free packed
+    addition."""
     m = spec.q - 1
     log, exp, pack, unpack, *_ = _field_tables(spec)
-    log_t = log[1:]
-    c0 = coeffs[0] if coeffs else 0
-    acc = [c0] * m
     for n, c in enumerate(coeffs[1:], 1):
         if c:
             lc = log[c]
-            acc = [unpack[pack[a] + pack[exp[(lc + n * lt) % m]]] for a, lt in zip(acc, log_t)]
-    return [c0] + acc
+            acc = [unpack[pack[a] + pack[exp[(lc + n * k) % m]]] for a, k in zip(acc, logs)]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -350,8 +368,9 @@ def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, in
     """The distinct values of x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
     by index, grouped by their number n of preimages x: ((n, mask), ...),
     where bit pack[w] of mask is set for each value w with n preimages."""
-    _, _, pack, *_ = _field_tables(spec)
-    counts = Counter(_values_everywhere((0, a4, a2, 1), spec))
+    _, _, pack, *_, cubes, _ = _field_tables(spec)
+    counts = Counter(_values_at((0, a4, a2), spec, range(spec.q - 1), cubes))
+    counts[0] += 1  # x = 0
     preimages = bytearray(pack[-1] + 1)  # pack[-1], of index q - 1, is the largest
     for w, n in counts.items():
         preimages[pack[w]] = n
@@ -367,7 +386,7 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     take each value.  Packed addition never carries, so shifting the mask
     of the values with n preimages left by pack[a6] gives the packed values
     w + a6, and the squares and nonsquares among them are two popcounts."""
-    _, _, pack, _, squares, nonsquares, _ = _field_tables(spec)
+    _, _, pack, _, squares, nonsquares, *_ = _field_tables(spec)
     c = pack[a6]
     total = 1 + spec.q
     for n, mask in _cubic_linear_part(spec, a2, a4):
@@ -410,15 +429,27 @@ def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:
             "factored discriminant has an irreducible fiber"
         )
     completed = _completed_cubic(model)
-    fibers = Counter(zip(*(_values_everywhere(poly, spec) for poly in completed)))
-    # the fiber at infinity is one more key, its top coefficients (of t^4,
-    # t^8 and t^12); an F_p coefficient c is the element index c
-    fibers[tuple([poly[w] if len(poly) == w + 1 else 0 for poly, w in zip(completed, (4, 8, 12))])] += 1
-    *_, frob = _field_tables(spec)
-    orbits: Counter = Counter()
-    for triple, n in fibers.items():
-        conjugates = [triple]
+    *_, frob, _, orbits = _field_tables(spec)
+    # the fibers at t = 0 and at t = infinity: the constant terms and the top
+    # coefficients (of t^4, t^8 and t^12); an F_p coefficient c is the element index c
+    constants = [poly[0] if poly else 0 for poly in completed]
+    tops = [poly[w] if len(poly) == w + 1 else 0 for poly, w in zip(completed, (4, 8, 12))]
+    keys, weights = [tuple(constants), tuple(tops)], [1, 1]
+    # A_i(t^p) = A_i(t)^p, so the d fibers over a Frobenius orbit of size d
+    # are conjugate, with equal counts: one t stands for them, weighted d
+    for d, logs in orbits:
+        values = [_values_at(poly, spec, logs, [c] * len(logs)) for poly, c in zip(completed, constants)]
+        fibers = Counter(zip(*values))
+        keys += fibers
+        weights += [d * n for n in fibers.values()]
+    # fibers over different orbits of t may still be conjugate: key each by
+    # the least of its conjugates, conjugating one coordinate column at a time
+    if spec.r > 1:
+        columns = list(zip(*keys))
+        conjugates = [keys]
         for _ in range(spec.r - 1):
-            conjugates.append(tuple([frob[c] for c in conjugates[-1]]))
-        orbits[min(conjugates)] += n
-    return sum(n * _count_cubic_points(spec, *triple) for triple, n in orbits.items())
+            columns = [[frob[c] for c in column] for column in columns]
+            conjugates.append(zip(*columns))
+        keys = list(map(min, *conjugates))
+    counts = {key: _count_cubic_points(spec, *key) for key in set(keys)}
+    return sum(map(mul, weights, map(counts.__getitem__, keys)))

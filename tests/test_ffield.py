@@ -294,7 +294,7 @@ def test_extension_degrees_3_and_4():
 def _chi_by_index(spec):
     """The point count's character by element index: bit pack[x] (of x + 0)
     of its squares and nonsquares bitsets, never both set."""
-    _, _, pack, _, squares, nonsquares, _ = _field_tables(spec)
+    _, _, pack, _, squares, nonsquares, *_ = _field_tables(spec)
     bits = [(squares >> pack[i] & 1, nonsquares >> pack[i] & 1) for i in range(spec.q)]
     assert (1, 1) not in bits
     return [square - nonsquare for square, nonsquare in bits]

@@ -30,6 +30,7 @@ from wild11.surface import (
     _every_fiber_irreducible,
     _field_tables,
     _is_irreducible_fiber,
+    _values_at,
 )
 from references import (
     c4_delta_reference,
@@ -521,6 +522,66 @@ def test_surface_count_counts_one_fiber_per_frobenius_orbit():
     assert len(triples) == len(set(triples)) == 41 + 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FieldSpec(13),
+        FieldSpec(11, 2),
+        FieldSpec(11, 3),
+        FieldSpec(5, 4),
+        FieldSpec(7, 2),
+        spec_with_modulus(11, 2, (1, 1, 1)),
+    ],
+    ids=repr,
+)
+def test_orbit_table_partitions_the_nonzero_elements(spec):
+    # one log per Frobenius orbit of F_q^*, each orbit walked through the
+    # Frobenius table: closed, of the size it is filed under, a divisor of r,
+    # kept on its least log, and together covering F_q^* once
+    log, exp, *_, frob, _, orbits = _field_tables(spec)
+    covered = []
+    for d, logs in orbits:
+        assert spec.r % d == 0
+        for k in logs:
+            orbit = [exp[k]]
+            while frob[orbit[-1]] != orbit[0]:
+                orbit.append(frob[orbit[-1]])
+            assert len(orbit) == d
+            assert k == min(log[i] for i in orbit)
+            covered += orbit
+    assert sum(d * len(logs) for d, logs in orbits) == spec.q - 1
+    assert sorted(covered) == list(range(1, spec.q))
+
+
+@pytest.mark.parametrize("r,points,total", [(3, {1: 10, 3: 440}, 451), (4, {1: 10, 2: 55, 4: 3630}, 3696)])
+def test_surface_count_evaluates_the_cubic_once_per_closed_point(r, points, total):
+    # t = 0 and one t per Frobenius orbit of F_q^*, filed by orbit size: 451
+    # points at F_1331 and 3696 at F_(11^4), where every t would be q points
+    spec = FieldSpec(11, r)
+    with mock.patch.object(surface_module, "_count_cubic_points", return_value=0), mock.patch.object(
+        surface_module, "_values_at", side_effect=_values_at
+    ) as evaluate:
+        surface_count(make_model("epsilon", 1, 11), spec)
+    # A2, A4 and A6 at the representatives of each orbit size, and t = 0 besides
+    sizes = [len(c.args[2]) for c in evaluate.call_args_list]
+    assert sizes == [n for n in points.values() for _ in range(3)]
+    assert 1 + sum(sizes[::3]) == total
+    assert {d: len(logs) for d, logs in _field_tables(spec)[8]} == points
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_surface_count_of_random_models_over_f_5_to_the_4(seed):
+    # F_625, where the orbits of F_q^* have sizes 1, 2 and 4.  Every a_i is
+    # drawn: a1 to a4 as constants, so the reference builds a single x-part,
+    # and a6 of full degree, so A6 carries the fibers through every orbit size
+    rng = random.Random(seed)
+    a1, a2, a3, a4 = (reduced([rng.randrange(5)], 5) for _ in range(4))
+    a6 = reduced([rng.randrange(5) for _ in range(13)], 5)
+    model = WeierstrassModel(5, "random", None, a1, a2, a3, a4, a6)
+    spec = FieldSpec(5, 4)
+    assert surface_count(model, spec) == _reference_surface_count(model, spec)
+
+
 def test_surface_count_over_f_5_to_the_5():
     # F_3125 = F_(5^5), the first q = 1 mod 11 at p = 5: degree 5, so the
     # fibers over F_q fall into Frobenius orbits of length 1 and 5
@@ -583,7 +644,7 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
         return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
 
     a, b = element(), element()
-    _, _, pack, unpack, squares, nonsquares, _ = _field_tables(spec)
+    _, _, pack, unpack, squares, nonsquares, *_ = _field_tables(spec)
     packed_sum = pack[spec.index_of(a)] + pack[spec.index_of(b)]
     assert unpack[packed_sum] == spec.index_of(_add(a, b, spec.p))
     chi = quadratic_character(spec, _add(a, b, spec.p))
@@ -594,7 +655,7 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
 def test_character_bitsets_match_chi_at_every_packed_sum(spec):
     # every s < (2p - 1)^r is a packed sum (each digit up to 2p - 2 is a sum
     # of two digits below p); bit s of the two bitsets must read chi(unpack[s])
-    _, _, _, unpack, squares, nonsquares, _ = _field_tables(spec)
+    _, _, _, unpack, squares, nonsquares, *_ = _field_tables(spec)
     chi = [quadratic_character(spec, spec.coords_at(i)) for i in range(spec.q)]
     assert squares.bit_length() <= len(unpack) and nonsquares.bit_length() <= len(unpack)
     for s, i in enumerate(unpack):
@@ -604,7 +665,7 @@ def test_character_bitsets_match_chi_at_every_packed_sum(spec):
 @pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
 def test_frobenius_table_is_the_pth_power(spec):
     expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
-    assert _field_tables(spec)[-1] == expected
+    assert _field_tables(spec)[6] == expected
 
 
 def test_count_fields_have_small_packed_tables():
