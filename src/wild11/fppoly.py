@@ -17,8 +17,10 @@ base-p order, until every part has degree d.  For p <= SHIFTS, gcd(part, v + c)
 for every c in F_p separates every value of v; for larger p the quadratic
 character of v + c does, for SHIFTS shifts c, and at c = 0 on N(a) that is
 the Cantor-Zassenhaus test with a (Cantor and Zassenhaus 1981).  For d = 1,
-Tr(t) = t, so the first pass is the root search.  The values come in a fixed
-order instead of being sampled, so factorizations are reproducible.
+Tr(t) = t, so the first pass is the root search, and N(a) = a, so the
+norms skip every a whose shifts would repeat values already tried.  The
+values come in a fixed order instead of being sampled, so factorizations
+are reproducible.
 
 A polynomial in F_p[t] is a reduced tuple of ints: constant term first,
 every entry in 0 .. p - 1, no trailing zero, () for zero, so equality is
@@ -183,7 +185,12 @@ def _separating_values(
 ) -> Iterator[tuple[int, ...]]:
     """Tr(t), then N(a) for the monic a of degree 1 .. deg f in base-p order;
     each takes one value in F_p on every degree-d irreducible factor of f.
-    N(t), the first norm, is the product of the Frobenius powers mod f."""
+    N(t), the first norm, is the product of the Frobenius powers mod f.
+
+    At d = 1, N(a) = a and Tr(t) = t, and `_refine` tries v + c for every
+    shift c < SHIFTS, so only the a whose constant term is a multiple of
+    SHIFTS, t excepted, add values: the others would repeat shifts already
+    tried.  Their shifts still reach every monic a of degree deg f."""
     trace = frobenius[0]
     for g in frobenius[1:d]:
         trace = _add(trace, g, p)
@@ -191,6 +198,8 @@ def _separating_values(
     norm = (p**d - 1) // (p - 1)
     for degree in range(1, len(f)):
         for a in monic_polys(p, degree):
+            if d == 1 and (a[0] % SHIFTS or a == (0, 1)):
+                continue
             if a == (0, 1):
                 n = _divmod(a, f, p)[1]
                 for g in frobenius[1:d]:

@@ -87,17 +87,23 @@ def poly_str(coeffs: Sequence, var: str = "T") -> str:
     return out
 
 
-@lru_cache(maxsize=None)
-def euler_phi(k: int) -> int:
-    result, n, d = k, k, 2
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    primes, d = [], 2
     while d * d <= n:
         if n % d == 0:
+            primes.append(d)
             while n % d == 0:
                 n //= d
-            result -= result // d
         d += 1
-    if n > 1:
-        result -= result // n
+    return primes + [n] if n > 1 else primes
+
+
+@lru_cache(maxsize=None)
+def euler_phi(k: int) -> int:
+    result = k
+    for d in prime_divisors(k):
+        result -= result // d
     return result
 
 

@@ -30,7 +30,9 @@ every value is one shift, and the squares and nonsquares among the sums are
 two ANDs and two popcounts against the character's bitsets over packed
 sums.  Those tables, the Frobenius map, the cubes x^3, the orbits of
 F_q^* and the character bitsets are built once per field here
-(_field_tables), from FieldSpec's indices; the value masks come from
+(_field_tables), from FieldSpec's indices; the two tables over packed sums,
+the unpacking and the character classes, are the element-indexed tables
+widened by slices one base-p digit at a time.  The value masks come from
 enumerating every x once per (A2, A4), starting from the cubes.  Every build
 is linear in its table.  One table of coefficient triples covers P^1(F_q):
 t = 0, one t per orbit of F_q^*, and the fiber at infinity, the cubic of
@@ -56,13 +58,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
 from .fppoly import _divmod, _gcd, derivative, factor, multiplicity, reduced
-from .polynomials import poly_mul, poly_str
+from .polynomials import poly_mul, poly_str, prime_divisors
 from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
@@ -70,12 +72,13 @@ KINDS = ("epsilon", "gamma", "uniform")
 # surface_count evaluates the cubic once per closed point of the t-line and
 # counts one fiber per Frobenius orbit, each by at most three shifted masks of
 # (2p - 1)^r bits against the character bitsets.  Near the limit (Python 3.11,
-# one core of a 2-core x86 host, epsilon 1 and gamma 1 in a fresh process,
-# tables included) a count at q = 11^4 (3696 evaluation points, 1331 distinct
-# fibers in 336 orbits, masks of 21^4 bits) takes 65-80 ms and at the prime
-# 14639 (9255 distinct fibers, Frobenius the identity) 0.14-0.25 s.  At 31^4
-# the tables would hold 61^4 = 1.4e7 packed sums, and about 230000 orbits at
-# 1.3 ms of bitset work per mask would take a quarter of an hour.
+# one core of a 2-core x86 host under load, epsilon 1 in a fresh process,
+# tables included, medians of 10 runs) a count at q = 11^4 (3696 evaluation
+# points, 1331 distinct fibers in 336 orbits, masks of 21^4 bits) takes
+# 67 ms, 13-22 ms of it the tables, and at the prime 14639 (9255 distinct
+# fibers, Frobenius the identity) 0.26 s.  At 31^4 the tables would hold
+# 61^4 = 1.4e7 packed sums, and about 230000 orbits at 1.3 ms of bitset work
+# per mask would take a quarter of an hour.
 COUNT_Q_LIMIT = 11**4
 
 # degree bounds deg a_i <= 2i that keep the fibration K3 (and t = infinity in
@@ -272,6 +275,27 @@ def _bits(classes: bytes | bytearray, c: int) -> int:
     return int(classes[::-1].translate(bytes([48 + (b == c) for b in range(256)])), 2)
 
 
+def _widen(seq: list[int] | bytearray, p: int, r: int) -> list[int] | bytearray:
+    """seq, indexed by element index, widened to a sequence of its type
+    indexed by packed sum: entry s is seq[unpack[s]].
+
+    A packed digit d in 0 .. 2p - 2 reads as d mod p.  So, one base-p digit
+    at a time, least significant first, seq is cut into runs of p blocks,
+    one block for each value of the digit, and each run is followed by a
+    copy of its first p - 1 blocks, for the values p .. 2p - 2.  A block is
+    (2p - 1)^j long at digit j, since the lower digits are widened already."""
+    block = 1
+    for _ in range(r):
+        out = seq[:0]
+        step = p * block
+        for k in range(0, len(seq), step):
+            out += seq[k : k + step]
+            out += seq[k : k + step - block]
+        seq = out
+        block *= 2 * p - 1
+    return seq
+
+
 @lru_cache(maxsize=None)  # one entry per field; equal FieldSpecs share it
 def _field_tables(spec: FieldSpec) -> tuple:
     """(log, exp, pack, unpack, squares, nonsquares, frob, cubes, orbits): the count's tables for F_q, odd p.
@@ -280,13 +304,18 @@ def _field_tables(spec: FieldSpec) -> tuple:
     2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
     digit below 2p - 1, so it never carries, and unpack, of size
     (2p - 1)^r, maps it to the index of the field sum: unpack[pack[a] +
-    pack[b]] is the index of a + b.  exp[k] is the index of g^k for
-    0 <= k < q - 1 and the first generator g of F_q^* in index order, and
-    log[exp[k]] = k; log[0] is -1, since zero has no logarithm.  squares and
+    pack[b]] is the index of a + b; it is list(range(q)) widened by slices
+    (_widen).  exp[k] is the index of g^k for 0 <= k < q - 1 and the first generator g
+    of F_q^* in index order, and log[exp[k]] = k; log[0] is -1, since zero
+    has no logarithm.  The search for g tests g^((q - 1)/l) != 1 for the
+    primes l dividing q - 1, found by trial division, and for r > 1 starts
+    at index p, since F_p^* is too small to hold a generator.  squares and
     nonsquares are the quadratic character over packed sums as two bitsets:
     bit pack[a] + pack[b] of squares is set iff a + b is a nonzero square,
     of nonsquares iff it is a nonsquare, read from the logarithm as
-    chi(g^k) = (-1)^k.  frob[i] is the index of x^p for x of index i,
+    chi(g^k) = (-1)^k: a class byte per element (0 for zero, 1 for a
+    square, 2 for a nonsquare), widened like unpack and read into the two
+    ints by _bits.  frob[i] is the index of x^p for x of index i,
     exp[p * log x mod (q - 1)], and 0 -> 0.  cubes[k] is the index of
     g^(3k), x^3 at x = g^k.  orbits holds one log per Frobenius orbit of
     F_q^*, as pairs (d, logs), one for each d | r: x -> x^p is k -> p*k
@@ -296,18 +325,17 @@ def _field_tables(spec: FieldSpec) -> tuple:
     """
     p, r, q = spec.p, spec.r, spec.q
     base = 2 * p - 1
-    pack, unpack = [0], [0]
+    pack = [0]
     for j in range(r):
-        # index c * p^j + k packs to c * base^j + pack[k]; packed d * base^j + s
-        # unpacks to (d mod p) * p^j + unpack[s]
-        bj, pj = base**j, p**j
-        pack = [s + c * bj for c in range(p) for s in pack]
-        unpack = [i + (d % p) * pj for d in range(base) for i in unpack]
-    # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1
-    cofactors = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+        # index c * p^j + k packs to c * base^j + pack[k]
+        pack = [o + s for o in range(0, p * base**j, base**j) for s in pack]
+    unpack = _widen(list(range(q)), p, r)
+    # g generates F_q^* iff g^((q-1)/l) != 1 for every prime l dividing q - 1;
+    # for r > 1 no element of F_p, of index below p, does
+    cofactors = [(q - 1) // ell for ell in prime_divisors(q - 1)]
     g = next(
         spec.coords_at(i)
-        for i in range(1, q)
+        for i in range(p if r > 1 else 1, q)
         if all(spec.pow(spec.coords_at(i), c) != (1,) for c in cofactors)
     )
     # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
@@ -331,7 +359,7 @@ def _field_tables(spec: FieldSpec) -> tuple:
     classes[0] = 0
     for i in exp[::2]:
         classes[i] = 1
-    classes = bytes(itemgetter(*unpack)(classes))
+    classes = _widen(classes, p, r)
     cubes = (exp * 3)[::3]  # entry k is exp[3k mod (q - 1)]
     orbits = []
     for d in range(1, r + 1):

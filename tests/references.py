@@ -149,6 +149,44 @@ def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:
     return 1 if spec.pow(x, (spec.q - 1) // 2) == spec.coords_at(1) else -1
 
 
+def unpack_by_digits(p: int, r: int) -> list[int]:
+    """The packed-sum table by the per-entry formula: entry s, whose base-(2p - 1)
+    digits are d_j, is the index sum_j (d_j mod p) p^j.  The reference for
+    unpack in surface._field_tables, which widens the element table a digit
+    at a time."""
+    base = 2 * p - 1
+    out = []
+    for s in range(base**r):
+        index = 0
+        for j in range(r):
+            s, d = divmod(s, base)
+            index += (d % p) * p**j
+        out.append(index)
+    return out
+
+
+def character_by_squaring(spec: FieldSpec) -> list[int]:
+    """The quadratic character by element index (odd p): 0 at zero, 1 at
+    the index of each square x * x of a nonzero x, -1 elsewhere."""
+    chi = [-1] * spec.q
+    chi[0] = 0
+    for i in range(1, spec.q):
+        x = spec.coords_at(i)
+        chi[spec.index_of(spec.mul(x, x))] = 1
+    return chi
+
+
+def multiplicative_order(spec: FieldSpec, index: int) -> int:
+    """The order of the nonzero element `index` of F_q^*, by multiplying
+    by it until the product is 1."""
+    x = spec.coords_at(index)
+    power, order = x, 1
+    while power != (1,):
+        power = spec.mul(power, x)
+        order += 1
+    return order
+
+
 def fp_mul(p: int, *factors) -> tuple[int, ...]:
     """The product of the factors in F_p[t], reduced after every step; a
     scalar k is passed as the constant (k,)."""

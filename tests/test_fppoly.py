@@ -231,6 +231,28 @@ def test_factor_needs_the_degree_one_norms():
     assert all(is_irreducible(g, p) for g, _ in pieces)
 
 
+def test_root_search_tries_no_shifted_value_twice():
+    # At p = 2137 the roots 920 and 1217 = -920 have equal quadratic
+    # characters after each of the 16 shifts 0 .. 15, so Tr(t) = t leaves
+    # them together.  The next value is t + 16, whose shifts are all new;
+    # t + 1 .. t + 15 would repeat 15 of them, and no t^2 + c separates +-r.
+    p, r1, r2 = 2137, 920, 1217
+    assert fppoly.SHIFTS == 16 and (r1 + r2) % p == 0
+
+    def chi(x):
+        return pow(x % p, (p - 1) // 2, p)
+
+    assert all(chi(r1 + c) == chi(r2 + c) for c in range(16))
+    f = fp_mul(p, (-r1, 1), (-r2, 1))
+    with mock.patch.object(fppoly, "_refine", side_effect=fppoly._refine) as refine:
+        pieces = factor(f, p)
+    assert pieces == [((p - r2, 1), 1), ((p - r1, 1), 1)]
+    values = [c.args[2] for c in refine.call_args_list]
+    assert values == [(0, 1), (16, 1)]
+    shifted = [fppoly._add(v, (c,), p) for v in values for c in range(fppoly.SHIFTS)]
+    assert len(set(shifted)) == len(shifted)
+
+
 @pytest.mark.parametrize("kind,param", [("epsilon", 1), ("gamma", 2)])
 def test_factor_returns_reduced_monic_tuples(kind, param):
     # every factor is in the form the rest of F_p[t] takes: a tuple with

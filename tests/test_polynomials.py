@@ -14,7 +14,7 @@ from wild11 import (
     newton_polygon,
     palindrome_sign,
 )
-from wild11.polynomials import divmod_monic, euler_phi, poly_mul, poly_str, power, valuation
+from wild11.polynomials import divmod_monic, euler_phi, poly_mul, poly_str, power, prime_divisors, valuation
 from reference_values import GOLDEN_MU_EPS1, MU_TILDE_EPSILON_SQUARE
 
 
@@ -181,6 +181,13 @@ def test_palindrome_sign():
     assert palindrome_sign([-1, 0, 1]) == -1  # T^2 - 1
     assert palindrome_sign([0, 1, 1]) is None  # T^2 + T
     assert palindrome_sign(()) is None
+
+
+def test_prime_divisors_by_brute_force():
+    for n in range(1, 400):
+        expected = [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+        assert prime_divisors(n) == expected, n
+    assert prime_divisors(14640) == [2, 3, 5, 61] and prime_divisors(1330) == [2, 5, 7, 19]
 
 
 def test_euler_phi():

@@ -3,6 +3,7 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from wild11 import (
 import wild11.surface as surface_module
 from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
-from wild11.fppoly import _add, _monic, multiplicity, reduced
+from wild11.fppoly import _add, _monic, is_irreducible, monic_polys, multiplicity, reduced
 from wild11.surface import (
     COUNT_Q_LIMIT,
     _completed_cubic,
@@ -34,14 +35,17 @@ from wild11.surface import (
 )
 from references import (
     c4_delta_reference,
+    character_by_squaring,
     cubic_count,
     fiber_count_at,
     fp_add,
     fp_mul,
     horner,
     infinity_chart,
+    multiplicative_order,
     quadratic_character,
     spec_with_modulus,
+    unpack_by_digits,
 )
 
 SURFACES = [(kind, param) for kind in ("epsilon", "gamma") for param in range(11)]
@@ -405,25 +409,32 @@ def test_char2_brute_force_fiber():
 def _reference_surface_count(model, spec):
     """Test-only slow reference for surface_count: every fiber on its own.
 
-    Each t goes through Horner's rule and each x through tuple arithmetic,
-    index_of and a character table built here by squaring every element, so
-    nothing is shared with the index tables of surface_count.  The powers
-    x, x^2, x^3 are kept per x, the cubic part x^3 + A2 x^2 + A4 x per
-    (A2, A4) and each count per fiber value, as a memo only; every fiber
-    still sums over every x, and no fiber borrows the count of a conjugate."""
-    p, q = spec.p, spec.q
+    Each t goes through Horner's rule in tuple arithmetic.  Each fiber then
+    sums the character over every x in index arithmetic built here from
+    FieldSpec.mul alone, so nothing is shared with the index tables of
+    surface_count: the indices of x^2 and x^3 and of u^j * x for every x,
+    and the character from squaring every element.  a * y for every y is
+    the F_p-linear combination sum_j a_j (u^j * y) of the coordinates a_j of
+    a, and sums add coordinates mod p.  The x-part x^3 + A2 x^2 + A4 x is
+    kept per (A2, A4) and each count per fiber value, as a memo only; every
+    fiber still sums over every x, and no fiber borrows the count of a
+    conjugate."""
+    p, q, r = spec.p, spec.q, spec.r
     mul, index_of = spec.mul, spec.index_of
+    weights = p ** np.arange(r)
+    coords = np.arange(q)[:, None] // weights % p  # coords[i, j]: coordinate j of element i
+    elements = [spec.coords_at(i) for i in range(q)]
+    x2 = np.array([index_of(mul(x, x)) for x in elements])
+    x3 = np.array([index_of(mul(mul(x, x), x)) for x in elements])
+    basis_times = [coords[[index_of(mul(spec.coords_at(p**j), x)) for x in elements]] for j in range(r)]
+    chi = np.full(q, -1)
+    chi[x2] = 1
+    chi[0] = 0
 
-    def add(a, b):
-        return _add(a, b, p)
+    def times(a):
+        """The coordinates of a * y for every y, by index."""
+        return sum(c * column for c, column in zip(coords[a], basis_times)) % p
 
-    chi = [-1] * q
-    powers = []
-    for i in range(q):
-        x = spec.coords_at(i)
-        x2 = mul(x, x)
-        chi[index_of(x2)] = 1 if i else 0
-        powers.append((x, x2, mul(x2, x)))
     inv2 = pow(2, p - 2, p)
     linear_parts, counts = {}, {}
 
@@ -434,15 +445,14 @@ def _reference_surface_count(model, spec):
             fp_add(p, a4, fp_mul(p, a1, a3, (inv2,))),
             fp_add(p, a6, fp_mul(p, a3, a3, (inv2 * inv2,))),
         )
-        A2, A4, A6 = (horner(poly, t, spec) for poly in completed)
+        A2, A4, A6 = (index_of(horner(poly, t, spec)) for poly in completed)
         if (A2, A4) not in linear_parts:
-            linear_parts[A2, A4] = [add(add(x3, mul(A2, x2)), mul(A4, x)) for x, x2, x3 in powers]
+            linear_parts[A2, A4] = coords[x3] + times(A2)[x2] + times(A4)
         if (A2, A4, A6) not in counts:
-            total = sum(chi[index_of(add(w, A6))] for w in linear_parts[A2, A4])
-            counts[A2, A4, A6] = 1 + q + total
+            values = (linear_parts[A2, A4] + coords[A6]) % p @ weights
+            counts[A2, A4, A6] = 1 + q + int(chi[values].sum())
         return counts[A2, A4, A6]
 
-    elements = [spec.coords_at(i) for i in range(q)]
     return fiber(infinity_chart(model), elements[0]) + sum(fiber(model, t) for t in elements)
 
 
@@ -572,12 +582,17 @@ def test_surface_count_evaluates_the_cubic_once_per_closed_point(r, points, tota
 @pytest.mark.parametrize("seed", range(3))
 def test_surface_count_of_random_models_over_f_5_to_the_4(seed):
     # F_625, where the orbits of F_q^* have sizes 1, 2 and 4.  Every a_i is
-    # drawn: a1 to a4 as constants, so the reference builds a single x-part,
-    # and a6 of full degree, so A6 carries the fibers through every orbit size
+    # drawn at full degree, so A2, A4 and A6 all vary with t and carry the
+    # fibers through every orbit size; a model with a reducible fiber, which
+    # surface_count refuses, is drawn again
     rng = random.Random(seed)
-    a1, a2, a3, a4 = (reduced([rng.randrange(5)], 5) for _ in range(4))
-    a6 = reduced([rng.randrange(5) for _ in range(13)], 5)
-    model = WeierstrassModel(5, "random", None, a1, a2, a3, a4, a6)
+    while True:
+        coefficients = (reduced([rng.randrange(5) for _ in range(2 * i + 1)], 5) for i in (1, 2, 3, 4, 6))
+        model = WeierstrassModel(5, "random", None, *coefficients)
+        if c4_delta(model)[1] and _every_fiber_irreducible(model):
+            break
+    A2, A4, _ = _completed_cubic(model)
+    assert len(A2) > 1 and len(A4) > 1
     spec = FieldSpec(5, 4)
     assert surface_count(model, spec) == _reference_surface_count(model, spec)
 
@@ -666,6 +681,37 @@ def test_character_bitsets_match_chi_at_every_packed_sum(spec):
 def test_frobenius_table_is_the_pth_power(spec):
     expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
     assert _field_tables(spec)[6] == expected
+
+
+@pytest.mark.parametrize("modulus", ["canonical", "drawn"])
+@pytest.mark.parametrize(
+    "p,r", [(3, 1), (3, 5), (5, 2), (5, 3), (5, 4), (5, 5), (7, 3), (11, 1), (11, 2), (11, 3), (13, 2)]
+)
+def test_field_tables_match_independent_references(p, r, modulus):
+    # unpack against the per-entry digit formula, the character bitsets at
+    # every packed sum against the squares of every element, and exp[1]
+    # against the first index of multiplicative order q - 1; "drawn" is a
+    # monic irreducible picked by a fixed seed among the eleven of degree r
+    # that follow the canonical one, the first, in monic_polys order
+    if modulus == "canonical":
+        spec = FieldSpec(p, r)
+    else:
+        irreducibles = [m for m in monic_polys(p, r) if is_irreducible(m, p)][1:12]
+        spec = spec_with_modulus(p, r, random.Random(p**r).choice(irreducibles))
+    _, exp, _, unpack, squares, nonsquares, *_ = _field_tables(spec)
+    reference = unpack_by_digits(p, r)
+    assert unpack == reference
+    chi = character_by_squaring(spec)
+    n = len(reference)
+    square_bits, nonsquare_bits = (f"{bits:0{n}b}"[::-1] for bits in (squares, nonsquares))
+    assert len(square_bits) == len(nonsquare_bits) == n
+    assert [chi[i] for i in reference] == [
+        (s == "1") - (ns == "1") for s, ns in zip(square_bits, nonsquare_bits)
+    ]
+    assert "11" not in {s + ns for s, ns in zip(square_bits, nonsquare_bits)}
+    q = spec.q
+    assert multiplicative_order(spec, exp[1]) == q - 1
+    assert all(multiplicative_order(spec, i) < q - 1 for i in range(1, exp[1]))
 
 
 def test_count_fields_have_small_packed_tables():
