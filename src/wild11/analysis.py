@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InconsistencyError
 from .polynomials import (
+    B2,
     cyclotomic_poly,
     divides_with_multiplicity,
     euler_phi,
@@ -64,7 +65,6 @@ if TYPE_CHECKING:
     from .equivariant import CharPolyResult
 
 V_DIMENSION = 20
-B2 = 22  # second Betti number of a K3 surface
 
 INFINITE_HEIGHT = math.inf
 

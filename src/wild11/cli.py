@@ -8,7 +8,8 @@ lattice (Kodaira classification and Shioda-Tate bookkeeping), cover-check
 Each cmd_* returns its report sections as a plain dict of JSON-ready
 values, in display order.  main runs the command the parser names,
 prepends the meta section and renders the report once, as JSON, CSV or
-text.
+text.  A function imports the package modules it calls when it runs, so a
+fresh process compiles only the modules its command uses.
 
 Output is deterministic: identical invocations produce byte-identical
 JSON with sorted keys, integers as integers and rationals as exact
@@ -29,15 +30,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .analysis import INFINITE_HEIGHT, analyze_charpoly, structural_checks
-from .cyclotomic import inverse_dft
-from .equivariant import assemble_charpoly, fixed_locus_tally, traces_from_tally
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
-from .ffield import FieldSpec, is_prime
-from .kodaira import artin_invariant, classify_fibers, trivial_lattice
-from .polynomials import poly_str
-from .surface import make_model, surface_count
-from .delsarte import supersingular_possible, verify_cover_identity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,10 +127,6 @@ def _render_text(value, indent: int) -> list[str]:
     return lines
 
 
-def _height_json(height) -> object:
-    return "infinity" if height == INFINITE_HEIGHT else int(height)
-
-
 def _fiber_json(fiber) -> dict:
     return {
         "place": fiber.place.location_str(),
@@ -146,15 +135,6 @@ def _fiber_json(fiber) -> dict:
         "v_c4": "infinity" if fiber.place.vc4 is None else fiber.place.vc4,
         "type": fiber.type,
         "components": fiber.components,
-    }
-
-
-def _lattice_json(lattice, p: int) -> dict:
-    return {
-        "rank": lattice.rank,
-        "abs_disc": lattice.abs_disc,
-        "components": lattice.components,
-        "artin_invariant": artin_invariant(lattice, p),
     }
 
 
@@ -167,6 +147,11 @@ def _cofactor_json(coefficient: int, exponents: tuple[int, int, int]) -> str:
 
 def run_equivariant_pipeline(kind: str, param: int, p: int):
     """Tallies at q = p and p^2, eigentraces, and the assembled charpoly."""
+    from .cyclotomic import inverse_dft
+    from .equivariant import assemble_charpoly, fixed_locus_tally, traces_from_tally
+    from .ffield import FieldSpec
+    from .surface import make_model
+
     model = make_model(kind, param, p)
     tally_p = fixed_locus_tally(model, FieldSpec(p))
     tally_p2 = fixed_locus_tally(model, FieldSpec(p, 2))
@@ -180,15 +165,25 @@ def run_equivariant_pipeline(kind: str, param: int, p: int):
 
 def _fiber_sections(model, lattice: bool) -> dict:
     """The fibers section, and the lattice section when asked for."""
+    from .kodaira import artin_invariant, classify_fibers, trivial_lattice
+
     fibers = classify_fibers(model)
     sections = {"fibers": [_fiber_json(f) for f in fibers]}
     if lattice:
-        sections["lattice"] = _lattice_json(trivial_lattice(fibers), model.p)
+        summary = trivial_lattice(fibers)
+        sections["lattice"] = {
+            "rank": summary.rank,
+            "abs_disc": summary.abs_disc,
+            "components": summary.components,
+            "artin_invariant": artin_invariant(summary, model.p),
+        }
     return sections
 
 
 def cmd_analyze(kind: str, param: int, p: int) -> dict:
     """Full pipeline for one surface: tallies, traces, mu_p, and analysis."""
+    from .analysis import INFINITE_HEIGHT, analyze_charpoly, structural_checks
+
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
         kind, param, p
     )
@@ -211,7 +206,9 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
             "mu_tilde": [str(c) for c in report_data.mu_tilde],
             "picard_upper": report_data.picard_upper,
             "picard_lower": 2,
-            "height": _height_json(report_data.height),
+            "height": (
+                "infinity" if report_data.height == INFINITE_HEIGHT else int(report_data.height)
+            ),
             "newton_slopes": [[str(v), m] for v, m in report_data.newton_slopes],
             "checks": structural_checks(result.mu, kind, p),
         },
@@ -227,6 +224,9 @@ def cmd_table(p: int = 11) -> dict:
 
     Verifies that members of a square class share one polynomial and that
     exactly four distinct polynomials occur."""
+    from .analysis import analyze_charpoly
+    from .polynomials import poly_str
+
     rows = []
     distinct = set()
     for kind in ("epsilon", "gamma"):
@@ -258,12 +258,17 @@ def cmd_table(p: int = 11) -> dict:
 def cmd_fibers(kind: str, param: int | None, p: int, lattice: bool = False) -> dict:
     """Kodaira types of the singular fibers (the fibers command); with
     lattice, also the trivial lattice (the lattice command)."""
+    from .surface import make_model
+
     model = make_model(kind, param, p)
     inputs = {"kind": kind, "param": model.param, "p": p}
     return {"inputs": inputs, **_fiber_sections(model, lattice)}
 
 
 def cmd_cover() -> dict:
+    from .delsarte import supersingular_possible, verify_cover_identity
+    from .ffield import is_prime
+
     verified, cofactor = verify_cover_identity()
     primes_below = 100
     table = {str(q): supersingular_possible(q) for q in range(2, primes_below) if is_prime(q)}
@@ -278,6 +283,9 @@ def cmd_cover() -> dict:
 
 
 def cmd_count(kind: str, param: int | None, q: int) -> dict:
+    from .ffield import FieldSpec
+    from .surface import make_model, surface_count
+
     p, r = _prime_power(q)
     model = make_model(kind, param, p)
     count = surface_count(model, FieldSpec(p, r))
@@ -287,6 +295,8 @@ def cmd_count(kind: str, param: int | None, q: int) -> dict:
 
 def _prime_power(q: int) -> tuple[int, int]:
     """(p, r) with q = p^r and p prime, from the integer r-th roots of q."""
+    from .ffield import is_prime
+
     for r in range(1, max(q, 1).bit_length()):  # p >= 2, so r <= log2 q
         p = _integer_root(q, r)
         if p**r == q and is_prime(p):

@@ -38,8 +38,6 @@ live in Z[zeta]: coordinates are plain Python ints.  No floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InconsistencyError
 from .polynomials import poly_mul
 from .record import Record
@@ -151,8 +149,10 @@ def inverse_dft(tr: list[int] | tuple[int, ...], q: int) -> EigenTraces:
         raise ValueError("traces must be integers")
     total = sum(tr)
     if total != ORDER * 2 * q:
+        # a_0 = total / ORDER in lowest terms: ORDER is prime
+        a_0 = str(total // ORDER) if total % ORDER == 0 else f"{total}/{ORDER}"
         raise InconsistencyError(
-            f"a_0 = {Fraction(total, ORDER)} != 2q = {2 * q}; the fixed-point tally is inconsistent"
+            f"a_0 = {a_0} != 2q = {2 * q}; the fixed-point tally is inconsistent"
         )
     out = []
     for i in range(1, ORDER):

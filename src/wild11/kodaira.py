@@ -23,9 +23,8 @@ rank = 2 + sum_v (m_v - 1); Mordell-Weil contributions are not modeled.
 
 from __future__ import annotations
 
-from .analysis import B2
 from .errors import CapabilityError, InconsistencyError
-from .polynomials import valuation
+from .polynomials import B2, valuation
 from .record import Record
 from .surface import FiberPlace, WeierstrassModel, singular_places
 

@@ -17,9 +17,13 @@ monic divisors, so it never leaves Z[T].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+B2 = 22  # second Betti number of a K3 surface, shared by analysis and kodaira
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -156,6 +160,8 @@ def newton_polygon(f: Sequence[int], p: int) -> tuple[tuple[Fraction, int], ...]
     (j, v_p(c_j)): the valuation of its roots (the negated hull slope) and
     their number (the segment's length).  Valuations strictly increase, and
     the multiplicities sum to deg f.  Requires a nonzero constant term."""
+    from fractions import Fraction  # here, so commands that read no slopes never import it
+
     if not f:
         raise ValueError("Newton polygon of the zero polynomial is undefined")
     if f[0] == 0:

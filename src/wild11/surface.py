@@ -339,11 +339,14 @@ def _field_tables(spec: FieldSpec) -> tuple:
         if all(spec.pow(spec.coords_at(i), c) != (1,) for c in cofactors)
     )
     # x -> x * g is F_p-linear: tabulate it by index one coordinate at a
-    # time, adding the multiples of u^j * g by carry-free packed addition
+    # time, adding the multiples of u^j * g by carry-free packed addition;
+    # c * (u^j * g) packs to sum_k (c x_k mod p) base^k over its coordinates x_k
     times_g = [0]
     for j in range(r):
-        column = spec.mul(spec.coords_at(p**j), g)
-        multiples = [pack[spec.index_of(reduced([c * x for x in column], p))] for c in range(p)]
+        multiples = [0] * p
+        for k, x in enumerate(spec.mul(spec.coords_at(p**j), g)):
+            step = base**k
+            multiples = [m + c * x % p * step for c, m in enumerate(multiples)]
         times_g = [unpack[m + pack[i]] for m in multiples for i in times_g]
     log = [-1] * q
     exp = []

@@ -65,11 +65,11 @@ def test_analyze_echoes_the_reduced_parameter(capsys):
     assert run_cli(capsys, *args, "1")[1] == out12
 
 
-def _fresh_interpreter(script: str) -> list[str]:
-    """The words script prints when run by a new interpreter that imports wild11 from here."""
+def _fresh_interpreter(script: str, *args: str) -> list[str]:
+    """The words script prints when run with args by a new interpreter that imports wild11 from here."""
     env = dict(os.environ, PYTHONPATH=str(Path(wild11.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -102,6 +102,51 @@ def test_cold_commands_never_import_dataclasses():
         "print(*codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
     )
     assert _fresh_interpreter(script) == [str(EXIT_OK)] * 3 + ["False", "False"]
+
+
+_LAYERS = tuple(
+    f"wild11.{path.stem}"
+    for path in sorted(Path(wild11.__file__).parent.glob("*.py"))
+    if path.stem not in ("__init__", "cli", "errors")
+)
+_COLD = [
+    ["count", "--kind", "gamma", "--param", "1", "--q", "121"],
+    ["fibers", "--kind", "gamma", "--param", "1", "--p", "11"],
+    ["lattice", "--kind", "epsilon", "--param", "1", "--p", "13"],
+    ["cover-check"],
+]
+
+
+@pytest.mark.parametrize(
+    "argvs,codes,absent",
+    [
+        (
+            _COLD,
+            [EXIT_OK] * 4,
+            ["wild11.analysis", "wild11.cyclotomic", "wild11.equivariant", "fractions", "numpy"],
+        ),
+        ([["cover-check"]], [EXIT_OK], ["wild11.surface", "wild11.kodaira"]),
+        ([["--version"], ["count", "--kind", "gamma"]], [EXIT_OK, EXIT_USAGE], list(_LAYERS)),
+    ],
+    ids=["cold-commands", "cover-check", "version-and-usage"],
+)
+def test_commands_import_only_their_layers(argvs, codes, absent):
+    # each command imports the layers it runs when it runs, so a fresh process
+    # compiles no module that its command does not use
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from wild11.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            codes.append(main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "print(*codes, *[name for name in sys.argv[2:] if name in sys.modules])\n"
+    )
+    assert "wild11.ffield" in _LAYERS  # the layer list is read from the package
+    assert _fresh_interpreter(script, json.dumps(argvs), *absent) == [str(c) for c in codes]
 
 
 def test_json_output_is_deterministic(capsys):
@@ -380,14 +425,15 @@ def test_text_and_csv_output_pinned(capsys, argv):
 
 
 # The first library call of each subcommand, and the exit code and stderr
-# prefix that each exception raised there must map to
+# prefix that each exception raised there must map to.  The commands import
+# these functions when they run, so each is patched in its defining module.
 _FIRST_CALLS = {
-    "analyze --kind epsilon --param 1": "make_model",
-    "table": "make_model",
-    "fibers --kind uniform --p 11": "make_model",
-    "lattice --kind uniform --p 11": "make_model",
-    "cover-check": "verify_cover_identity",
-    "count --kind gamma --param 1 --q 11": "make_model",
+    "analyze --kind epsilon --param 1": "wild11.surface.make_model",
+    "table": "wild11.surface.make_model",
+    "fibers --kind uniform --p 11": "wild11.surface.make_model",
+    "lattice --kind uniform --p 11": "wild11.surface.make_model",
+    "cover-check": "wild11.delsarte.verify_cover_identity",
+    "count --kind gamma --param 1 --q 11": "wild11.surface.make_model",
 }
 _EXIT_CONTRACT = [
     (ValueError, EXIT_USAGE, "error: "),
@@ -400,12 +446,10 @@ _EXIT_CONTRACT = [
 @pytest.mark.parametrize("error,exit_code,prefix", _EXIT_CONTRACT, ids=lambda v: getattr(v, "__name__", None))
 @pytest.mark.parametrize("command", sorted(_FIRST_CALLS))
 def test_exit_code_contract(capsys, monkeypatch, tmp_path, command, error, exit_code, prefix):
-    import wild11.cli as cli
-
     def boom(*args, **kwargs):
         raise error("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, _FIRST_CALLS[command], boom)
+    monkeypatch.setattr(_FIRST_CALLS[command], boom)
     target = tmp_path / "report.out"
     for extra in ([], ["--out", str(target)]):
         code, out, err = run_cli(capsys, *command.split(), *extra)
@@ -431,16 +475,16 @@ def test_inconsistency_maps_to_exit_code_4(capsys, monkeypatch):
 def test_non_conjugate_eigentraces_exit_4(capsys, monkeypatch):
     # a_1 and a_2 swapped at both levels: still in Z[zeta] with the same a_0,
     # but a_2 != sigma_2(a_1), which the conjugacy gate in assemble_charpoly refuses
-    import wild11.cli as cli
+    import wild11.cyclotomic as cyclotomic
     from wild11 import EigenTraces
 
-    honest = cli.inverse_dft
+    honest = cyclotomic.inverse_dft
 
     def swapped(tr, q):
         a = honest(tr, q).a
         return EigenTraces(q=q, a=(a[1], a[0]) + a[2:])
 
-    monkeypatch.setattr(cli, "inverse_dft", swapped)
+    monkeypatch.setattr(cyclotomic, "inverse_dft", swapped)
     code, out, err = run_cli(
         capsys, "analyze", "--kind", "epsilon", "--param", "1", "--format", "json"
     )

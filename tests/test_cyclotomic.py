@@ -165,11 +165,14 @@ def test_inverse_dft_trivial():
 
 
 def test_inverse_dft_rejects_wrong_invariant_trace():
+    # the message gives a_0 = sum(tr)/11 in lowest terms, as an integer when it is one
     q = 11
-    tr = [2 * q] * 11
-    tr[3] += 11  # breaks sum(tr) = 22q, i.e. a_0 = 2q
-    with pytest.raises(InconsistencyError, match="a_0"):
-        inverse_dft(tr, q)
+    for shift, a_0 in ((11, "23"), (1, "243/11")):
+        tr = [2 * q] * 11
+        tr[3] += shift  # breaks sum(tr) = 22q, i.e. a_0 = 2q
+        with pytest.raises(InconsistencyError) as raised:
+            inverse_dft(tr, q)
+        assert str(raised.value) == f"a_0 = {a_0} != 2q = 22; the fixed-point tally is inconsistent"
 
 
 def test_inverse_dft_rejects_non_integral_traces():
