@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError
-from .fppoly import _add, _divmod, _pow_mod, digits, is_irreducible, monic_polys, reduced
+from .fppoly import _add, _divmod, _pow_mod, digits, is_irreducible, reduced
 from .polynomials import poly_mul, poly_str
 
 # Largest supported field size; keeps exhaustive O(q) loops desk-scale.  The
@@ -67,10 +67,28 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)  # a search over up to p^r candidates; its result never changes
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
-    """The first monic irreducible of degree r over F_p in monic_polys order."""
-    for cand in monic_polys(p, r):
-        if is_irreducible(cand, p):
-            return cand
+    """The first monic irreducible of degree r over F_p in monic_polys order.
+
+    The candidates come in blocks of p that share their upper coefficients
+    a_1 .. a_(r-1) and run through every constant term a_0.  For r > 1 a
+    candidate with a root x in F_p is reducible, and it has one iff a_0 is
+    -(x^r + a_(r-1) x^(r-1) + ... + a_1 x) for some x.  Those p values are
+    one Horner pass over every x per block, so is_irreducible runs only on
+    the root-free candidates; for r <= 3 the first of them is irreducible
+    (Lidl and Niederreiter, Finite Fields, ch. 1)."""
+    for upper in range(p ** (r - 1)):
+        high = digits(upper, p, r - 1) + (1,)
+        rooted: set[int] = set()
+        if r > 1:
+            # h(x) = x^(r-1) + a_(r-1) x^(r-2) + ... + a_1 at every x, left
+            # unreduced (it stays below r * p^(r-1)); a_0 = -x h(x) is a root at x
+            h = range(high[-2], high[-2] + p)
+            for c in high[-3::-1]:
+                h = [v * x + c for x, v in enumerate(h)]
+            rooted = {v * x % p for x, v in zip(range(0, -p, -1), h)}
+        for a0 in range(p):
+            if a0 not in rooted and is_irreducible((a0,) + high, p):
+                return (a0,) + high
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 

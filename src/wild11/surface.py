@@ -23,33 +23,35 @@ matter how the enumeration is partitioned.  surface_count works on element
 indices: the cubic is completed once, A2, A4 and A6 are evaluated once per
 closed point of the t-line (at t = 0 and at one t per Frobenius orbit of
 F_q^*) through log/exp tables, and each fiber's character sum is read from
-bitsets.  The distinct values w of the x-part
-x^3 + A2 x^2 + A4 x are the bits of one int per preimage count n (at most
-three ints), set at their carry-free packed positions, so adding A6 to
-every value is one shift, and the squares and nonsquares among the sums are
-two ANDs and two popcounts against the character's bitsets over packed
-sums.  Those tables, the Frobenius map, the cubes x^3, the orbits of
-F_q^* and the character bitsets are built once per field here
-(_field_tables), from FieldSpec's indices; the two tables over packed sums,
-the unpacking and the character classes, are the element-indexed tables
-widened by slices one base-p digit at a time.  The value masks come from
-enumerating every x once per (A2, A4), starting from the cubes.  Every build
-is linear in its table.  One table of coefficient triples covers P^1(F_q):
-t = 0, one t per orbit of F_q^*, and the fiber at infinity, the cubic of
-those top coefficients.  It counts one fiber per Frobenius orbit: x -> x^p
-is an automorphism of F_q and A_i(t^p) = A_i(t)^p, so the d fibers over an
-orbit of size d are conjugate, each key is weighted by its orbit's size,
-and the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p) have
-equal counts; each orbit of triples is counted once, on its least triple of
-indices.  None of these tables is used by the equivariant tally.
+bitsets.  The distinct values w of the x-part x^3 + A2 x^2 + A4 x are the
+bits of one int per preimage count n (at most three ints), set at their
+carry-free packed positions, so adding A6 to every value is one shift, and
+the nonzero squares among the sums are one AND and one popcount against the
+bitset of squares over packed sums.  The sum of chi over every x is then
+2S - q + n(-A6), where S is the number of x whose sum is a nonzero square
+and n(-A6) the number with w(x) = -A6, read from the preimage counts by
+element.  Those tables, the Frobenius map, the cubes x^3, the orbits of
+F_q^* and the squares bitset are built once per field here (_field_tables),
+from FieldSpec's indices; the two tables over packed sums, the unpacking
+and the character classes, are the element-indexed tables widened by slices
+one base-p digit at a time.  The value masks and preimage counts come from
+enumerating every x once per (A2, A4), starting from the cubes.  Every
+build is linear in its table.  One table of coefficient triples covers
+P^1(F_q): t = 0, one t per orbit of F_q^*, and the fiber at infinity, the
+cubic of those top coefficients.  It counts one fiber per Frobenius orbit:
+x -> x^p is an automorphism of F_q and A_i(t^p) = A_i(t)^p, so the d fibers
+over an orbit of size d are conjugate, each key is weighted by its orbit's
+size, and the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p)
+have equal counts; each orbit of triples is counted once, on its least
+triple of indices.  None of these tables is used by the equivariant tally.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant without factoring it (a squarefree test
 on gcd(Delta, Delta')), names the first reducible fiber from the
 factorisation only when it refuses, and refuses characteristics 2 and 3
-outright, where that test is invalid.  The count costs a shift, two ANDs
-and two popcounts of (2p - 1)^r-bit ints per mask per distinct Frobenius
+outright, where that test is invalid.  The count costs a shift, one AND
+and one popcount of (2p - 1)^r-bit ints per mask per distinct Frobenius
 orbit of fibers, still quadratic in q but word-parallel, so fields larger
 than 11^4 are refused up front (COUNT_Q_LIMIT).
 """
@@ -71,12 +73,12 @@ KINDS = ("epsilon", "gamma", "uniform")
 
 # surface_count evaluates the cubic once per closed point of the t-line and
 # counts one fiber per Frobenius orbit, each by at most three shifted masks of
-# (2p - 1)^r bits against the character bitsets.  Near the limit (Python 3.11,
-# one core of a 2-core x86 host under load, epsilon 1 in a fresh process,
-# tables included, medians of 10 runs) a count at q = 11^4 (3696 evaluation
-# points, 1331 distinct fibers in 336 orbits, masks of 21^4 bits) takes
-# 67 ms, 13-22 ms of it the tables, and at the prime 14639 (9255 distinct
-# fibers, Frobenius the identity) 0.26 s.  At 31^4 the tables would hold
+# (2p - 1)^r bits against the squares bitset.  Near the limit (Python 3.11,
+# one core of a 2-core x86 host, epsilon 1 in a fresh process, tables
+# included, medians of 10 runs) a count at q = 11^4 (3696 evaluation points,
+# 1331 distinct fibers in 336 orbits, masks of 21^4 bits) takes 35 ms,
+# 11-17 ms of it the tables, and at the prime 14639 (9255 distinct fibers,
+# Frobenius the identity) 99 ms.  At 31^4 the tables would hold
 # 61^4 = 1.4e7 packed sums, and about 230000 orbits at 1.3 ms of bitset work
 # per mask would take a quarter of an hour.
 COUNT_Q_LIMIT = 11**4
@@ -269,10 +271,15 @@ def _completed_cubic(model: WeierstrassModel) -> tuple[tuple[int, ...], ...]:
     return reduced(A2, p), reduced(A4, p), reduced(A6, p)
 
 
+# _DIGITS[c] translates the byte c to "1" and every other byte to "0"; the
+# classes read by _bits are 1 (a square) and preimage counts 1 .. 3
+_DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(4)]
+
+
 def _bits(classes: bytes | bytearray, c: int) -> int:
     """The int whose bit s is set iff classes[s] == c, in linear time: one
     translate to the base-2 digits, most significant first, and one parse."""
-    return int(classes[::-1].translate(bytes([48 + (b == c) for b in range(256)])), 2)
+    return int(classes[::-1].translate(_DIGITS[c]), 2)
 
 
 def _widen(seq: list[int] | bytearray, p: int, r: int) -> list[int] | bytearray:
@@ -298,7 +305,7 @@ def _widen(seq: list[int] | bytearray, p: int, r: int) -> list[int] | bytearray:
 
 @lru_cache(maxsize=None)  # one entry per field; equal FieldSpecs share it
 def _field_tables(spec: FieldSpec) -> tuple:
-    """(log, exp, pack, unpack, squares, nonsquares, frob, cubes, orbits): the count's tables for F_q, odd p.
+    """(log, exp, pack, unpack, squares, frob, cubes, orbits): the count's tables for F_q, odd p.
 
     pack[i] reads the coordinates c_j of element i as digits in base
     2p - 1, sum_j c_j (2p - 1)^j.  A sum of two packed elements has every
@@ -309,14 +316,15 @@ def _field_tables(spec: FieldSpec) -> tuple:
     of F_q^* in index order, and log[exp[k]] = k; log[0] is -1, since zero
     has no logarithm.  The search for g tests g^((q - 1)/l) != 1 for the
     primes l dividing q - 1, found by trial division, and for r > 1 starts
-    at index p, since F_p^* is too small to hold a generator.  squares and
-    nonsquares are the quadratic character over packed sums as two bitsets:
-    bit pack[a] + pack[b] of squares is set iff a + b is a nonzero square,
-    of nonsquares iff it is a nonsquare, read from the logarithm as
-    chi(g^k) = (-1)^k: a class byte per element (0 for zero, 1 for a
-    square, 2 for a nonsquare), widened like unpack and read into the two
-    ints by _bits.  frob[i] is the index of x^p for x of index i,
-    exp[p * log x mod (q - 1)], and 0 -> 0.  cubes[k] is the index of
+    at index p, since F_p^* is too small to hold a generator.  squares is
+    the quadratic character over packed sums as one bitset: bit
+    pack[a] + pack[b] is set iff a + b is a nonzero square, read from the
+    logarithm as chi(g^k) = (-1)^k: a class byte per element (1 for a
+    nonzero square, 0 for zero and for a nonsquare), widened like unpack
+    and read into the int by _bits.  Zero and the nonsquares need no bitset
+    of their own: _count_cubic_points counts the zeros from the preimage
+    counts and the nonsquares as the rest.  frob[i] is the index of x^p for
+    x of index i, exp[p * log x mod (q - 1)], and 0 -> 0.  cubes[k] is the index of
     g^(3k), x^3 at x = g^k.  orbits holds one log per Frobenius orbit of
     F_q^*, as pairs (d, logs), one for each d | r: x -> x^p is k -> p*k
     mod (q - 1) on logs, an orbit of size d lies in F_(p^d)^*, whose logs
@@ -356,10 +364,9 @@ def _field_tables(spec: FieldSpec) -> tuple:
         log[i] = k
         i = times_g[i]
     frob = [0] + [exp[p * k % (q - 1)] for k in log[1:]]
-    # the character class of each element, then of each packed sum: 0 for
-    # zero, 1 for a square (an even power of g), 2 for a nonsquare
-    classes = bytearray([2]) * q
-    classes[0] = 0
+    # the character class of each element, then of each packed sum: 1 for
+    # a nonzero square (an even power of g), 0 for zero and a nonsquare
+    classes = bytearray(q)
     for i in exp[::2]:
         classes[i] = 1
     classes = _widen(classes, p, r)
@@ -374,7 +381,7 @@ def _field_tables(spec: FieldSpec) -> tuple:
                 pj = p**j
                 least = [k for k in least if k < k * pj % (q - 1)]
             orbits.append((d, least))
-    return log, exp, pack, unpack, _bits(classes, 1), _bits(classes, 2), frob, cubes, tuple(orbits)
+    return log, exp, pack, unpack, _bits(classes, 1), frob, cubes, tuple(orbits)
 
 
 def _values_at(coeffs: Sequence[int], spec: FieldSpec, logs: Sequence[int], acc: list[int]) -> list[int]:
@@ -395,35 +402,44 @@ def _values_at(coeffs: Sequence[int], spec: FieldSpec, logs: Sequence[int], acc:
 
 
 @lru_cache(maxsize=None)
-def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[int, int], ...]:
-    """The distinct values of x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
-    by index, grouped by their number n of preimages x: ((n, mask), ...),
-    where bit pack[w] of mask is set for each value w with n preimages."""
+def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[tuple[int, int], ...], bytes]:
+    """The values of w(x) = x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
+    by index, as ((n, mask), ...) and preimages: preimages[w], q bytes by
+    element index, is the number of x with w(x) = w, and bit pack[w] of
+    mask is set for each value w with n preimages, one mask per n >= 1."""
     _, _, pack, *_, cubes, _ = _field_tables(spec)
     counts = Counter(_values_at((0, a4, a2), spec, range(spec.q - 1), cubes))
     counts[0] += 1  # x = 0
-    preimages = bytearray(pack[-1] + 1)  # pack[-1], of index q - 1, is the largest
+    preimages = bytearray(spec.q)
+    packed = bytearray(pack[-1] + 1)  # pack[-1], of index q - 1, is the largest
     for w, n in counts.items():
-        preimages[pack[w]] = n
-    return tuple((n, _bits(preimages, n)) for n in sorted(set(counts.values())))
+        preimages[w] = packed[pack[w]] = n
+    return tuple((n, _bits(packed, n)) for n in sorted(set(counts.values()))), bytes(preimages)
 
 
 def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q.
 
     The coefficients are element indices.  The count is
-    1 + q + sum_x chi(w(x) + a6) over every x, summed over the distinct
-    values w of w(x) = x^3 + a2 x^2 + a4 x, times the number n of x that
-    take each value.  Packed addition never carries, so shifting the mask
-    of the values with n preimages left by pack[a6] gives the packed values
-    w + a6, and the squares and nonsquares among them are two popcounts."""
-    _, _, pack, _, squares, nonsquares, *_ = _field_tables(spec)
+    1 + q + sum_x chi(w(x) + a6) over every x, with
+    w(x) = x^3 + a2 x^2 + a4 x.  Since chi(v) = 2 [v a nonzero square] - 1
+    + [v = 0], the sum is 2 S - q + n(-a6): S is the number of x with
+    w(x) + a6 a nonzero square and n(-a6) the number with w(x) = -a6, one
+    entry of the preimage counts.  Packed addition never carries, so
+    shifting the mask of the values with n preimages left by pack[a6] gives
+    the packed values w + a6, and S sums n times one AND with squares and
+    one popcount per mask."""
+    log, exp, pack, _, squares, *_ = _field_tables(spec)
+    masks, preimages = _cubic_linear_part(spec, a2, a4)
     c = pack[a6]
-    total = 1 + spec.q
-    for n, mask in _cubic_linear_part(spec, a2, a4):
-        shifted = mask << c
-        total += n * ((shifted & squares).bit_count() - (shifted & nonsquares).bit_count())
-    return total
+    total = 1
+    for n, mask in masks:
+        total += 2 * n * ((mask << c) & squares).bit_count()
+    if not a6:
+        return total + preimages[0]
+    # -a6 = a6 * g^((q - 1)/2), since g^((q - 1)/2) = -1
+    m = spec.q - 1
+    return total + preimages[exp[(log[a6] + m // 2) % m]]
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:

@@ -101,10 +101,13 @@ def test_is_irreducible_matches_trial_division(p, r):
 @pytest.mark.parametrize(
     "p,r",
     [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 5) if p**r <= 14641]
-    + [(3, 5), (2, 10), (5, 5)],  # the first q = 1 mod 11 at p = 3, 2 and 5
+    + [(3, 5), (2, 10), (5, 5)]  # the first q = 1 mod 11 at p = 3, 2 and 5
+    + [(101, 2), (101, 3), (1021, 2)],  # blocks of p candidates sieved by roots
 )
 def test_canonical_modulus_is_first_irreducible(p, r):
-    # one rule for every (p, r): the first monic irreducible in base-p order
+    # one rule for every (p, r): the first monic irreducible in base-p order.
+    # At (101, 3) every u^3 + a_0 has a root, since 3 does not divide 100, so
+    # the whole first block of 101 candidates is reducible
     first = next(f for f in _monic_polys(p, r) if _reference_is_irreducible(f, p))
     assert FieldSpec(p, r).modulus == first
 
@@ -287,22 +290,23 @@ def test_extension_degrees_3_and_4():
 # -- the counting layers' own tables, against the field's arithmetic -------
 #
 # FieldSpec holds no table.  The point count builds log/exp, packed addition,
-# the character bitsets and Frobenius in surface._field_tables; the tally
+# the squares bitset and Frobenius in surface._field_tables; the tally
 # builds the negated traces in equivariant._neg_trace_table.
 
 
-def _chi_by_index(spec):
-    """The point count's character by element index: bit pack[x] (of x + 0)
-    of its squares and nonsquares bitsets, never both set."""
-    _, _, pack, _, squares, nonsquares, *_ = _field_tables(spec)
-    bits = [(squares >> pack[i] & 1, nonsquares >> pack[i] & 1) for i in range(spec.q)]
-    assert (1, 1) not in bits
-    return [square - nonsquare for square, nonsquare in bits]
+def _squares_by_packed_sum(spec):
+    """The point count's squares bitset read at every packed sum s, with the
+    quadratic character of unpack[s] by Euler's criterion beside it: the bit
+    must be set iff that character is 1, a nonzero square."""
+    _, _, _, unpack, squares, *_ = _field_tables(spec)
+    assert squares.bit_length() <= len(unpack)
+    chi = [quadratic_character(spec, x) for x in _elements(spec)]
+    return [squares >> s & 1 for s in range(len(unpack))], [int(chi[i] == 1) for i in unpack]
 
 
 def test_chi_table_matches_character():
-    spec = FieldSpec(11, 2)
-    assert _chi_by_index(spec) == [quadratic_character(spec, x) for x in _elements(spec)]
+    bits, expected = _squares_by_packed_sum(FieldSpec(11, 2))
+    assert bits == expected
 
 
 @pytest.mark.parametrize(
@@ -324,8 +328,8 @@ def test_log_tables(p, r, modulus):
 
 @pytest.mark.parametrize("p,r,modulus", [(11, 3, None), (5, 4, None), (7, 3, (1, 1, 3, 1))])
 def test_chi_table_matches_character_in_larger_fields(p, r, modulus):
-    spec = _spec(p, r, modulus)
-    assert _chi_by_index(spec) == [quadratic_character(spec, x) for x in _elements(spec)]
+    bits, expected = _squares_by_packed_sum(_spec(p, r, modulus))
+    assert bits == expected
 
 
 def test_packed_tables_add_exhaustively():

@@ -576,7 +576,7 @@ def test_surface_count_evaluates_the_cubic_once_per_closed_point(r, points, tota
     sizes = [len(c.args[2]) for c in evaluate.call_args_list]
     assert sizes == [n for n in points.values() for _ in range(3)]
     assert 1 + sum(sizes[::3]) == total
-    assert {d: len(logs) for d, logs in _field_tables(spec)[8]} == points
+    assert {d: len(logs) for d, logs in _field_tables(spec)[7]} == points
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -622,8 +622,22 @@ def test_surface_count_over_f_5_to_the_5():
 )
 def test_count_cubic_points_matches_per_x_reference(spec, data):
     # the popcounts over the shifted masks of the x-part's values, against a
-    # sum over every x in tuple arithmetic
-    a2, a4, a6 = (tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r)) for _ in range(3))
+    # sum over every x in tuple arithmetic.  a6 is drawn, or 0, or -w(x0) for
+    # a drawn x0 and w(x) = x^3 + a2 x^2 + a4 x, so that the count's term
+    # n(-a6), the number of x with w(x) = -a6, is positive
+    def element():
+        return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
+
+    a2, a4 = element(), element()
+    a6 = data.draw(st.sampled_from(["drawn", "zero", "root"]))
+    if a6 == "drawn":
+        a6 = element()
+    elif a6 == "zero":
+        a6 = ()
+    else:
+        x0 = element()
+        w = spec.mul(_add(spec.mul(_add(x0, a2, spec.p), x0), a4, spec.p), x0)
+        a6 = reduced([-c for c in w], spec.p)
     count = _count_cubic_points(spec, spec.index_of(a2), spec.index_of(a4), spec.index_of(a6))
     assert count == cubic_count(spec, a2, a4, a6)
 
@@ -659,28 +673,29 @@ def test_packed_chi_matches_chi_of_sum(spec, data):
         return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
 
     a, b = element(), element()
-    _, _, pack, unpack, squares, nonsquares, *_ = _field_tables(spec)
+    _, _, pack, unpack, squares, *_ = _field_tables(spec)
     packed_sum = pack[spec.index_of(a)] + pack[spec.index_of(b)]
     assert unpack[packed_sum] == spec.index_of(_add(a, b, spec.p))
     chi = quadratic_character(spec, _add(a, b, spec.p))
-    assert (squares >> packed_sum & 1, nonsquares >> packed_sum & 1) == (chi == 1, chi == -1)
+    assert squares >> packed_sum & 1 == (chi == 1)
 
 
 @pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
 def test_character_bitsets_match_chi_at_every_packed_sum(spec):
     # every s < (2p - 1)^r is a packed sum (each digit up to 2p - 2 is a sum
-    # of two digits below p); bit s of the two bitsets must read chi(unpack[s])
-    _, _, _, unpack, squares, nonsquares, *_ = _field_tables(spec)
+    # of two digits below p); bit s of squares must be set iff chi(unpack[s])
+    # is 1, and clear at zero and at the nonsquares alike
+    _, _, _, unpack, squares, *_ = _field_tables(spec)
     chi = [quadratic_character(spec, spec.coords_at(i)) for i in range(spec.q)]
-    assert squares.bit_length() <= len(unpack) and nonsquares.bit_length() <= len(unpack)
+    assert squares.bit_length() <= len(unpack)
     for s, i in enumerate(unpack):
-        assert (squares >> s & 1, nonsquares >> s & 1) == (chi[i] == 1, chi[i] == -1)
+        assert squares >> s & 1 == (chi[i] == 1)
 
 
 @pytest.mark.parametrize("spec", _PACKED_SPECS, ids=repr)
 def test_frobenius_table_is_the_pth_power(spec):
     expected = [spec.index_of(spec.pow(spec.coords_at(i), spec.p)) for i in range(spec.q)]
-    assert _field_tables(spec)[6] == expected
+    assert _field_tables(spec)[5] == expected
 
 
 @pytest.mark.parametrize("modulus", ["canonical", "drawn"])
@@ -688,7 +703,7 @@ def test_frobenius_table_is_the_pth_power(spec):
     "p,r", [(3, 1), (3, 5), (5, 2), (5, 3), (5, 4), (5, 5), (7, 3), (11, 1), (11, 2), (11, 3), (13, 2)]
 )
 def test_field_tables_match_independent_references(p, r, modulus):
-    # unpack against the per-entry digit formula, the character bitsets at
+    # unpack against the per-entry digit formula, the squares bitset at
     # every packed sum against the squares of every element, and exp[1]
     # against the first index of multiplicative order q - 1; "drawn" is a
     # monic irreducible picked by a fixed seed among the eleven of degree r
@@ -698,17 +713,14 @@ def test_field_tables_match_independent_references(p, r, modulus):
     else:
         irreducibles = [m for m in monic_polys(p, r) if is_irreducible(m, p)][1:12]
         spec = spec_with_modulus(p, r, random.Random(p**r).choice(irreducibles))
-    _, exp, _, unpack, squares, nonsquares, *_ = _field_tables(spec)
+    _, exp, _, unpack, squares, *_ = _field_tables(spec)
     reference = unpack_by_digits(p, r)
     assert unpack == reference
     chi = character_by_squaring(spec)
     n = len(reference)
-    square_bits, nonsquare_bits = (f"{bits:0{n}b}"[::-1] for bits in (squares, nonsquares))
-    assert len(square_bits) == len(nonsquare_bits) == n
-    assert [chi[i] for i in reference] == [
-        (s == "1") - (ns == "1") for s, ns in zip(square_bits, nonsquare_bits)
-    ]
-    assert "11" not in {s + ns for s, ns in zip(square_bits, nonsquare_bits)}
+    square_bits = f"{squares:0{n}b}"[::-1]
+    assert len(square_bits) == n
+    assert [chi[i] == 1 for i in reference] == [s == "1" for s in square_bits]
     q = spec.q
     assert multiplicative_order(spec, exp[1]) == q - 1
     assert all(multiplicative_order(spec, i) < q - 1 for i in range(1, exp[1]))
