@@ -16,10 +16,17 @@ coefficients are the top coefficients, of t^4, t^8 and t^12, of the
 completed A2, A4 and A6.
 
 Point counting is the independent oracle for everything downstream, so it
-is deliberately naive: enumerate x, add 1 + chi(cubic in x) points per
-fiber (odd characteristic; the substitution y -> y - (a1*x + a3)/2 removes
-the crossed terms first).  Counts are exact integers, and identical no
-matter how the enumeration is partitioned.  surface_count works on element
+shares no table and no code with the equivariant tally: each fiber adds
+1 + q + sum_x chi(cubic in x) points (odd characteristic; the substitution
+y -> y - (a1*x + a3)/2 removes the crossed terms first).  Counts are exact
+integers, and identical no matter how the enumeration is partitioned.
+The sum depends on (a2, a4, a6) only up to scaling: x = lambda X gives
+sum_x chi(x^3 + a2 x^2 + a4 x + a6) = chi(lambda) *
+sum_X chi(X^3 + (a2/lambda) X^2 + (a4/lambda^2) X + a6/lambda^3).  With
+lambda = g^k, for g the generator of F_q^* below, chi(g^k) = (-1)^k, and
+k puts the triple on its class representative: a2 = 1 if a2 != 0, else
+a4 in {0, 1, g}.  So one x-part serves every fiber of its class, at most
+q + 3 of them per field.  surface_count works on element
 indices: the cubic is completed once, A2, A4 and A6 are evaluated once per
 closed point of the t-line (at t = 0 and at one t per Frobenius orbit of
 F_q^*) through log/exp tables, and each fiber's character sum is read from
@@ -35,15 +42,15 @@ F_q^* and the squares bitset are built once per field here (_field_tables),
 from FieldSpec's indices; the two tables over packed sums, the unpacking
 and the character classes, are the element-indexed tables widened by slices
 one base-p digit at a time.  The value masks and preimage counts come from
-enumerating every x once per (A2, A4), starting from the cubes.  Every
-build is linear in its table.  One table of coefficient triples covers
+enumerating every x once per class of (A2, A4), starting from the cubes.
+Every build is linear in its table.  One table of coefficient triples covers
 P^1(F_q): t = 0, one t per orbit of F_q^*, and the fiber at infinity, the
 cubic of those top coefficients.  It counts one fiber per Frobenius orbit:
 x -> x^p is an automorphism of F_q and A_i(t^p) = A_i(t)^p, so the d fibers
 over an orbit of size d are conjugate, each key is weighted by its orbit's
 size, and the fibers with coefficients (a2, a4, a6) and (a2^p, a4^p, a6^p)
 have equal counts; each orbit of triples is counted once, on its least
-triple of indices.  None of these tables is used by the equivariant tally.
+triple of indices.
 
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
@@ -406,7 +413,9 @@ def _cubic_linear_part(spec: FieldSpec, a2: int, a4: int) -> tuple[tuple[tuple[i
     """The values of w(x) = x^3 + a2*x^2 + a4*x over F_q, a2 and a4 given
     by index, as ((n, mask), ...) and preimages: preimages[w], q bytes by
     element index, is the number of x with w(x) = w, and bit pack[w] of
-    mask is set for each value w with n preimages, one mask per n >= 1."""
+    mask is set for each value w with n preimages, one mask per n >= 1.
+    _count_cubic_points asks only for class representatives, a2 = 1 with
+    any a4, or a2 = 0 with a4 in {0, 1, g}: at most q + 3 entries per field."""
     _, _, pack, *_, cubes, _ = _field_tables(spec)
     counts = Counter(_values_at((0, a4, a2), spec, range(spec.q - 1), cubes))
     counts[0] += 1  # x = 0
@@ -421,25 +430,33 @@ def _count_cubic_points(spec: FieldSpec, a2: int, a4: int, a6: int) -> int:
     """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q, odd q.
 
     The coefficients are element indices.  The count is
-    1 + q + sum_x chi(w(x) + a6) over every x, with
-    w(x) = x^3 + a2 x^2 + a4 x.  Since chi(v) = 2 [v a nonzero square] - 1
-    + [v = 0], the sum is 2 S - q + n(-a6): S is the number of x with
-    w(x) + a6 a nonzero square and n(-a6) the number with w(x) = -a6, one
-    entry of the preimage counts.  Packed addition never carries, so
-    shifting the mask of the values with n preimages left by pack[a6] gives
-    the packed values w + a6, and S sums n times one AND with squares and
-    one popcount per mask."""
+    1 + q + sum_x chi(x^3 + a2 x^2 + a4 x + a6) over every x.  Substituting
+    x = g^k X scales the cubic by g^(3k) and its coefficients to
+    (a2 g^-k, a4 g^-2k, a6 g^-3k), so the sum is chi(g^k) = (-1)^k times
+    the sum for those coefficients.  k moves the triple to its class
+    representative: k = log a2 if a2 != 0 (a2 becomes 1), else
+    floor(log a4 / 2) if a4 != 0 (a4 becomes 1 or g), else 0.  For the
+    representative, with w(x) = x^3 + a2 x^2 + a4 x, since
+    chi(v) = 2 [v a nonzero square] - 1 + [v = 0], the sum is
+    2 S - q + n(-a6): S is the number of x with w(x) + a6 a nonzero square
+    and n(-a6) the number with w(x) = -a6, one entry of the preimage
+    counts.  Packed addition never carries, so shifting the mask of the
+    values with n preimages left by pack[a6] gives the packed values
+    w + a6, and S sums n times one AND with squares and one popcount per
+    mask."""
     log, exp, pack, _, squares, *_ = _field_tables(spec)
-    masks, preimages = _cubic_linear_part(spec, a2, a4)
-    c = pack[a6]
-    total = 1
-    for n, mask in masks:
-        total += 2 * n * ((mask << c) & squares).bit_count()
-    if not a6:
-        return total + preimages[0]
-    # -a6 = a6 * g^((q - 1)/2), since g^((q - 1)/2) = -1
     m = spec.q - 1
-    return total + preimages[exp[(log[a6] + m // 2) % m]]
+    k = log[a2] if a2 else log[a4] // 2 if a4 else 0
+    a2 = exp[(log[a2] - k) % m] if a2 else 0
+    a4 = exp[(log[a4] - 2 * k) % m] if a4 else 0
+    a6 = exp[(log[a6] - 3 * k) % m] if a6 else 0
+    masks, preimages = _cubic_linear_part(spec, a2, a4)
+    # -a6 = a6 * g^(m/2), since g^(m/2) = -1
+    chi_sum = preimages[exp[(log[a6] + m // 2) % m] if a6 else 0] - spec.q
+    c = pack[a6]
+    for n, mask in masks:
+        chi_sum += 2 * n * ((mask << c) & squares).bit_count()
+    return 1 + spec.q + (-chi_sum if k % 2 else chi_sum)
 
 
 def surface_count(model: WeierstrassModel, spec: FieldSpec) -> int:

@@ -270,9 +270,11 @@ def cubic_count(spec: FieldSpec, a2: tuple[int, ...], a4: tuple[int, ...], a6: t
 
     The coefficients are F_q elements as tuples.  Each x goes through Horner's
     rule in tuple arithmetic and adds the number of y with y^2 equal to
-    the value, read from the set of squares of every element: the reference
-    for wild11.surface._count_cubic_points, which sums the quadratic
-    character over the distinct values of the cubic's x-part."""
+    the value, read from the set of squares of every element, with no
+    change of variable: the reference for wild11.surface._count_cubic_points,
+    which scales (a2, a4, a6) to a class representative under x -> lambda x
+    and sums the quadratic character over the distinct values of that
+    representative's x-part."""
     p = spec.p
     elements, squares = _elements_and_squares(spec)
     zero = elements[0]

@@ -28,6 +28,7 @@ from wild11.surface import (
     COUNT_Q_LIMIT,
     _completed_cubic,
     _count_cubic_points,
+    _cubic_linear_part,
     _every_fiber_irreducible,
     _field_tables,
     _is_irreducible_fiber,
@@ -613,6 +614,16 @@ def test_surface_count_over_f_5_to_the_5():
     assert count == at_infinity + sum(fiber_count_at(m, t0, spec) for t0 in range(q))
 
 
+def _element_drawer(spec, data):
+    """A function drawing an F_q element as a coordinate tuple, nonzero on request."""
+
+    def element(nonzero=False):
+        digits = st.lists(st.integers(0, spec.p - 1), min_size=spec.r, max_size=spec.r)
+        return tuple(data.draw(digits.filter(any) if nonzero else digits))
+
+    return element
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.sampled_from(
@@ -622,13 +633,28 @@ def test_surface_count_over_f_5_to_the_5():
 )
 def test_count_cubic_points_matches_per_x_reference(spec, data):
     # the popcounts over the shifted masks of the x-part's values, against a
-    # sum over every x in tuple arithmetic.  a6 is drawn, or 0, or -w(x0) for
-    # a drawn x0 and w(x) = x^3 + a2 x^2 + a4 x, so that the count's term
-    # n(-a6), the number of x with w(x) = -a6, is positive
-    def element():
-        return tuple(data.draw(st.integers(0, spec.p - 1)) for _ in range(spec.r))
-
-    a2, a4 = element(), element()
+    # sum over every x in tuple arithmetic.  a2 and a4 are drawn so that each
+    # branch of the count's scaling to a class representative is reached:
+    # a2 is 0 or drawn, and a4 is 0, a nonzero square, a nonsquare or drawn.
+    # a6 is drawn, or 0, or -w(x0) for a drawn x0 and
+    # w(x) = x^3 + a2 x^2 + a4 x, so that the count's term n(-a6), the
+    # number of x with w(x) = -a6, is positive
+    element = _element_drawer(spec, data)
+    a2 = element() if data.draw(st.booleans()) else ()
+    kind = data.draw(st.sampled_from(["zero", "square", "nonsquare", "drawn"]))
+    if kind == "zero":
+        a4 = ()
+    elif kind == "drawn":
+        a4 = element()
+    else:
+        x = element(nonzero=True)
+        a4 = spec.mul(x, x)
+        if kind == "nonsquare":
+            nonsquare = next(
+                y for y in map(spec.coords_at, range(spec.q)) if quadratic_character(spec, y) == -1
+            )
+            a4 = spec.mul(a4, nonsquare)
+        assert quadratic_character(spec, a4) == (1 if kind == "square" else -1)
     a6 = data.draw(st.sampled_from(["drawn", "zero", "root"]))
     if a6 == "drawn":
         a6 = element()
@@ -750,6 +776,41 @@ def test_conjugate_cubics_have_equal_counts(spec, data):
     assert _count_cubic_points(spec, *map(spec.index_of, triple)) == _count_cubic_points(
         spec, *map(spec.index_of, conjugate)
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([FieldSpec(13), FieldSpec(101), FieldSpec(11, 2), FieldSpec(11, 3), FieldSpec(5, 4)]),
+    st.data(),
+)
+def test_scaled_cubics_have_related_counts(spec, data):
+    # the identity behind the count's class representatives: x = lam X
+    # scales the cubic with coefficients (lam a2, lam^2 a4, lam^3 a6) to
+    # lam^3 times the cubic with (a2, a4, a6), so its character sum is
+    # chi(lam) times theirs; by tuple arithmetic and the per-x reference only
+    element = _element_drawer(spec, data)
+    a2, a4, a6 = element(), element(), element()
+    lam = element(nonzero=True)
+    lam2 = spec.mul(lam, lam)
+    scaled = spec.mul(lam, a2), spec.mul(lam2, a4), spec.mul(spec.mul(lam2, lam), a6)
+    q = spec.q
+    chi = quadratic_character(spec, lam)
+    assert cubic_count(spec, *scaled) - 1 - q == chi * (cubic_count(spec, a2, a4, a6) - 1 - q)
+
+
+def test_family_counts_share_x_parts():
+    # every fiber of the 22 epsilon/gamma members has a2 = 0 or a4 = 0, so
+    # at q = 11^3 the counts scale onto at most four x-parts: a2 = 1 with
+    # a4 = 0, and a2 = 0 with a4 = 0, 1 or g.  Each count must not depend
+    # on what the cache held before it
+    spec = FieldSpec(11, 3)
+    models = [make_model(kind, param, 11) for kind, param in SURFACES]
+    _cubic_linear_part.cache_clear()
+    counts = [surface_count(m, spec) for m in models]
+    assert _cubic_linear_part.cache_info().misses <= 4
+    for m, count in zip(models, counts):
+        _cubic_linear_part.cache_clear()
+        assert surface_count(m, spec) == count
 
 
 def _power_sum(coeffs, k):
