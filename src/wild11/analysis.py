@@ -47,6 +47,7 @@ on the unit circle, is reported but never used as a gate.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -59,7 +60,6 @@ from .polynomials import (
     newton_polygon,
     palindrome_sign,
 )
-from .record import Record
 
 if TYPE_CHECKING:
     from .equivariant import CharPolyResult
@@ -173,22 +173,24 @@ def structural_checks(mu: tuple[int, ...], kind: str, p: int) -> dict[str, bool 
     return checks
 
 
-class AnalysisReport(Record):
+class AnalysisReport(namedtuple("AnalysisReport", ("mu_tilde", "picard_upper", "height", "newton_slopes"))):
     """Exact invariants of one surface: mu~, Picard number, height, Newton slopes."""
 
-    __slots__ = ("mu_tilde", "picard_upper", "height", "newton_slopes")
+    __slots__ = ()
     mu_tilde: tuple[Fraction, ...]
     picard_upper: int
     height: int | float
     newton_slopes: tuple[tuple[Fraction, int], ...]
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 2 <= self.picard_upper <= B2:
             raise InconsistencyError(f"Picard bound {self.picard_upper} outside [2, {B2}]")
         if self.height != INFINITE_HEIGHT and self.picard_upper > B2 - 2 * self.height:
             raise InconsistencyError(
                 f"Picard bound {self.picard_upper} inconsistent with height {self.height}"
             )
+        return self
 
 
 def analyze_charpoly(result: CharPolyResult) -> AnalysisReport:

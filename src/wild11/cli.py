@@ -159,7 +159,7 @@ def run_equivariant_pipeline(kind: str, param: int, p: int):
     tr_p2 = traces_from_tally(tally_p2)
     eigen_p = inverse_dft(tr_p, p)
     eigen_p2 = inverse_dft(tr_p2, p * p)
-    result = assemble_charpoly(eigen_p, eigen_p2, p)
+    result = assemble_charpoly(eigen_p, eigen_p2)
     return model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result
 
 

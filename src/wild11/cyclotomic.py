@@ -38,9 +38,10 @@ live in Z[zeta]: coordinates are plain Python ints.  No floating point.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import InconsistencyError
 from .polynomials import poly_mul
-from .record import Record
 
 DEGREE = 10  # [Q(zeta_11) : Q]
 ORDER = 11
@@ -103,7 +104,7 @@ def galois_apply(s: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out[i] - top for i in range(DEGREE))
 
 
-class EigenTraces(Record):
+class EigenTraces(namedtuple("EigenTraces", ("q", "a"))):
     """Relative Frobenius traces a_1 .. a_10 over F_q; a[i-1] is a_i.
 
     Each a_i is an element of Z[zeta], a tuple of exactly 10 ints; anything
@@ -112,11 +113,12 @@ class EigenTraces(Record):
     Galois map sigma_s: zeta -> zeta^s (equivariant.check_conjugates).
     """
 
-    __slots__ = ("q", "a")
+    __slots__ = ()
     q: int
     a: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.a) != DEGREE:
             raise ValueError(f"expected {DEGREE} traces, got {len(self.a)}")
         for x in self.a:
@@ -124,6 +126,7 @@ class EigenTraces(Record):
                 raise TypeError(f"an element of Z[zeta] is a tuple of ints, got {x!r}")
             if len(x) != DEGREE:
                 raise ValueError(f"an element of Z[zeta] has {DEGREE} coordinates, got {len(x)}")
+        return self
 
     def galois_permutation(self, s: int) -> tuple[int, ...] | None:
         """Observed index map under zeta -> zeta^s: position i holds j with

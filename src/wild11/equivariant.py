@@ -48,7 +48,7 @@ of ints, constant term first, like every polynomial in Z[T] here.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -56,13 +56,12 @@ from .cyclotomic import DEGREE, ORDER, EigenTraces, cyc_mul, galois_apply, power
 from .errors import CapabilityError, InconsistencyError
 from .ffield import FieldSpec, trace_to_base
 from .polynomials import poly_mul
-from .record import Record
 
 if TYPE_CHECKING:
     from .surface import WeierstrassModel
 
 
-class FixTally(Record):
+class FixTally(namedtuple("FixTally", ("q", "fix"))):
     """Sizes of the eleven twisted fixed loci over F_q.
 
     Plain data on purpose: the bucket invariants are guaranteed by
@@ -70,13 +69,15 @@ class FixTally(Record):
     tallies can be constructed to exercise the downstream consistency gates.
     """
 
-    __slots__ = ("q", "fix")
+    __slots__ = ()
     q: int
     fix: tuple[int, ...]
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.fix) != ORDER:
             raise ValueError(f"expected {ORDER} buckets, got {len(self.fix)}")
+        return self
 
 
 def _neg_trace_table(spec: FieldSpec) -> list[int]:
@@ -155,7 +156,7 @@ def traces_from_tally(tally: FixTally) -> list[int]:
     return [f - shift for f in tally.fix]
 
 
-class CharPolyResult(Record):
+class CharPolyResult(namedtuple("CharPolyResult", ("p", "mu", "mu_full", "per_eigenspace"))):
     """Characteristic polynomial of Frobenius on the 20-dimensional part V.
 
     `mu` is the degree-20 integer polynomial, `mu_full` its degree-22
@@ -169,7 +170,7 @@ class CharPolyResult(Record):
     eigenspace indices and leaves mu itself unchanged.
     """
 
-    __slots__ = ("p", "mu", "mu_full", "per_eigenspace")
+    __slots__ = ()
     p: int
     mu: tuple[int, ...]
     mu_full: tuple[int, ...]
@@ -214,10 +215,9 @@ def _norm_of_quadratic(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
     return tuple(reversed(c))
 
 
-def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces, p: int) -> CharPolyResult:
+def assemble_charpoly(E_p: EigenTraces, E_p2: EigenTraces) -> CharPolyResult:
     """Combine eigenspace traces at q = p and q = p^2 into the full mu_p."""
-    if E_p.q != p:
-        raise ValueError(f"first trace set is over q = {E_p.q}, expected {p}")
+    p = E_p.q
     if E_p2.q != p * p:
         raise ValueError(f"second trace set is over q = {E_p2.q}, expected {p * p}")
     check_conjugates(E_p)

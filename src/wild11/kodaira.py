@@ -23,9 +23,10 @@ rank = 2 + sum_v (m_v - 1); Mordell-Weil contributions are not modeled.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import CapabilityError, InconsistencyError
 from .polynomials import B2, valuation
-from .record import Record
 from .surface import FiberPlace, WeierstrassModel, singular_places
 
 # additive types fixed by v(Delta): (type, m_v, |disc| of the root lattice, label)
@@ -39,10 +40,10 @@ _ADDITIVE = {
 }
 
 
-class KodairaFiber(Record):
+class KodairaFiber(namedtuple("KodairaFiber", ("place", "type", "components", "disc", "label"))):
     """A classified place; disc and label describe one geometric fiber."""
 
-    __slots__ = ("place", "type", "components", "disc", "label")
+    __slots__ = ()
     place: FiberPlace
     type: str
     components: int
@@ -54,8 +55,8 @@ class KodairaFiber(Record):
         return self.place.degree
 
 
-class LatticeSummary(Record):
-    __slots__ = ("rank", "abs_disc", "components")
+class LatticeSummary(namedtuple("LatticeSummary", ("rank", "abs_disc", "components"))):
+    __slots__ = ()
     rank: int
     abs_disc: int
     components: tuple[str, ...]

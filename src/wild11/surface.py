@@ -65,7 +65,7 @@ than 11^4 are refused up front (COUNT_Q_LIMIT).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -74,7 +74,6 @@ from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
 from .fppoly import _divmod, _gcd, derivative, factor, multiplicity, reduced
 from .polynomials import poly_mul, poly_str, prime_divisors
-from .record import Record
 
 KINDS = ("epsilon", "gamma", "uniform")
 
@@ -98,11 +97,11 @@ _DEGREE_BOUNDS = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
 INFINITY = "infinity"
 
 
-class WeierstrassModel(Record):
+class WeierstrassModel(namedtuple("WeierstrassModel", ("p", "kind", "param", "a1", "a2", "a3", "a4", "a6"))):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, each a_i a reduced tuple
     in F_p[t]; the point count reads its entries as element indices."""
 
-    __slots__ = ("p", "kind", "param", "a1", "a2", "a3", "a4", "a6")
+    __slots__ = ()
     p: int
     kind: str
     param: int | None
@@ -112,7 +111,8 @@ class WeierstrassModel(Record):
     a4: tuple[int, ...]
     a6: tuple[int, ...]
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, bound in _DEGREE_BOUNDS.items():
             poly = getattr(self, name)
             if not isinstance(poly, tuple) or any(not isinstance(c, int) for c in poly):
@@ -124,9 +124,10 @@ class WeierstrassModel(Record):
                 )
             if len(poly) - 1 > bound:
                 raise ValueError(f"deg {name} = {len(poly) - 1} exceeds the K3 bound {bound}")
+        return self
 
 
-class FiberPlace(Record):
+class FiberPlace(namedtuple("FiberPlace", ("location", "degree", "vdelta", "vc4"))):
     """A closed point of the t-line where the discriminant vanishes.
 
     `location` is an int residue for a rational point, the monic irreducible
@@ -134,7 +135,7 @@ class FiberPlace(Record):
     `vc4` is None when c4 vanishes identically (the j = 0 families).
     """
 
-    __slots__ = ("location", "degree", "vdelta", "vc4")
+    __slots__ = ()
     location: object
     degree: int
     vdelta: int
@@ -181,23 +182,23 @@ def _combine(*terms: tuple[int, Sequence[int]]) -> list[int]:
     return out
 
 
+def _b_invariants(model: WeierstrassModel) -> tuple[list[int], list[int], list[int]]:
+    """b2 = a1^2 + 4 a2, b4 = 2 a4 + a1 a3 and b6 = a3^2 + 4 a6, in Z[t]."""
+    a1, a3 = model.a1, model.a3
+    b2 = _combine((1, poly_mul(a1, a1)), (4, model.a2))
+    b4 = _combine((2, model.a4), (1, poly_mul(a1, a3)))
+    b6 = _combine((1, poly_mul(a3, a3)), (4, model.a6))
+    return b2, b4, b6
+
+
 def c4_delta(model: WeierstrassModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Standard covariants c4 and Delta of the model, in F_p[t].
 
     The b_i, c4 and Delta are integer combinations of products of the
     coefficient tuples, taken in Z[t] and reduced mod p once."""
-    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
-    a1a1, a1a3, a3a3 = poly_mul(a1, a1), poly_mul(a1, a3), poly_mul(a3, a3)
-    b2 = _combine((1, a1a1), (4, a2))
-    b4 = _combine((2, a4), (1, a1a3))
-    b6 = _combine((1, a3a3), (4, a6))
-    b8 = _combine(
-        (1, poly_mul(a1a1, a6)),
-        (4, poly_mul(a2, a6)),
-        (-1, poly_mul(a1a3, a4)),
-        (1, poly_mul(a2, a3a3)),
-        (-1, poly_mul(a4, a4)),
-    )
+    b2, b4, b6 = _b_invariants(model)
+    # 4 b8 = b2 b6 - b4^2 holds identically over Z[a_i], so the division is exact
+    b8 = [c // 4 for c in _combine((1, poly_mul(b2, b6)), (-1, poly_mul(b4, b4)))]
     b2b2 = poly_mul(b2, b2)
     c4 = _combine((1, b2b2), (-24, b4))
     delta = _combine(
@@ -266,16 +267,13 @@ def _every_fiber_irreducible(model: WeierstrassModel) -> bool:
 
 
 def _completed_cubic(model: WeierstrassModel) -> tuple[tuple[int, ...], ...]:
-    """(A2, A4, A6) with y^2 = x^3 + A2 x^2 + A4 x + A6 after removing a1, a3
-    (odd p), each combined in Z[t] and reduced mod p once."""
+    """(A2, A4, A6) = (b2/4, b4/2, b6/4) mod p (odd p): y^2 = x^3 + A2 x^2 +
+    A4 x + A6 after completing the square in y removes a1 and a3."""
     p = model.p
-    a1, a3 = model.a1, model.a3
     inv2 = pow(2, p - 2, p)
     inv4 = inv2 * inv2
-    A2 = _combine((1, model.a2), (inv4, poly_mul(a1, a1)))
-    A4 = _combine((1, model.a4), (inv2, poly_mul(a1, a3)))
-    A6 = _combine((1, model.a6), (inv4, poly_mul(a3, a3)))
-    return reduced(A2, p), reduced(A4, p), reduced(A6, p)
+    b2, b4, b6 = _b_invariants(model)
+    return tuple(reduced([k * c for c in b], p) for k, b in ((inv4, b2), (inv2, b4), (inv4, b6)))
 
 
 # _DIGITS[c] translates the byte c to "1" and every other byte to "0"; the

@@ -215,7 +215,6 @@ def test_criterion_8a_missigned_bucket_fails_table():
     result = assemble_charpoly(
         inverse_dft(traces_from_tally(tally_p), P),
         inverse_dft(traces_from_tally(tally_p2), P * P),
-        P,
     )
     mu_tilde = normalize(result.mu, P)
     expected = tuple(Fraction(c) for c in MU_TILDE_BY_CLASS[("epsilon", True)])

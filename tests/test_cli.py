@@ -88,8 +88,8 @@ def test_table_never_imports_numpy():
 
 
 def test_cold_commands_never_import_dataclasses():
-    # the records are plain slotted classes, so start-up compiles no generated
-    # methods and imports neither dataclasses nor the inspect module it needs
+    # the records are collections.namedtuple subclasses: namedtuple builds its
+    # methods without dataclasses or inspect, so no command imports either
     script = (
         "import contextlib, io, sys\n"
         "from wild11.cli import main\n"

@@ -223,7 +223,7 @@ def test_assemble_trivial_forced_example():
     minus_2p2 = (-2 * p * p,) + ZERO[1:]
     e_p = EigenTraces(q=p, a=(ZERO,) * 10)
     e_p2 = EigenTraces(q=p * p, a=(minus_2p2,) * 10)
-    result = assemble_charpoly(e_p, e_p2, p)
+    result = assemble_charpoly(e_p, e_p2)
     # b_i = (0 - (-2p^2))/2 = p^2, so mu = (T^2 + p^2)^10
     expected = (1,)
     for _ in range(10):
@@ -235,7 +235,7 @@ def test_assemble_trivial_forced_example():
 def test_assemble_validates_field_levels():
     e = EigenTraces(q=11, a=(ZERO,) * 10)
     with pytest.raises(ValueError):
-        assemble_charpoly(e, e, 11)
+        assemble_charpoly(e, e)
 
 
 def test_assemble_rejects_inexact_halving():
@@ -244,7 +244,7 @@ def test_assemble_rejects_inexact_halving():
     e_p = EigenTraces(q=p, a=(one,) * 10)
     e_p2 = EigenTraces(q=p * p, a=(two,) * 10)  # 1 - 2 = -1: odd
     with pytest.raises(InconsistencyError, match="divisible by 2"):
-        assemble_charpoly(e_p, e_p2, p)
+        assemble_charpoly(e_p, e_p2)
 
 
 def _conjugates(x):
@@ -263,7 +263,7 @@ def _check_norm_against_eigenspace_product(a_1, b_1):
     e_p = EigenTraces(q=p, a=_conjugates(a_1))
     a_1_p2 = tuple(x - 2 * y for x, y in zip(zeta_mul(a_1, a_1), b_1))
     e_p2 = EigenTraces(q=p * p, a=_conjugates(a_1_p2))
-    result = assemble_charpoly(e_p, e_p2, p)
+    result = assemble_charpoly(e_p, e_p2)
     pairs = tuple(zip(_conjugates(a_1), _conjugates(b_1)))
     assert result.per_eigenspace == pairs
     assert result.mu == expand_eigenspace_product(pairs)
@@ -290,7 +290,7 @@ def test_conjugacy_gate_rejects_swapped_traces(pipeline, level):
     bad = EigenTraces(q=bad.q, a=(bad.a[1], bad.a[0]) + bad.a[2:])
     e_p, e_p2 = (bad, eigen_p2) if level == "p" else (eigen_p, bad)
     with pytest.raises(InconsistencyError, match="conjugate"):
-        assemble_charpoly(e_p, e_p2, 11)
+        assemble_charpoly(e_p, e_p2)
 
 
 def test_expand_rejects_irrational_coefficient():
