@@ -128,11 +128,12 @@ def _render_text(value, indent: int) -> list[str]:
 
 
 def _fiber_json(fiber) -> dict:
+    place = fiber.place
     return {
-        "place": fiber.place.location_str(),
-        "degree": fiber.degree,
-        "v_delta": fiber.place.vdelta,
-        "v_c4": "infinity" if fiber.place.vc4 is None else fiber.place.vc4,
+        "place": place.location_str(),
+        "degree": place.degree,
+        "v_delta": place.vdelta,
+        "v_c4": "infinity" if place.vc4 is None else place.vc4,
         "type": fiber.type,
         "components": fiber.components,
     }

@@ -26,9 +26,9 @@ A polynomial in F_p[t] is a reduced tuple of ints: constant term first,
 every entry in 0 .. p - 1, no trailing zero, () for zero, so equality is
 tuple equality.  `reduced` brings any integer coefficients to that form.
 The functions here take p as their last argument.  `_divmod` is the one
-F_p[t] division loop; the gcd, the modular powers `_pow_mod`
-(`polynomials.power` over `poly_mul` and that loop), `multiplicity`, the
-factorization and the products and powers of F_q = F_p[u]/(m) (ffield) call it.
+F_p[t] division loop; the gcd, the modular powers `_pow_mod` (square-and-
+multiply over `poly_mul` and that loop), `multiplicity`, the factorization
+and the products and powers of F_q = F_p[u]/(m) (ffield) call it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .errors import InconsistencyError
-from .polynomials import poly_mul, poly_str, power
+from .polynomials import poly_mul, poly_str
 
 # Shifts c tried on each value v, a bound independent of p; for p <= SHIFTS
 # they run through all of F_p and gcd(f, v + c) separates every value of v
@@ -96,8 +96,18 @@ def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _pow_mod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
-    """a^e modulo monic mod in F_p[t], for e >= 0."""
-    return power(_divmod(a, mod, p)[1], e, lambda x, y: _divmod(poly_mul(x, y), mod, p)[1], (1,))
+    """a^e modulo monic mod in F_p[t], for e >= 0, by square-and-multiply."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    x = _divmod(a, mod, p)[1]
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _divmod(poly_mul(result, x), mod, p)[1]
+        e >>= 1
+        if e:
+            x = _divmod(poly_mul(x, x), mod, p)[1]
+    return result
 
 
 def derivative(f: Sequence[int], p: int) -> tuple[int, ...]:

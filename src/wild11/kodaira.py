@@ -50,10 +50,6 @@ class KodairaFiber(namedtuple("KodairaFiber", ("place", "type", "components", "d
     disc: int
     label: str | None
 
-    @property
-    def degree(self) -> int:
-        return self.place.degree
-
 
 class LatticeSummary(namedtuple("LatticeSummary", ("rank", "abs_disc", "components"))):
     __slots__ = ()
@@ -101,10 +97,11 @@ def trivial_lattice(fibers: list[KodairaFiber]) -> LatticeSummary:
     abs_disc = 1
     components: list[str] = []
     for fiber in fibers:
-        rank += fiber.degree * (fiber.components - 1)
-        abs_disc *= fiber.disc**fiber.degree
+        degree = fiber.place.degree
+        rank += degree * (fiber.components - 1)
+        abs_disc *= fiber.disc**degree
         if fiber.label is not None:
-            components.extend([fiber.label] * fiber.degree)
+            components.extend([fiber.label] * degree)
     if rank > B2:
         raise InconsistencyError(f"trivial lattice rank {rank} exceeds b_2 = {B2}")
     return LatticeSummary(rank=rank, abs_disc=abs_disc, components=tuple(components))

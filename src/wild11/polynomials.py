@@ -6,19 +6,18 @@ tuple equality.  Python ints are arbitrary precision: characteristic
 polynomials of Frobenius on a K3 surface have constant terms near 11^20,
 well past 64 bits.
 
-Provides the product every ring of the package reuses, square-and-multiply
-(fppoly's powers in F_p[t] and F_q), long division by a monic polynomial
-(Z[T] only), cyclotomic polynomials, divisibility with multiplicity by a
-monic polynomial (the root-of-unity detector behind the Picard bound), the
-Newton slopes at a prime as plain (valuation, multiplicity) pairs, and the
-palindrome test for the Weil functional equation.  Division is only ever by
-monic divisors, so it never leaves Z[T].
+Provides the product every ring of the package reuses, long division by a
+monic polynomial (Z[T] only), cyclotomic polynomials, divisibility with
+multiplicity by a monic polynomial (the root-of-unity detector behind the
+Picard bound), the Newton slopes at a prime as plain (valuation,
+multiplicity) pairs, and the palindrome test for the Weil functional
+equation.  Division is only ever by monic divisors, so it never leaves Z[T].
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,20 +48,6 @@ def divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[in
             for i in range(dd):
                 rem[base + i] -= c * divisor[i]
     return rem[dd:], rem[:dd]  # step top writes only below top: rem[dd:] is the quotient
-
-
-def power(x, e: int, mul: Callable, one):
-    """x^e for e >= 0 by square-and-multiply, in the ring whose product is mul."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    result = one
-    while e:
-        if e & 1:
-            result = mul(result, x)
-        e >>= 1
-        if e:
-            x = mul(x, x)
-    return result
 
 
 def poly_str(coeffs: Sequence, var: str = "T") -> str:

@@ -11,8 +11,10 @@ from functools import lru_cache
 from itertools import zip_longest
 from unittest import mock
 
-from wild11 import CapabilityError, EigenTraces, FieldSpec, InconsistencyError, ffield
-from wild11.cyclotomic import DEGREE, ORDER
+from wild11 import ffield
+from wild11.cyclotomic import DEGREE, ORDER, EigenTraces
+from wild11.errors import CapabilityError, InconsistencyError
+from wild11.ffield import FieldSpec
 from wild11.fppoly import _add, is_irreducible, reduced
 from wild11.polynomials import divmod_monic, cyclotomic_poly, poly_mul
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points

@@ -10,29 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from wild11 import (
-    FieldSpec,
-    FixTally,
-    InconsistencyError,
-    ReducibleFiberError,
-    artin_invariant,
-    classify_fibers,
-    fixed_locus_tally,
-    inverse_dft,
-    make_model,
-    surface_count,
-    trace_to_base,
-    traces_from_tally,
-    trivial_lattice,
-    verify_cover_identity,
-)
 from wild11.analysis import INFINITE_HEIGHT, analyze_charpoly, normalize, structural_checks
 from wild11.cli import run_equivariant_pipeline
-from wild11.cyclotomic import ORDER
-from wild11.delsarte import supersingular_possible
-from wild11.equivariant import assemble_charpoly, check_conjugates
-from wild11.ffield import is_prime
+from wild11.cyclotomic import ORDER, inverse_dft
+from wild11.delsarte import supersingular_possible, verify_cover_identity
+from wild11.equivariant import (
+    FixTally,
+    assemble_charpoly,
+    check_conjugates,
+    fixed_locus_tally,
+    traces_from_tally,
+)
+from wild11.errors import InconsistencyError, ReducibleFiberError
+from wild11.ffield import FieldSpec, is_prime, trace_to_base
 from wild11.fppoly import _add, reduced
+from wild11.kodaira import artin_invariant, classify_fibers, trivial_lattice
+from wild11.surface import make_model, surface_count
 from reference_values import MU_TILDE_BY_CLASS, SQUARES_MOD_11
 from references import fiber_count_at, sum_as_int
 
@@ -160,7 +153,7 @@ def test_criterion_6_structural_suite(all_surfaces):
 def test_criterion_7_proposition_suite():
     start = time.perf_counter()
     fibers7 = classify_fibers(make_model("uniform", None, 7))
-    geometric7 = sorted((f.type, f.degree) for f in fibers7)
+    geometric7 = sorted((f.type, f.place.degree) for f in fibers7)
     ok = geometric7 == [("I1", 1), ("I1", 10), ("I11", 1), ("II", 1)]
 
     fibers11 = classify_fibers(make_model("uniform", None, 11))

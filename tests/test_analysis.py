@@ -4,22 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wild11 import (
-    EigenTraces,
+from wild11 import analysis
+from wild11.analysis import (
     INFINITE_HEIGHT,
-    InconsistencyError,
+    _unit_circle_check,
     analyze_charpoly,
-    cyclotomic_poly,
-    divides_with_multiplicity,
     height_from_newton,
     normalize,
     picard_upper_bound,
     structural_checks,
 )
-from wild11 import analysis
-from wild11.analysis import _unit_circle_check
+from wild11.cyclotomic import EigenTraces
 from wild11.equivariant import CharPolyResult
-from wild11.polynomials import euler_phi, newton_polygon, palindrome_sign, poly_mul
+from wild11.errors import InconsistencyError
+from wild11.polynomials import (
+    cyclotomic_poly,
+    divides_with_multiplicity,
+    euler_phi,
+    newton_polygon,
+    palindrome_sign,
+    poly_mul,
+)
 from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_SQUARE,

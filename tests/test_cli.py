@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import wild11
 
-from wild11 import CapabilityError, InconsistencyError, ReducibleFiberError
 from wild11.cli import (
     EXIT_CAPABILITY,
     EXIT_INCONSISTENT,
@@ -24,6 +23,7 @@ from wild11.cli import (
     cmd_table,
     main,
 )
+from wild11.errors import CapabilityError, InconsistencyError, ReducibleFiberError
 
 
 def run_cli(capsys, *argv):
@@ -461,7 +461,7 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, command, error, exit_
 
 def test_inconsistency_maps_to_exit_code_4(capsys, monkeypatch):
     import wild11.cli as cli
-    from wild11 import InconsistencyError
+    from wild11.errors import InconsistencyError
 
     def boom(*args, **kwargs):
         raise InconsistencyError("forced for the exit-code test")
@@ -476,7 +476,7 @@ def test_non_conjugate_eigentraces_exit_4(capsys, monkeypatch):
     # a_1 and a_2 swapped at both levels: still in Z[zeta] with the same a_0,
     # but a_2 != sigma_2(a_1), which the conjugacy gate in assemble_charpoly refuses
     import wild11.cyclotomic as cyclotomic
-    from wild11 import EigenTraces
+    from wild11.cyclotomic import EigenTraces
 
     honest = cyclotomic.inverse_dft
 
@@ -498,7 +498,7 @@ def test_equal_degree_splitting_without_values_exit_4(capsys, monkeypatch):
     # Delta of gamma 2 at p = 11 is two degree-11 factors of trace 0; with no
     # norms N(a) to try after Tr(t) the splitting loop must refuse, not crash
     import wild11.fppoly as fppoly
-    from wild11 import InconsistencyError
+    from wild11.errors import InconsistencyError
     from wild11.surface import c4_delta, make_model
 
     monkeypatch.setattr(fppoly, "monic_polys", lambda p, degree: iter(()))
@@ -552,7 +552,9 @@ def test_table_within_class_gate():
 def test_count_gamma_q121_matches_tally(capsys):
     # q = p^2 has even degree, so the count is not (q+1)^2; cross-check the
     # equivariant bucket instead
-    from wild11 import FieldSpec, fixed_locus_tally, make_model
+    from wild11.equivariant import fixed_locus_tally
+    from wild11.ffield import FieldSpec
+    from wild11.surface import make_model
 
     report = cmd_count("gamma", 1, 121)
     tally = fixed_locus_tally(make_model("gamma", 1, 11), FieldSpec(11, 2))

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wild11 import (
-    EigenTraces,
-    InconsistencyError,
-    galois_apply,
-    inverse_dft,
-)
-from wild11.cyclotomic import cyc_mul, power_sum_traces
+from wild11.cyclotomic import EigenTraces, cyc_mul, galois_apply, inverse_dft, power_sum_traces
 from wild11.equivariant import check_conjugates
+from wild11.errors import InconsistencyError
 from reference_values import GOLDEN_EIGEN_EPS1_Q11, GOLDEN_TR_EPS1_Q11
 from references import (
     ZERO,

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
-from wild11 import supersingular_possible, verify_cover_identity
 from wild11 import delsarte
-from wild11.delsarte import FERMAT_TERMS, _substituted_equation
+from wild11.delsarte import (
+    FERMAT_TERMS,
+    _substituted_equation,
+    supersingular_possible,
+    verify_cover_identity,
+)
 from wild11.ffield import is_prime
 
 

@@ -4,27 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wild11 import (
-    CapabilityError,
-    EigenTraces,
-    FieldSpec,
-    FixTally,
-    InconsistencyError,
-    assemble_charpoly,
-    fixed_locus_tally,
-    galois_apply,
-    inverse_dft,
-    make_model,
-    surface,
-    surface_count,
-    trace_to_base,
-    traces_from_tally,
-)
+from wild11 import surface
 from wild11.analysis import normalize
 from wild11.cli import cmd_table
-from wild11.equivariant import _trace_histogram, check_conjugates
+from wild11.cyclotomic import EigenTraces, galois_apply, inverse_dft
+from wild11.equivariant import (
+    FixTally,
+    _trace_histogram,
+    assemble_charpoly,
+    check_conjugates,
+    fixed_locus_tally,
+    traces_from_tally,
+)
+from wild11.errors import CapabilityError, InconsistencyError
+from wild11.ffield import FieldSpec, trace_to_base
 from wild11.fppoly import _add, reduced
 from wild11.polynomials import poly_mul
+from wild11.surface import make_model, surface_count
 from reference_values import (
     GOLDEN_FIX0_EPS1_Q121,
     GOLDEN_FIX_EPS1_Q11,

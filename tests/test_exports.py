@@ -6,25 +6,19 @@ from pathlib import Path
 import wild11
 
 
-def test_all_names_resolve():
-    missing = [name for name in wild11.__all__ if not hasattr(wild11, name)]
-    assert missing == []
-    assert len(set(wild11.__all__)) == len(wild11.__all__)
-
-
-def test_all_matches_imports():
-    # wild11 imports each exported name on first access, from the module its
-    # table names: a name left in the table after its definition is deleted
-    # or moved, or a table entry missing from __all__, shows up here.  A
-    # function or class must be defined there, not imported into it.
-    assert sorted(wild11._EXPORTS) == sorted(wild11.__all__)
-    misplaced = []
-    for name, module in wild11._EXPORTS.items():
-        full = f"wild11.{module}"
-        namespace = vars(importlib.import_module(full))
-        if name not in namespace or getattr(namespace[name], "__module__", full) != full:
-            misplaced.append(f"{full}.{name}")
-    assert misplaced == []
+def test_each_name_has_one_import_path():
+    # a name is imported from the module that defines it: the package itself
+    # defines only __version__ and re-exports nothing
+    submodules = {path.stem for path in Path(wild11.__file__).parent.glob("*.py")} - {"__init__"}
+    public = {
+        name
+        for module in submodules
+        for name in vars(importlib.import_module(f"wild11.{module}"))
+        if not name.startswith("_")
+    }
+    assert "make_model" in public and "surface" in submodules
+    assert sorted(name for name in public if hasattr(wild11, name) and name not in submodules) == []
+    assert [name for name in vars(wild11) if not name.startswith("_") and name not in submodules] == []
 
 
 class _Uses(ast.NodeVisitor):
@@ -67,16 +61,17 @@ def _uses() -> _Uses:
     return uses
 
 
-def test_every_exported_function_has_a_caller():
-    # ROADMAP aim 2: no public wrappers that only tests use.  A def and the
-    # __init__ re-export are not calls, so only a call elsewhere in the
-    # package, or in one of README's python blocks, keeps a function exported.
+def test_every_public_function_has_a_caller():
+    # ROADMAP aim 2: no public wrappers that only tests use.  A def is not a
+    # call, so only a call elsewhere in the package, or in one of README's
+    # python blocks, keeps a public module-level function.
     functions = [
-        name
-        for name in wild11.__all__
-        if callable(getattr(wild11, name)) and not isinstance(getattr(wild11, name), type)
+        node.name
+        for tree in _package_trees()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
-    assert "cyclotomic_poly" in functions  # an lru_cache wrapper is no plain function, but counts
+    assert "cyclotomic_poly" in functions and "valuation" in functions  # lru_cache-wrapped and plain
     calls = _uses().calls
     assert [name for name in functions if name not in calls] == []
 
@@ -93,6 +88,6 @@ def test_every_public_method_has_a_use():
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
     ]
-    assert "KodairaFiber.degree" in methods and "FieldSpec.mul" in methods  # properties and methods
+    assert "FiberPlace.location_str" in methods and "FieldSpec.mul" in methods  # properties and methods
     attributes = _uses().attributes
     assert [name for name in methods if name.split(".")[1] not in attributes] == []

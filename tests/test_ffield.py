@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from wild11 import CapabilityError, FieldSpec, fppoly, trace_to_base
+from wild11 import fppoly
 from wild11.equivariant import _neg_trace_table
-from wild11.ffield import is_prime
+from wild11.errors import CapabilityError
+from wild11.ffield import FieldSpec, is_prime, trace_to_base
 from wild11.fppoly import _add, is_irreducible, reduced
 from wild11.polynomials import divmod_monic, poly_mul
 from wild11.surface import _field_tables

@@ -1,20 +1,20 @@
 import pytest
 
-from wild11 import (
-    CapabilityError,
-    InconsistencyError,
+from wild11.errors import CapabilityError, InconsistencyError
+from wild11.kodaira import (
+    KodairaFiber,
+    LatticeSummary,
+    _classify_place,
     artin_invariant,
     classify_fibers,
-    make_model,
     trivial_lattice,
 )
-from wild11.kodaira import KodairaFiber, LatticeSummary, _classify_place
-from wild11.surface import INFINITY, c4_delta
+from wild11.surface import INFINITY, c4_delta, make_model
 from references import infinity_chart
 
 
 def _types_with_degree(fibers):
-    return sorted((f.type, f.degree) for f in fibers)
+    return sorted((f.type, f.place.degree) for f in fibers)
 
 
 def test_uniform_p7_fiber_types():
@@ -24,7 +24,7 @@ def test_uniform_p7_fiber_types():
     assert by_place["t=0"] == "I11"
     # eleven geometric I1 fibers at the roots of 432 t^11 + 1
     i1 = [f for f in fibers if f.type == "I1"]
-    assert sum(f.degree for f in i1) == 11
+    assert sum(f.place.degree for f in i1) == 11
 
 
 def test_uniform_p11_fiber_types():
@@ -38,21 +38,21 @@ def test_epsilon_model_fiber_types():
     fibers = classify_fibers(make_model("epsilon", 1, 11))
     assert fibers[0].place.location is INFINITY and fibers[0].type == "II"
     nodal = [f for f in fibers if f.type == "I1"]
-    assert sum(f.degree for f in nodal) == 22
+    assert sum(f.place.degree for f in nodal) == 22
 
 
 def test_epsilon_zero_all_cuspidal():
     fibers = classify_fibers(make_model("epsilon", 0, 11))
     assert all(f.type == "II" for f in fibers)
-    assert sum(f.degree for f in fibers) == 12
+    assert sum(f.place.degree for f in fibers) == 12
 
 
 @pytest.mark.parametrize("eps", range(1, 11))
 def test_classification_constant_within_family(eps):
     fibers = classify_fibers(make_model("epsilon", eps, 11))
-    assert sum(f.degree for f in fibers if f.type == "I1") == 22
+    assert sum(f.place.degree for f in fibers if f.type == "I1") == 22
     assert [f.type for f in fibers if f.type != "I1"] == ["II"]
-    assert sum(f.degree * f.place.vdelta for f in fibers) == 24
+    assert sum(f.place.degree * f.place.vdelta for f in fibers) == 24
 
 
 def test_wild_characteristics_are_refused():
@@ -81,7 +81,7 @@ def test_wild_delta_report(p):
 )
 def test_valuation_sum_and_rank_bound(p, kind, param):
     fibers = classify_fibers(make_model(kind, param, p))
-    assert sum(f.degree * f.place.vdelta for f in fibers) == 24
+    assert sum(f.place.degree * f.place.vdelta for f in fibers) == 24
     summary = trivial_lattice(fibers)
     assert summary.rank <= 22
 

@@ -12,17 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from wild11 import (
-    AnalysisReport,
-    CharPolyResult,
-    EigenTraces,
-    FiberPlace,
-    FixTally,
-    InconsistencyError,
-    KodairaFiber,
-    LatticeSummary,
-    WeierstrassModel,
-)
+from wild11.analysis import AnalysisReport
+from wild11.cyclotomic import EigenTraces
+from wild11.equivariant import CharPolyResult, FixTally
+from wild11.errors import InconsistencyError
+from wild11.kodaira import KodairaFiber, LatticeSummary
+from wild11.surface import FiberPlace, WeierstrassModel
 
 ZERO = (0,) * 10
 ONE = (1,) + ZERO[1:]

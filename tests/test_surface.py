@@ -8,24 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wild11 import (
-    INFINITY,
-    CapabilityError,
-    FieldSpec,
-    InconsistencyError,
-    ReducibleFiberError,
-    WeierstrassModel,
-    c4_delta,
-    make_model,
-    singular_places,
-    surface_count,
-)
-import wild11.surface as surface_module
 from wild11 import equivariant, fppoly
 from wild11.cli import cmd_analyze
+from wild11.errors import CapabilityError, InconsistencyError, ReducibleFiberError
+from wild11.ffield import FieldSpec
 from wild11.fppoly import _add, _monic, is_irreducible, monic_polys, multiplicity, reduced
 from wild11.surface import (
     COUNT_Q_LIMIT,
+    INFINITY,
+    WeierstrassModel,
     _completed_cubic,
     _count_cubic_points,
     _cubic_linear_part,
@@ -33,7 +24,12 @@ from wild11.surface import (
     _field_tables,
     _is_irreducible_fiber,
     _values_at,
+    c4_delta,
+    make_model,
+    singular_places,
+    surface_count,
 )
+import wild11.surface as surface_module
 from references import (
     c4_delta_reference,
     character_by_squaring,
