@@ -42,6 +42,20 @@ Everything that gates pass/fail is exact integer arithmetic; mu~ is the
 one rational-valued result, built once for the report.  The one
 floating-point computation, the advisory check that the roots of mu~ lie
 on the unit circle, is reported but never used as a gate.
+
+analyze_charpoly and _unit_circle_check are memoised per process with
+functools.lru_cache, keyed by (mu, p) and bounded by _MEMO_SIZE distinct
+keys.  This is sound because both are pure functions of (mu, p), mu is a
+tuple of ints, and what they return is immutable (an AnalysisReport of
+tuples, Fractions and ints, or a bool).  Their InconsistencyError gates
+(height_from_newton, AnalysisReport) read mu alone, and lru_cache never
+stores an exception, so a mu that fails a gate raises on every call.
+structural_checks is not memoised, since its gamma_parity verdict depends
+on the kind, and it builds a fresh dict on every call.  The 20 members
+with epsilon, gamma in F_p^* fall into four square classes sharing one
+mu~, and param 0 gives one surface for both kinds, so at p = 11 the 22
+surfaces have 5 distinct mu and a warm process pays for the analysis and
+the root check 5 times at most.
 """
 
 from __future__ import annotations
@@ -49,7 +63,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
 from .errors import InconsistencyError
 from .polynomials import (
@@ -60,9 +74,6 @@ from .polynomials import (
     newton_polygon,
     palindrome_sign,
 )
-
-if TYPE_CHECKING:
-    from .equivariant import CharPolyResult
 
 V_DIMENSION = 20
 
@@ -75,6 +86,9 @@ _CYCLOTOMIC_INDICES = tuple(
 )
 
 UNIT_CIRCLE_TOLERANCE = 1e-9
+
+# distinct (mu, p) kept by each memo; the CLI makes at most 5 at p = 11
+_MEMO_SIZE = 64
 
 
 def _scaled_mu(mu: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -137,6 +151,7 @@ def height_from_newton(slopes: tuple[tuple[Fraction, int], ...]) -> int | float:
     return int(h)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _unit_circle_check(mu: tuple[int, ...], p: int) -> bool:
     """Advisory floating-point check: all roots of mu~ on |z| = 1."""
     import numpy as np
@@ -193,13 +208,13 @@ class AnalysisReport(namedtuple("AnalysisReport", ("mu_tilde", "picard_upper", "
         return self
 
 
-def analyze_charpoly(result: CharPolyResult) -> AnalysisReport:
+@lru_cache(maxsize=_MEMO_SIZE)
+def analyze_charpoly(mu: tuple[int, ...], p: int) -> AnalysisReport:
     """Read the exact invariants off an assembled mu_p."""
-    p = result.p
-    slopes = newton_polygon(result.mu, p)
+    slopes = newton_polygon(mu, p)
     return AnalysisReport(
-        mu_tilde=normalize(result.mu, p),
-        picard_upper=picard_upper_bound(result.mu, p, slopes),
+        mu_tilde=normalize(mu, p),
+        picard_upper=picard_upper_bound(mu, p, slopes),
         height=height_from_newton(slopes),
         newton_slopes=slopes,
     )

@@ -188,7 +188,7 @@ def cmd_analyze(kind: str, param: int, p: int) -> dict:
     model, tally_p, tally_p2, tr_p, tr_p2, eigen_p, eigen_p2, result = run_equivariant_pipeline(
         kind, param, p
     )
-    report_data = analyze_charpoly(result)
+    report_data = analyze_charpoly(result.mu, p)
     return {
         "inputs": {"kind": kind, "param": model.param, "p": p},
         "tally": {"p": tally_p.fix, "p2": tally_p2.fix},
@@ -235,7 +235,7 @@ def cmd_table(p: int = 11) -> dict:
             polys = []
             for value in members:
                 *_, result = run_equivariant_pipeline(kind, value, p)
-                polys.append(analyze_charpoly(result).mu_tilde)
+                polys.append(analyze_charpoly(result.mu, p).mu_tilde)
             reference = polys[0]
             for value, poly in zip(members, polys):
                 if poly != reference:

@@ -24,14 +24,9 @@ def pipeline():
 
 @pytest.fixture(scope="session")
 def analyzed(pipeline):
-    """Memoized AnalysisReport per (kind, param) at p = 11."""
-    cache = {}
+    """AnalysisReport per (kind, param) at p = 11; analyze_charpoly memoises it."""
 
     def get(kind, param):
-        key = (kind, param)
-        if key not in cache:
-            result = pipeline(kind, param)[-1]
-            cache[key] = analyze_charpoly(result)
-        return cache[key]
+        return analyze_charpoly(pipeline(kind, param)[-1].mu, 11)
 
     return get

@@ -68,10 +68,8 @@ def test_criterion_1_table_reproduction(all_surfaces):
 
 def test_criterion_2_picard_bounds(all_surfaces, degenerate_member):
     runs, _ = all_surfaces
-    ok = all(
-        analyze_charpoly(run[-1]).picard_upper == 2 for run in runs.values()
-    )
-    ok = ok and analyze_charpoly(degenerate_member[-1]).picard_upper == 22
+    ok = all(analyze_charpoly(run[-1].mu, P).picard_upper == 2 for run in runs.values())
+    ok = ok and analyze_charpoly(degenerate_member[-1].mu, P).picard_upper == 22
     _report("2", ok, "picard_upper = 2 for all eps, gamma in F_11^x and 22 for eps = 0")
     assert ok
 
@@ -81,9 +79,9 @@ def test_criterion_3_heights(all_surfaces, degenerate_member):
     expected_slopes = ((Fraction(9, 10), 10), (Fraction(11, 10), 10))
     ok = True
     for run in runs.values():
-        report = analyze_charpoly(run[-1])
+        report = analyze_charpoly(run[-1].mu, P)
         ok = ok and report.height == 10 and report.newton_slopes == expected_slopes
-    degenerate = analyze_charpoly(degenerate_member[-1])
+    degenerate = analyze_charpoly(degenerate_member[-1].mu, P)
     ok = ok and degenerate.height == INFINITE_HEIGHT
     _report("3", ok, "height 10 with slopes {9/10 x10, 11/10 x10}; infinity for eps = 0")
     assert ok

@@ -222,7 +222,8 @@ def test_analyze_charpoly_builds_one_newton_polygon(monkeypatch, pipeline):
 
     monkeypatch.setattr(analysis, "newton_polygon", counting)
     *_, result = pipeline("epsilon", 1)
-    report = analyze_charpoly(result)
+    analyze_charpoly.cache_clear()  # an earlier test may have analysed this mu
+    report = analyze_charpoly(result.mu, 11)
     assert calls == [result.mu]
     assert report.newton_slopes == newton_polygon(result.mu, 11)
 
@@ -375,9 +376,39 @@ def test_unit_circle_advisory_negative():
     assert _unit_circle_check(off, p) is False
 
 
+def test_memoised_analysis_equals_uncached(pipeline):
+    for kind in ("epsilon", "gamma"):
+        for param in range(11):
+            mu = pipeline(kind, param)[-1].mu
+            report = analyze_charpoly(mu, 11)
+            assert analyze_charpoly(mu, 11) is report
+            assert report == analyze_charpoly.__wrapped__(mu, 11)
+            assert _unit_circle_check(mu, 11) is _unit_circle_check.__wrapped__(mu, 11)
+
+
+def test_structural_checks_returns_a_fresh_dict(pipeline):
+    mu = pipeline("epsilon", 1)[-1].mu
+    first = structural_checks(mu, "epsilon", 11)
+    expected = dict(first)
+    first["unit_circle"] = not first["unit_circle"]
+    first["determinant"] = None
+    assert structural_checks(mu, "epsilon", 11) == expected
+    # the memoised root check does not carry the kind over
+    assert structural_checks(mu, "gamma", 11)["gamma_parity"] is False
+
+
+def test_failing_gate_raises_on_every_call():
+    # (T - 1)(T - p)^19: height 1, and 19 roots p * 1 give Picard 21 > 22 - 2 * 1
+    p = 11
+    mu = poly_mul((-1, 1), _power((-p, 1), 19))
+    for _ in range(2):
+        with pytest.raises(InconsistencyError, match="inconsistent with height 1"):
+            analyze_charpoly(mu, p)
+
+
 def test_analyze_charpoly_bundle(pipeline):
     *_, result = pipeline("gamma", 6)
-    report = analyze_charpoly(result)
+    report = analyze_charpoly(result.mu, 11)
     assert report.picard_upper == 2
     assert report.height == 10
     assert report.mu_tilde[0] == 1

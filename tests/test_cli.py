@@ -19,6 +19,7 @@ from wild11.cli import (
     EXIT_USAGE,
     _json_text,
     _render,
+    cmd_analyze,
     cmd_count,
     cmd_table,
     main,
@@ -547,6 +548,26 @@ def test_fibers_and_lattice_finish_at_huge_primes(p):
 def test_table_within_class_gate():
     report = cmd_table(11)
     assert len(report["analysis"]["table"]) == 4
+
+
+def test_analysis_runs_once_per_distinct_mu():
+    # four square classes share one mu each, and param 0 is one surface for
+    # both kinds, so 22 surfaces have 5 distinct mu
+    from wild11.analysis import _unit_circle_check, analyze_charpoly
+
+    analyze_charpoly.cache_clear()
+    cmd_table(11)
+    info = analyze_charpoly.cache_info()
+    assert (info.misses, info.hits) == (4, 16)
+
+    analyze_charpoly.cache_clear()
+    _unit_circle_check.cache_clear()
+    for kind in ("epsilon", "gamma"):
+        for param in range(11):
+            cmd_analyze(kind, param, 11)
+    for memo in (analyze_charpoly, _unit_circle_check):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (5, 17)
 
 
 def test_count_gamma_q121_matches_tally(capsys):
