@@ -2,10 +2,9 @@
 
 Computes, with no floating point on any pass/fail path: fixed-point
 tallies of the twisted Frobenius maps, the degree-20 characteristic
-polynomial of Frobenius, Picard-number upper bounds via cyclotomic root
-detection, formal-Brauer heights via Newton polygons, Kodaira fiber types
-with Shioda-Tate lattice bookkeeping, and the symbolic Fermat-cover
-identity of the uniform model.
+polynomial of Frobenius, Picard numbers and formal-Brauer heights via
+Newton polygons, Kodaira fiber types with Shioda-Tate lattice
+bookkeeping, and the symbolic Fermat-cover identity of the uniform model.
 """
 
 __version__ = "0.1.0"

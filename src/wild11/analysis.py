@@ -4,25 +4,44 @@ Three exact invariants are extracted from the degree-20 polynomial mu_p:
 
 * the unit-normalized polynomial mu~(T) = mu_p(p T) / p^20, whose roots all
   have absolute value 1;
-* the Picard number over the algebraic closure of F_p: 2 (fiber and
-  zero-section classes) plus the number of roots of mu_p of the form
-  p * (root of unity), counted with multiplicity through divisibility of
-  P(T) = mu_p(p T) by the cyclotomic polynomials Phi_k.  Such a root has
-  p-adic valuation exactly 1, so it lies on the slope-1 segment of the
-  Newton polygon, and that segment's length L bounds the count: with
-  L = 0 no division is tried, otherwise only the Phi_k with
-  phi(k) <= L - (count so far) are;
-* the formal-Brauer height, read off the p-adic Newton polygon: with s_min
+* the Picard number over the algebraic closure of F_p: 22 if the p-adic
+  Newton polygon of mu_p is the single slope-1 segment, else 2 (fiber and
+  zero-section classes);
+* the formal-Brauer height, read off the same Newton polygon: with s_min
   the smallest root valuation, height is 1/(1 - s_min), and s_min = 1 means
   infinite height (Artin-supersingular).
 
-The root-of-unity count is the Picard number over the algebraic closure,
-not only a bound: the Tate conjecture is a theorem for elliptic K3 surfaces
-over finite fields (Artin and Swinnerton-Dyer, Invent. Math. 20, 1973), and
-it gives rho over the closure as that count.  The report keeps the name
-picard_upper.  The finer eigenspace-dimension argument restricting the
-Picard number of these families to {2, 12, 22} is not recomputed here; only
-the root-of-unity count enters.
+The Picard number over the closure is 2 plus the number of roots of mu_p
+of the form p * (root of unity), counted with multiplicity: the Tate
+conjecture is a theorem for elliptic K3 surfaces over finite fields
+(Artin and Swinnerton-Dyer, Invent. Math. 20, 1973).  The report keeps the
+name picard_upper.  Only p = 11 is read, and that count is 0 or 20:
+
+* rho is 2 or 22.  mu is the norm from Q(zeta_11) of T^2 - a_1 T + b_1
+  (see equivariant).  Suppose alpha / 11 is a root of unity for one root
+  alpha; a Galois conjugate of alpha has the same property, so take alpha
+  to be a root of that quadratic, and beta the other one.
+  - If the quadratic is irreducible over Q(zeta_11), beta is a conjugate
+    of alpha over it, so beta / 11 is a root of unity too.
+  - Otherwise alpha is an algebraic integer in Q(zeta_11), and
+    alpha * conj(alpha) = 121 by Deligne.  11 is totally ramified in
+    Q(zeta_11), and complex conjugation fixes the one prime above it, so
+    the ideal (alpha) is (11).  Then alpha / 11 is a unit whose conjugates
+    all have absolute value 1, so it is a root of unity (Kronecker).  The
+    same holds for beta = a_1 - alpha.
+  Either way both roots, and so all twenty conjugates, are 11 times a root
+  of unity: 12 cannot occur in characteristic 11.
+* rho = 22 iff every root of mu has 11-adic valuation 1, that is, iff the
+  Newton polygon is the single slope-1 segment, and so iff the height is
+  infinite.  A root 11 * (root of unity) has valuation 1.  Conversely, the
+  roots form a Galois-stable set, so if the polygon gives them all
+  valuation 1, each alpha / 11 is a unit at every prime above 11;
+  alpha * conj(alpha) = 121 makes it a unit away from 11 as well, and its
+  conjugates have absolute value 1, so it is a root of unity (Kronecker).
+
+Other primes are refused with CapabilityError: 11 is the one prime totally
+ramified in Q(zeta_11), and the fixed-locus tally that builds mu_p runs in
+characteristic 11 alone.
 
 The structural checks are advisory and not part of AnalysisReport; only
 the analyze command, which prints them, runs them.  They read mu_p alone,
@@ -35,8 +54,8 @@ assemble_charpoly's conjugacy and Newton gates have already enforced; and
 determinants.
 
 Every verdict is read off the one integer polynomial P(T) = mu_p(p T) =
-p^20 * mu~(T) in Z[T], a plain tuple of ints, constant term first: mu~ is
-P / p^20, the Picard count divides P by Phi_k, the functional equation is
+p^20 * mu~(T) in Z[T], a plain tuple of ints, constant term first, or off
+the Newton polygon of mu_p: mu~ is P / p^20, the functional equation is
 the palindrome test on P, and the determinant is |P(0)| = p^20.
 Everything that gates pass/fail is exact integer arithmetic; mu~ is the
 one rational-valued result, built once for the report.  The one
@@ -65,25 +84,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InconsistencyError
-from .polynomials import (
-    B2,
-    cyclotomic_poly,
-    divides_with_multiplicity,
-    euler_phi,
-    newton_polygon,
-    palindrome_sign,
-)
+from .errors import CapabilityError, InconsistencyError
+from .polynomials import B2, newton_polygon, palindrome_sign
 
 V_DIMENSION = 20
 
 INFINITE_HEIGHT = math.inf
-
-# (k, euler_phi(k)) for every k with euler_phi(k) <= 20; all such k lie
-# below 67, so scanning to 100 is a safe superset.
-_CYCLOTOMIC_INDICES = tuple(
-    (k, euler_phi(k)) for k in range(1, 101) if euler_phi(k) <= V_DIMENSION
-)
 
 UNIT_CIRCLE_TOLERANCE = 1e-9
 
@@ -92,7 +98,7 @@ _MEMO_SIZE = 64
 
 
 def _scaled_mu(mu: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """P(T) = mu(p T) = p^20 * mu~(T), the one polynomial every verdict reads."""
+    """P(T) = mu(p T) = p^20 * mu~(T), the one polynomial mu~ and the checks read."""
     return tuple(c * p**j for j, c in enumerate(mu))
 
 
@@ -101,33 +107,6 @@ def normalize(mu: tuple[int, ...], p: int) -> tuple[Fraction, ...]:
     if len(mu) != V_DIMENSION + 1 or mu[-1] != 1:
         raise ValueError(f"expected a monic degree-{V_DIMENSION} polynomial, got {mu}")
     return tuple(Fraction(c, p**V_DIMENSION) for c in _scaled_mu(mu, p))
-
-
-def picard_upper_bound(mu: tuple[int, ...], p: int, slopes: tuple[tuple[Fraction, int], ...]) -> int:
-    """2 + (number of zeroes of mu of the shape p * root of unity).
-
-    Zeroes are counted with multiplicity via divisibility of P(T) = mu(p T)
-    by the monic Phi_k in Z[T]; by Gauss's lemma this equals the
-    multiplicity of Phi_k in mu~ over Q, and of p^phi(k) * Phi_k(T / p) in mu.
-
-    Such a zero has p-adic valuation exactly 1, so all of them lie on the
-    slope-1 segment of `slopes`, the Newton polygon of mu with its power of
-    T stripped (a zero 0 is not p * root of unity); its length L bounds the
-    count.  So with L = 0 nothing is divided, and otherwise Phi_k is tried
-    only while phi(k) fits in what L leaves, stopping once the count is L.
-    Raises ValueError for the zero polynomial, which has no Newton polygon.
-    """
-    if not any(mu):
-        raise ValueError("the zero polynomial has no Newton polygon")
-    room = sum(m for v, m in slopes if v == 1)
-    scaled = _scaled_mu(mu, p)
-    count = 0
-    for k, phi in _CYCLOTOMIC_INDICES:
-        if count == room:
-            break
-        if phi <= room - count:
-            count += divides_with_multiplicity(cyclotomic_poly(k), scaled) * phi
-    return 2 + count
 
 
 def height_from_newton(slopes: tuple[tuple[Fraction, int], ...]) -> int | float:
@@ -210,11 +189,13 @@ class AnalysisReport(namedtuple("AnalysisReport", ("mu_tilde", "picard_upper", "
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def analyze_charpoly(mu: tuple[int, ...], p: int) -> AnalysisReport:
-    """Read the exact invariants off an assembled mu_p."""
+    """Read the exact invariants off an assembled mu_p; p must be 11."""
+    if p != 11:
+        raise CapabilityError(f"the Picard number is read in characteristic 11 only, not {p}")
     slopes = newton_polygon(mu, p)
     return AnalysisReport(
         mu_tilde=normalize(mu, p),
-        picard_upper=picard_upper_bound(mu, p, slopes),
+        picard_upper=B2 if slopes == ((1, V_DIMENSION),) else 2,
         height=height_from_newton(slopes),
         newton_slopes=slopes,
     )

@@ -6,17 +6,14 @@ tuple equality.  Python ints are arbitrary precision: characteristic
 polynomials of Frobenius on a K3 surface have constant terms near 11^20,
 well past 64 bits.
 
-Provides the product every ring of the package reuses, long division by a
-monic polynomial (Z[T] only), cyclotomic polynomials, divisibility with
-multiplicity by a monic polynomial (the root-of-unity detector behind the
-Picard bound), the Newton slopes at a prime as plain (valuation,
-multiplicity) pairs, and the palindrome test for the Weil functional
-equation.  Division is only ever by monic divisors, so it never leaves Z[T].
+Provides the product every ring of the package reuses, the Newton slopes
+at a prime as plain (valuation, multiplicity) pairs (the Picard number and
+the height are read off them), and the palindrome test for the Weil
+functional equation.  Z[T] has a product and no division.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -35,19 +32,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return tuple(out)
-
-
-def divmod_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Long division in Z[T] by a monic, non-constant divisor (unchecked): (quotient, remainder)."""
-    dd = len(divisor) - 1
-    rem = list(coeffs)
-    for top in range(len(rem) - 1, dd - 1, -1):
-        c = rem[top]
-        if c:
-            base = top - dd
-            for i in range(dd):
-                rem[base + i] -= c * divisor[i]
-    return rem[dd:], rem[:dd]  # step top writes only below top: rem[dd:] is the quotient
 
 
 def poly_str(coeffs: Sequence, var: str = "T") -> str:
@@ -86,43 +70,6 @@ def prime_divisors(n: int) -> list[int]:
                 n //= d
         d += 1
     return primes + [n] if n > 1 else primes
-
-
-@lru_cache(maxsize=None)
-def euler_phi(k: int) -> int:
-    result = k
-    for d in prime_divisors(k):
-        result -= result // d
-    return result
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """The k-th cyclotomic polynomial, by exact division of T^k - 1."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    num = (-1,) + (0,) * (k - 1) + (1,)
-    for d in range(1, k):
-        if k % d == 0:
-            quo, rem = divmod_monic(num, cyclotomic_poly(d))
-            if any(rem):
-                raise ValueError(f"Phi_{d} does not divide {poly_str(num)}")
-            num = tuple(quo)
-    return num
-
-
-def divides_with_multiplicity(f: Sequence[int], g: Sequence[int]) -> int:
-    """Largest m >= 0 with f^m dividing g in Z[T], for monic non-constant f."""
-    if len(f) < 2 or f[-1] != 1:
-        raise ValueError(f"divisor must be monic and non-constant, got {tuple(f)}")
-    m = 0
-    current = g
-    while True:
-        quo, rem = divmod_monic(current, f)
-        if not current or any(rem):
-            return m
-        m += 1
-        current = quo
 
 
 def valuation(n: int, p: int) -> int:

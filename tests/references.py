@@ -16,11 +16,44 @@ from wild11.cyclotomic import DEGREE, ORDER, EigenTraces
 from wild11.errors import CapabilityError, InconsistencyError
 from wild11.ffield import FieldSpec
 from wild11.fppoly import _add, is_irreducible, reduced
-from wild11.polynomials import divmod_monic, cyclotomic_poly, poly_mul
+from wild11.polynomials import poly_mul, prime_divisors
 from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
 
 
 ZERO = (0,) * DEGREE
+
+
+def divmod_monic(coeffs, divisor) -> tuple[list[int], list[int]]:
+    """Long division in Z[T] by a monic, non-constant divisor (unchecked): (quotient, remainder)."""
+    dd = len(divisor) - 1
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top]
+        if c:
+            base = top - dd
+            for i in range(dd):
+                rem[base + i] -= c * divisor[i]
+    return rem[dd:], rem[:dd]  # step top writes only below top: rem[dd:] is the quotient
+
+
+@lru_cache(maxsize=None)
+def euler_phi(k: int) -> int:
+    result = k
+    for d in prime_divisors(k):
+        result -= result // d
+    return result
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """The k-th cyclotomic polynomial, by exact division of T^k - 1."""
+    num = (-1,) + (0,) * (k - 1) + (1,)
+    for d in range(1, k):
+        if k % d == 0:
+            quo, rem = divmod_monic(num, cyclotomic_poly(d))
+            assert not any(rem), (d, num)
+            num = tuple(quo)
+    return num
 
 
 def _reduce(coeffs) -> tuple[int, ...]:

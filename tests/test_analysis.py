@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wild11 import analysis
 from wild11.analysis import (
@@ -11,27 +9,27 @@ from wild11.analysis import (
     analyze_charpoly,
     height_from_newton,
     normalize,
-    picard_upper_bound,
     structural_checks,
 )
 from wild11.cyclotomic import EigenTraces
-from wild11.equivariant import CharPolyResult
-from wild11.errors import InconsistencyError
-from wild11.polynomials import (
-    cyclotomic_poly,
-    divides_with_multiplicity,
-    euler_phi,
-    newton_polygon,
-    palindrome_sign,
-    poly_mul,
-)
+from wild11.equivariant import CharPolyResult, _norm_of_quadratic
+from wild11.errors import CapabilityError, InconsistencyError
+from wild11.polynomials import newton_polygon, palindrome_sign, poly_mul
 from reference_values import (
     MU_TILDE_EPSILON_SQUARE,
     MU_TILDE_GAMMA_SQUARE,
     NONSQUARES_MOD_11,
     SQUARES_MOD_11,
 )
-from references import ZERO, as_int, expand_eigenspace_product, zeta_mul, zeta_power
+from references import (
+    ZERO,
+    as_int,
+    cyclotomic_poly,
+    euler_phi,
+    expand_eigenspace_product,
+    zeta_mul,
+    zeta_power,
+)
 
 
 def _power(base: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -65,17 +63,11 @@ def _rat_multiplicity(f, g) -> int:
     return m
 
 
-def _slopes(mu: tuple[int, ...], p: int) -> tuple[tuple[Fraction, int], ...]:
-    """The Newton polygon of mu with its power of T stripped, as picard_upper_bound reads it."""
-    low = next(j for j, c in enumerate(mu) if c)
-    return newton_polygon(mu[low:], p)
-
-
 def _picard_reference(mu: tuple[int, ...], p: int) -> int:
     """2 + sum of phi(k) * (multiplicity of Phi_k in mu~ over Q).
 
     mu~ is built here, not by normalize, so the reference shares no code
-    with picard_upper_bound's rescaling."""
+    with analyze_charpoly."""
     mu_tilde = [Fraction(c * p**j, p**20) for j, c in enumerate(mu)]
     return 2 + sum(
         euler_phi(k) * _rat_multiplicity(cyclotomic_poly(k), mu_tilde)
@@ -147,7 +139,8 @@ def test_normalize_hits_expected_rows(analyzed):
 def test_picard_bound_trivial_supersingular_shape():
     p = 11
     mu = _power((p * p, 0, 1), 10)
-    assert picard_upper_bound(mu, p, _slopes(mu, p)) == 22  # Phi_4 divides mu~ ten times
+    assert analyze_charpoly(mu, p).picard_upper == 22
+    assert _picard_reference(mu, p) == 22  # Phi_4 divides mu~ ten times
 
 
 def test_picard_bound_on_computed_surfaces(analyzed):
@@ -162,58 +155,78 @@ def test_picard_bound_on_computed_surfaces(analyzed):
 @pytest.mark.parametrize("param", range(11))
 def test_picard_bound_matches_rational_reference(pipeline, kind, param):
     *_, result = pipeline(kind, param)
-    assert picard_upper_bound(result.mu, 11, _slopes(result.mu, 11)) == _picard_reference(result.mu, 11)
+    assert analyze_charpoly(result.mu, 11).picard_upper == _picard_reference(result.mu, 11)
 
 
+# The next three mu are not Weil polynomials (roots of absolute value
+# sqrt(p), 2p or 0 beside p * roots of unity), so analyze_charpoly's reading
+# of the Newton polygon does not apply to them; they pin the reference alone.
 def test_picard_bound_mixed_cyclotomic_factors():
     p = 11
     # roots p (x2), -p (x4), +-ip (x2 each), and five pairs off the p * (root of unity) locus
     mu = (1,)
     for factor, e in (((-p, 1), 2), ((p, 1), 4), ((p * p, 0, 1), 2), ((p, -1, 1), 5)):
         mu = poly_mul(mu, _power(factor, e))
-    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p) == 12
+    assert _picard_reference(mu, p) == 12
 
 
 def test_picard_bound_scans_past_a_valuation_one_root_off_the_locus():
     # 2p has valuation 1 but 2 is not a root of unity: the slope-1 segment
-    # (length 20) is longer than the count (19), so no early stop
+    # has length 20 and the count is 19
     p = 11
     mu = poly_mul(poly_mul((-2 * p, 1), (p, 1)), _power((p * p, 0, 1), 9))
-    slopes = newton_polygon(mu, p)
-    assert slopes == ((Fraction(1), 20),)
-    assert picard_upper_bound(mu, p, slopes) == _picard_reference(mu, p) == 21
+    assert newton_polygon(mu, p) == ((Fraction(1), 20),)
+    assert _picard_reference(mu, p) == 21
 
 
 def test_picard_bound_strips_a_root_zero():
     p = 11
     mu = poly_mul((0, 1), poly_mul((-p, 1), _power((p * p, 0, 1), 9)))
     assert mu[0] == 0
-    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p) == 21
+    assert _picard_reference(mu, p) == 21
 
 
-def test_picard_bound_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
-        picard_upper_bound((), 11, ())
+def test_rational_multiplicity_hand_pinned():
+    f = (1, 0, 1)  # T^2 + 1
+    assert _rat_multiplicity(f, (-1, 0, 0, 0, 1)) == 1
+    assert _rat_multiplicity(f, poly_mul(f, f)) == 2
+    assert _rat_multiplicity((-1, 1), f) == 0
+    assert _rat_multiplicity(f, (3,)) == 0
+    assert _rat_multiplicity((1, 2), (3, 12, 12)) == 2  # 3 (2T + 1)^2, over Q
+    assert _rat_multiplicity(f, ()) == 0
 
 
-def test_picard_bound_tries_no_division_on_finite_height(monkeypatch, pipeline):
-    # height 10: slopes 9/10 and 11/10, no slope-1 segment, so no Phi_k can divide
-    calls = []
+# (omega + conj(omega), omega * conj(omega)) for the primitive pairs of mu_3,
+# mu_4 and mu_6, and for {1, -1}
+_ROOT_OF_UNITY_PAIRS = {"mu3": (-1, 1), "mu4": (0, 1), "mu6": (1, 1), "pm1": (0, -1)}
 
-    def counting(f, g):
-        calls.append(f)
-        return divides_with_multiplicity(f, g)
 
-    monkeypatch.setattr(analysis, "divides_with_multiplicity", counting)
-    for kind in ("epsilon", "gamma"):
-        for param in range(1, 11):
-            *_, result = pipeline(kind, param)
-            assert picard_upper_bound(result.mu, 11, _slopes(result.mu, 11)) == 2
-    assert calls == []
+@pytest.mark.parametrize("pair", sorted(_ROOT_OF_UNITY_PAIRS))
+def test_supersingular_norms_read_picard_22(pair):
+    # the norm of T^2 - a T + b with roots 11 * omega * zeta^k and
+    # 11 * conj(omega) * zeta^k: irreducible over Q(zeta_11) for mu_3, mu_4
+    # and mu_6, whose primitive roots it lacks, and split for {1, -1}
+    p = 11
+    trace, norm = _ROOT_OF_UNITY_PAIRS[pair]
+    for k in range(11):
+        a = tuple(p * trace * c for c in zeta_power(k))
+        b = tuple(p * p * norm * c for c in zeta_power(2 * k))
+        mu = _norm_of_quadratic(a, b)
+        report = analyze_charpoly(mu, p)
+        assert report.picard_upper == _picard_reference(mu, p) == 22, k
+        assert report.height == INFINITE_HEIGHT
+
+
+def test_analyze_charpoly_refuses_other_primes():
+    # 11 is the one prime totally ramified in Q(zeta_11); (T^2 + 13^2)^10 is a
+    # supersingular Weil polynomial at 13
+    p = 13
+    with pytest.raises(CapabilityError, match="characteristic 11 only, not 13"):
+        analyze_charpoly(_power((p * p, 0, 1), 10), p)
 
 
 def test_analyze_charpoly_builds_one_newton_polygon(monkeypatch, pipeline):
-    # the slopes in the report are the ones the Picard scan reads
+    # the slopes in the report are the ones the Picard number and height read
     calls = []
 
     def counting(f, p):
@@ -226,48 +239,6 @@ def test_analyze_charpoly_builds_one_newton_polygon(monkeypatch, pipeline):
     report = analyze_charpoly(result.mu, 11)
     assert calls == [result.mu]
     assert report.newton_slopes == newton_polygon(result.mu, 11)
-
-
-def _scaled_cyclotomic(k: int, p: int) -> tuple[int, ...]:
-    """The monic p^phi(k) * Phi_k(T / p), whose roots are p times the primitive k-th roots of 1."""
-    phi = euler_phi(k)
-    return tuple(c * p ** (phi - i) for i, c in enumerate(cyclotomic_poly(k)))
-
-
-@st.composite
-def _mu_with_cyclotomic_factors(draw):
-    """(p, mu): a monic degree-20 mu = (scaled cyclotomic powers) * (random monic cofactor)."""
-    p = draw(st.sampled_from([5, 7, 11, 13]))
-    mu = (1,)
-    ks = [k for k in range(1, 67) if euler_phi(k) <= 20]
-    for k, e in draw(st.lists(st.tuples(st.sampled_from(ks), st.integers(1, 4)), max_size=5)):
-        f = _power(_scaled_cyclotomic(k, p), e)
-        if len(mu) + len(f) - 2 <= 20:
-            mu = poly_mul(mu, f)
-    n = 21 - len(mu)
-    cofactor = draw(st.lists(st.integers(-p * p, p * p), min_size=n, max_size=n))
-    return p, poly_mul(mu, tuple(cofactor) + (1,))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_mu_with_cyclotomic_factors())
-def test_picard_bound_matches_rational_reference_random(case):
-    p, mu = case
-    assert picard_upper_bound(mu, p, _slopes(mu, p)) == _picard_reference(mu, p)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    f_low=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
-    g=st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0),
-    m=st.integers(0, 3),
-)
-def test_divides_with_multiplicity_matches_rational_reference(f_low, g, m):
-    f = tuple(f_low) + (1,)  # monic, non-constant
-    h = poly_mul(_power(f, m), g)
-    found = divides_with_multiplicity(f, h)
-    assert found >= m
-    assert found == _rat_multiplicity(f, h)
 
 
 def test_height_examples(analyzed):
@@ -398,11 +369,11 @@ def test_structural_checks_returns_a_fresh_dict(pipeline):
 
 
 def test_failing_gate_raises_on_every_call():
-    # (T - 1)(T - p)^19: height 1, and 19 roots p * 1 give Picard 21 > 22 - 2 * 1
+    # (T^5 + p^2)^4: every root has valuation 2/5, so the "height" is 5/3
     p = 11
-    mu = poly_mul((-1, 1), _power((-p, 1), 19))
+    mu = _power((p * p, 0, 0, 0, 0, 1), 4)
     for _ in range(2):
-        with pytest.raises(InconsistencyError, match="inconsistent with height 1"):
+        with pytest.raises(InconsistencyError, match="height 5/3"):
             analyze_charpoly(mu, p)
 
 

@@ -71,7 +71,7 @@ def test_every_public_function_has_a_caller():
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
-    assert "cyclotomic_poly" in functions and "valuation" in functions  # lru_cache-wrapped and plain
+    assert "analyze_charpoly" in functions and "valuation" in functions  # lru_cache-wrapped and plain
     calls = _uses().calls
     assert [name for name in functions if name not in calls] == []
 

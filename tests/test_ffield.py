@@ -10,9 +10,9 @@ from wild11.equivariant import _neg_trace_table
 from wild11.errors import CapabilityError
 from wild11.ffield import FieldSpec, is_prime, trace_to_base
 from wild11.fppoly import _add, is_irreducible, reduced
-from wild11.polynomials import divmod_monic, poly_mul
+from wild11.polynomials import poly_mul
 from wild11.surface import _field_tables
-from references import quadratic_character, spec_with_modulus
+from references import divmod_monic, quadratic_character, spec_with_modulus
 
 
 def _elements(spec):

