@@ -15,6 +15,14 @@ v_inf(Delta) = 24 - deg Delta, and the fiber at s = 0 is the cubic whose
 coefficients are the top coefficients, of t^4, t^8 and t^12, of the
 completed A2, A4 and A6.
 
+The epsilon and gamma families see t only through s = t^11 - t, which the
+paper's automorphism t -> t + 1 fixes.  At p = 11 their c4 and Delta are
+polynomials in s of degree at most 2: epsilon e has c4 = 16 e^2 and
+Delta = -16 s (4 e^3 + 27 s), gamma g has c4 = -48 g and
+Delta = -16 (4 g^3 + 27 s^2).  So singular_places factors Delta on the
+s-line and lifts each place to the t-line by Artin-Schreier theory, in
+closed form where it can, instead of factoring Delta(t) of degree 22 or 24.
+
 Point counting is the independent oracle for everything downstream, so it
 shares no table and no code with the equivariant tally: each fiber adds
 1 + q + sum_x chi(cubic in x) points (odd characteristic; the substitution
@@ -72,7 +80,7 @@ from typing import Sequence
 
 from .errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from .ffield import FieldSpec, is_prime
-from .fppoly import _divmod, _gcd, derivative, factor, multiplicity, reduced
+from .fppoly import _add, _divmod, _gcd, derivative, factor, multiplicity, reduced
 from .polynomials import poly_mul, poly_str, prime_divisors
 
 KINDS = ("epsilon", "gamma", "uniform")
@@ -211,31 +219,107 @@ def c4_delta(model: WeierstrassModel) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _covariants_and_infinity(
-    model: WeierstrassModel,
+    model: WeierstrassModel, e: int = 1
 ) -> tuple[tuple[int, ...], tuple[int, ...], FiberPlace | None]:
     """c4, Delta and the place t = infinity, None when Delta does not vanish
-    there, its valuations read off the degrees; refuses Delta = 0."""
+    there, its valuations read off the degrees; refuses Delta = 0.
+
+    The model's coefficients may be polynomials in some s(t) of degree e
+    (s = t for e = 1), and then the covariants in t have e times the
+    degrees of the covariants in s."""
     c4, delta = c4_delta(model)
     if not delta:
         raise ValueError("discriminant vanishes identically; the model is not elliptic")
     # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4
-    if len(delta) == 25:
+    vdelta = 24 - e * (len(delta) - 1)
+    if not vdelta:
         return c4, delta, None
-    return c4, delta, FiberPlace(INFINITY, 1, 25 - len(delta), 9 - len(c4) if c4 else None)
+    return c4, delta, FiberPlace(INFINITY, 1, vdelta, 8 - e * (len(c4) - 1) if c4 else None)
+
+
+def _artin_schreier(p: int) -> tuple[int, ...]:
+    """s = t^p - t in F_p[t]."""
+    return (0, p - 1) + (0,) * (p - 2) + (1,)
+
+
+def _on_artin_schreier_line(model: WeierstrassModel) -> WeierstrassModel | None:
+    """The model with each a_i(t) written as a polynomial in s = t^p - t, or
+    None when some a_i is not one.
+
+    The digits of a_i in base s are the remainders of repeated division by
+    s; a_i lies in F_p[s] iff every digit is constant.  Beyond the degree
+    bound 12 only constants lie in F_p[s], and those pull back the same
+    along either line, so for p > 12 s is never built."""
+    p = model.p
+    if p > _DEGREE_BOUNDS["a6"]:
+        return None
+    s = _artin_schreier(p)
+    on_s = {}
+    for name in _DEGREE_BOUNDS:
+        poly, digits = getattr(model, name), []
+        while poly:
+            poly, digit = _divmod(poly, s, p)
+            if len(digit) > 1:
+                return None
+            digits.append(digit[0] if digit else 0)
+        on_s[name] = tuple(digits)
+    return model._replace(**on_s)
+
+
+def _artin_schreier_lift(g: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The monic irreducible factors in F_p[t] of g(t^p - t), for g monic
+    irreducible in F_p[s]: the places of the t-line over the place g of the
+    s-line, by the rules in singular_places."""
+    k = len(g) - 1
+    if not g[-2] and k == 1:
+        return [(-c % p, 1) for c in range(p)]
+    if not g[-2] and k == 2 and p > 2:
+        quarter = g[0] * pow(4, p - 2, p)
+        return [((c * c + quarter) % p, -2 * c % p, 1) for c in range(p)]
+    s = _artin_schreier(p)
+    lifted: tuple[int, ...] = ()
+    for c in reversed(g):
+        lifted = _add(poly_mul(lifted, s), (c,), p)
+    if g[-2]:
+        return [lifted]
+    return [h for h, _ in factor(lifted, p)]
 
 
 def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     """All places of P^1 where Delta vanishes, with (v(Delta), v(c4)) data.
 
     Closed points of degree > 1 appear once, carrying their degree.  The
-    place at infinity comes first, its valuations read off the degrees."""
-    c4, delta, infinity = _covariants_and_infinity(model)
-    places = [] if infinity is None else [infinity]
+    place at infinity comes first, its valuations read off the degrees, and
+    the finite places follow in factor's order, by degree, then by
+    coefficients.
+
+    When every a_i lies in F_p[s] for s = t^p - t (both wild families at
+    p = 11), so do c4 and Delta, and the places are found on the s-line,
+    where Delta has degree at most 24/p, then lifted to the t-line.  The
+    cover t -> s has derivative -1, so it is etale over the affine line: a
+    place over g carries the v(Delta) and v(c4) of g.  For g monic
+    irreducible of degree k with a root s0, the trace of s0 from F_(p^k)
+    to F_p is -g_(k-1), read off its coefficients, and by Artin-Schreier
+    t^p - t = s0 is irreducible over F_(p^k) iff that trace is nonzero:
+    then g(t^p - t) is one place of degree kp.  Otherwise the p roots
+    t0 + c, c in F_p, of t^p - t = s0 lie in F_(p^k), and the p places over
+    g have degree k: for k = 1 (s0 = 0) the rational places t = c, and for
+    k = 2 and odd p, where s0^p = -s0 makes t0 = -s0/2 a root, the
+    (t - c)^2 - s0^2/4 = (t - c)^2 + g_0/4.  Any other case factors
+    g(t^p - t).  Models off the s-line have the places of Delta(t) itself."""
     p = model.p
+    on_s = _on_artin_schreier_line(model)
+    e = 1 if on_s is None else p
+    c4, delta, infinity = _covariants_and_infinity(model if on_s is None else on_s, e)
+    finite = []
     for g, mult in factor(delta, p):
         vc4 = multiplicity(g, c4, p) if c4 else None
-        location: object = -g[0] % p if len(g) == 2 else g
-        places.append(FiberPlace(location, len(g) - 1, mult, vc4))
+        finite += [(h, mult, vc4) for h in ([g] if on_s is None else _artin_schreier_lift(g, p))]
+    finite.sort(key=lambda place: (len(place[0]), place[0]))
+    places = [] if infinity is None else [infinity]
+    for h, mult, vc4 in finite:
+        location: object = -h[0] % p if len(h) == 2 else h
+        places.append(FiberPlace(location, len(h) - 1, mult, vc4))
     return places
 
 

@@ -15,9 +15,16 @@ from wild11 import ffield
 from wild11.cyclotomic import DEGREE, ORDER, EigenTraces
 from wild11.errors import CapabilityError, InconsistencyError
 from wild11.ffield import FieldSpec
-from wild11.fppoly import _add, is_irreducible, reduced
+from wild11.fppoly import _add, factor, is_irreducible, multiplicity, reduced
 from wild11.polynomials import poly_mul, prime_divisors
-from wild11.surface import WeierstrassModel, _completed_cubic, _count_cubic_points
+from wild11.surface import (
+    INFINITY,
+    FiberPlace,
+    WeierstrassModel,
+    _completed_cubic,
+    _count_cubic_points,
+    c4_delta,
+)
 
 
 ZERO = (0,) * DEGREE
@@ -282,6 +289,23 @@ def infinity_chart(model: WeierstrassModel) -> WeierstrassModel:
     return WeierstrassModel(
         model.p, model.kind, model.param, *(reversed_at(i) for i in (1, 2, 3, 4, 6))
     )
+
+
+def singular_places_reference(model: WeierstrassModel) -> list[FiberPlace]:
+    """The places of P^1 where Delta vanishes, with v(Delta) and v(c4), the
+    direct way: the finite ones from factor(Delta(t)) and multiplicities in
+    c4(t), the one at infinity as v_s at s = 0 on infinity_chart.  The
+    reference for wild11.singular_places, which lifts the places of the
+    Artin-Schreier line where the model lies on it."""
+    p, s = model.p, (0, 1)
+    c4, delta = c4_delta(model)
+    c4_s, delta_s = c4_delta(infinity_chart(model))
+    v_inf = multiplicity(s, delta_s, p)
+    places = [FiberPlace(INFINITY, 1, v_inf, multiplicity(s, c4_s, p) if c4_s else None)] if v_inf else []
+    for g, mult in factor(delta, p):
+        location = -g[0] % p if len(g) == 2 else g
+        places.append(FiberPlace(location, len(g) - 1, mult, multiplicity(g, c4, p) if c4 else None))
+    return places
 
 
 def horner(poly: tuple[int, ...], t: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:

@@ -497,7 +497,10 @@ def test_non_conjugate_eigentraces_exit_4(capsys, monkeypatch):
 
 def test_equal_degree_splitting_without_values_exit_4(capsys, monkeypatch):
     # Delta of gamma 2 at p = 11 is two degree-11 factors of trace 0; with no
-    # norms N(a) to try after Tr(t) the splitting loop must refuse, not crash
+    # norms N(a) to try after Tr(t) the splitting loop must refuse, not crash.
+    # fibers at p = 11 lifts gamma's places from the s-line without that
+    # split, so the command runs at p = 5, where the model is not one in
+    # t^5 - t and Delta(t) itself has equal-degree parts to split
     import wild11.fppoly as fppoly
     from wild11.errors import InconsistencyError
     from wild11.surface import c4_delta, make_model
@@ -505,7 +508,7 @@ def test_equal_degree_splitting_without_values_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(fppoly, "monic_polys", lambda p, degree: iter(()))
     with pytest.raises(InconsistencyError):
         fppoly.factor(c4_delta(make_model("gamma", 2, 11))[1], 11)
-    code, out, err = run_cli(capsys, "fibers", "--kind", "gamma", "--param", "2", "--p", "11")
+    code, out, err = run_cli(capsys, "fibers", "--kind", "gamma", "--param", "4", "--p", "5")
     assert code == EXIT_INCONSISTENT
     assert out == ""
     assert err.startswith("inconsistency:")

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wild11 import equivariant, fppoly
-from wild11.cli import cmd_analyze
+from wild11.cli import cmd_analyze, cmd_fibers
 from wild11.errors import CapabilityError, InconsistencyError, ReducibleFiberError
 from wild11.ffield import FieldSpec
 from wild11.fppoly import _add, _monic, is_irreducible, monic_polys, multiplicity, reduced
@@ -41,6 +41,7 @@ from references import (
     infinity_chart,
     multiplicative_order,
     quadratic_character,
+    singular_places_reference,
     spec_with_modulus,
     unpack_by_digits,
 )
@@ -294,6 +295,99 @@ def test_singular_places_of_epsilon_model():
     assert len(closed) == 1 and closed[0].degree == 11
     # geometric count: 22 nodal fibers
     assert sum(pl.degree for pl in rational + closed) == 22
+
+
+def _compose(poly, inner, p):
+    """poly(inner) in F_p[t], by Horner's rule."""
+    acc = ()
+    for c in reversed(poly):
+        acc = fp_add(p, fp_mul(p, acc, inner), (c,))
+    return acc
+
+
+def _artin_schreier(p):
+    return (0, p - 1) + (0,) * (p - 2) + (1,)
+
+
+@pytest.mark.parametrize("kind,param", SURFACES + [("uniform", None)])
+def test_singular_places_of_members_match_reference(kind, param):
+    model = make_model(kind, param, 11)
+    assert singular_places(model) == singular_places_reference(model)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+def test_singular_places_match_reference_on_artin_schreier_models(p, data):
+    # each a_i is a random polynomial in s = t^p - t of degree at most 2i/p,
+    # so Delta(s) has places of every degree up to 24/p, of trace zero or
+    # not; a drawn term in t may take the model off the s-line
+    def coefficient(i):
+        digits = reduced(data.draw(st.lists(st.integers(0, p - 1), max_size=2 * i // p + 1)), p)
+        return _compose(digits, _artin_schreier(p), p)
+
+    coefficients = [coefficient(i) for i in (1, 2, 3, 4, 6)]
+    if not data.draw(st.integers(0, 3)):
+        which = data.draw(st.integers(0, 4))
+        degree = data.draw(st.integers(1, 2 * (1, 2, 3, 4, 6)[which]))
+        coefficients[which] = fp_add(p, coefficients[which], fp_mul(p, (1,), (0,) * degree + (1,)))
+    model = WeierstrassModel(p, "random", None, *coefficients)
+    assume(c4_delta(model)[1])
+    assert singular_places(model) == singular_places_reference(model)
+
+
+@pytest.mark.parametrize(
+    "p,digits,k",
+    [
+        # Delta(s) has an irreducible cubic factor of trace zero
+        (3, [(1,), (1,), (1,), (2, 2), (2, 0, 0, 2, 2)], 3),
+        (5, [(), (3,), (1, 2), (3, 3), (0, 2)], 3),
+        # in characteristic 2 no irreducible quadratic has trace zero: a quartic
+        (2, [(1,), (0, 1), (1, 1), (0, 1), (0, 0, 0, 0, 1, 1)], 4),
+    ],
+)
+def test_artin_schreier_lift_factors_what_it_cannot_split(p, digits, k):
+    # past the closed forms, the places over a factor g of trace zero are
+    # the factors of g(t^p - t), of degree k * p for k = deg g
+    model = WeierstrassModel(p, "random", None, *(_compose(d, _artin_schreier(p), p) for d in digits))
+    with mock.patch.object(surface_module, "factor", wraps=fppoly.factor) as factored:
+        places = singular_places(model)
+    assert places == singular_places_reference(model)
+    assert k * p in [len(call.args[0]) - 1 for call in factored.call_args_list]
+
+
+def _place_polynomial(place, p):
+    return (-place.location % p, 1) if isinstance(place.location, int) else place.location
+
+
+@pytest.mark.parametrize("kind,param", SURFACES)
+def test_wild_automorphism_permutes_finite_places(kind, param):
+    # t -> t + 1 fixes Delta, a polynomial in t^11 - t, so it permutes the
+    # finite places that factor finds: in orbits of 11 places of one degree
+    # and one valuation pair, or as a single place of degree 11 or 22
+    places = {
+        _place_polynomial(place, 11): place[1:]
+        for place in singular_places_reference(make_model(kind, param, 11))
+        if place.location != INFINITY
+    }
+    assert places
+    for h, data in places.items():
+        orbit = [h]
+        while (shifted := _compose(orbit[-1], (1, 1), 11)) != h:
+            orbit.append(shifted)
+        assert all(places.get(g) == data for g in orbit)
+        assert len(orbit) == 11 or (len(orbit) == 1 and data[0] in (11, 22)), (h, data)
+
+
+def test_members_at_11_never_factor_past_degree_2():
+    # every member at p = 11 lies on the line s = t^11 - t, where Delta(s)
+    # has degree at most 2 and every place lifts in closed form; a factor of
+    # degree > 2 means a silent fall back to the t-line
+    with mock.patch.object(surface_module, "factor", wraps=fppoly.factor) as factored:
+        for kind, param in SURFACES:
+            cmd_analyze(kind, param, 11)
+            cmd_fibers(kind, param, 11, lattice=True)
+    degrees = [len(call.args[0]) - 1 for call in factored.call_args_list]
+    assert len(degrees) == 2 * len(SURFACES) and max(degrees) <= 2
 
 
 def _fibers_irreducible_by_places(model):
