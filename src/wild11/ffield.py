@@ -21,6 +21,7 @@ Everything here is immutable and pure, so values may be shared freely.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -92,21 +93,27 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     raise InconsistencyError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", ("p", "r", "q", "modulus"))):
     """Description of F_q, q = p^r <= Q_LIMIT, and its arithmetic.
 
     The modulus is always the canonical one for (p, r), the first monic
     irreducible of degree r in `monic_polys` order, so two FieldSpecs of
-    the same size describe the same field with the same indices.
+    the same size describe the same field with the same indices.  Only
+    (p, r) is passed, and copies and pickles rebuild from it
+    (`__getnewargs__`), so they rerun the checks.
 
     `mul` and `pow` hide the modulus; they take reduced or zero-padded tuples
     and return reduced ones, and sums are `fppoly._add`.  `index_of` and
     `coords_at` convert between tuples and the counting layers' indices.
     """
 
-    __slots__ = ("p", "r", "q", "modulus")
+    __slots__ = ()
+    p: int
+    r: int
+    q: int
+    modulus: tuple[int, ...]
 
-    def __init__(self, p: int, r: int = 1):
+    def __new__(cls, p: int, r: int = 1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if r < 1:
@@ -114,22 +121,10 @@ class FieldSpec:
         q = p**r
         if q > Q_LIMIT:
             raise CapabilityError(f"field size {q} exceeds the supported limit {Q_LIMIT}")
-        self.p = p
-        self.r = r
-        self.q = q
-        self.modulus = _canonical_modulus(p, r)
+        return super().__new__(cls, p, r, q, _canonical_modulus(p, r))
 
-    # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        # the modulus fixes the indices, so a spec on another modulus keeps its own tables
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r, self.modulus))
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.p, self.r
 
     def __repr__(self) -> str:
         if self.r == 1:

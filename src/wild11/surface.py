@@ -63,7 +63,8 @@ triple of indices.
 Counting a Weierstrass model only counts the smooth K3 correctly when all
 singular fibers are irreducible (nodal or cuspidal cubics); surface_count
 verifies that from the discriminant without factoring it (a squarefree test
-on gcd(Delta, Delta')), names the first reducible fiber from the
+on gcd(Delta, Delta'), on the line singular_places reads Delta on, so in s
+for both wild families at p = 11), names the first reducible fiber from the
 factorisation only when it refuses, and refuses characteristics 2 and 3
 outright, where that test is invalid.  The count costs a shift, one AND
 and one popcount of (2p - 1)^r-bit ints per mask per distinct Frobenius
@@ -219,22 +220,21 @@ def c4_delta(model: WeierstrassModel) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _covariants_and_infinity(
-    model: WeierstrassModel, e: int = 1
-) -> tuple[tuple[int, ...], tuple[int, ...], FiberPlace | None]:
-    """c4, Delta and the place t = infinity, None when Delta does not vanish
-    there, its valuations read off the degrees; refuses Delta = 0.
-
-    The model's coefficients may be polynomials in some s(t) of degree e
-    (s = t for e = 1), and then the covariants in t have e times the
-    degrees of the covariants in s."""
-    c4, delta = c4_delta(model)
+    model: WeierstrassModel,
+) -> tuple[tuple[int, ...], tuple[int, ...], FiberPlace | None, bool]:
+    """c4, Delta, the place t = infinity (None when Delta does not vanish
+    there) and whether c4 and Delta are read on the line s = t^p - t, which
+    they are when the model lies on it; refuses Delta = 0.  The valuations
+    at infinity are read off the degrees, p times those in s on that line."""
+    on_s = _on_artin_schreier_line(model)
+    c4, delta = c4_delta(model if on_s is None else on_s)
     if not delta:
         raise ValueError("discriminant vanishes identically; the model is not elliptic")
-    # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4
+    e = 1 if on_s is None else model.p
+    # v_inf(Delta) = 24 - deg Delta and v_inf(c4) = 8 - deg c4, degrees in t
     vdelta = 24 - e * (len(delta) - 1)
-    if not vdelta:
-        return c4, delta, None
-    return c4, delta, FiberPlace(INFINITY, 1, vdelta, 8 - e * (len(c4) - 1) if c4 else None)
+    infinity = None if not vdelta else FiberPlace(INFINITY, 1, vdelta, 8 - e * (len(c4) - 1) if c4 else None)
+    return c4, delta, infinity, on_s is not None
 
 
 def _artin_schreier(p: int) -> tuple[int, ...]:
@@ -308,13 +308,11 @@ def singular_places(model: WeierstrassModel) -> list[FiberPlace]:
     (t - c)^2 - s0^2/4 = (t - c)^2 + g_0/4.  Any other case factors
     g(t^p - t).  Models off the s-line have the places of Delta(t) itself."""
     p = model.p
-    on_s = _on_artin_schreier_line(model)
-    e = 1 if on_s is None else p
-    c4, delta, infinity = _covariants_and_infinity(model if on_s is None else on_s, e)
+    c4, delta, infinity, on_s = _covariants_and_infinity(model)
     finite = []
     for g, mult in factor(delta, p):
         vc4 = multiplicity(g, c4, p) if c4 else None
-        finite += [(h, mult, vc4) for h in ([g] if on_s is None else _artin_schreier_lift(g, p))]
+        finite += [(h, mult, vc4) for h in (_artin_schreier_lift(g, p) if on_s else [g])]
     finite.sort(key=lambda place: (len(place[0]), place[0]))
     places = [] if infinity is None else [infinity]
     for h, mult, vc4 in finite:
@@ -333,15 +331,19 @@ def _is_irreducible_fiber(place: FiberPlace) -> bool:
 def _every_fiber_irreducible(model: WeierstrassModel) -> bool:
     """Whether every singular fiber is irreducible, for odd p, without factoring Delta.
 
-    An irreducible factor of Delta of multiplicity m divides
-    g = gcd(Delta, Delta') exactly m - 1 times, or m times when p | m (the
-    first step of Yun's squarefree decomposition).  So the factors of
-    multiplicity 1 and 2 are those that divide g at most once: every finite
-    fiber is irreducible iff g is squarefree (gcd(g, g') = 1, which fails
-    for a nonconstant g with g' = 0) and the double factors, those of g,
-    all divide c4 or c4 vanishes identically."""
+    Delta is read on the line singular_places reads it on: in s = t^p - t
+    when the model lies there, else in t.  The cover t -> s is etale over
+    the affine line, so the places over a factor of Delta(s) of multiplicity
+    m have v(Delta) = m, and c4 vanishes there iff it vanishes at the
+    factor.  On that line, Yun's first step: an irreducible factor of
+    multiplicity m divides g = gcd(Delta, Delta') exactly m - 1 times, or m
+    times when p | m.  So the factors of multiplicity 1 and 2 are those that
+    divide g at most once: every finite fiber is irreducible iff g is
+    squarefree (gcd(g, g') = 1, which fails for a nonconstant g with
+    g' = 0) and the double factors, those of g, all divide c4 or c4
+    vanishes identically."""
     p = model.p
-    c4, delta, infinity = _covariants_and_infinity(model)
+    c4, delta, infinity, _ = _covariants_and_infinity(model)
     if infinity is not None and not _is_irreducible_fiber(infinity):
         return False
     g = _gcd(delta, derivative(delta, p), p)

@@ -8,14 +8,12 @@ command's path, so they live beside the tests rather than in the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
-from unittest import mock
+from itertools import product, zip_longest
 
-from wild11 import ffield
 from wild11.cyclotomic import DEGREE, ORDER, EigenTraces
 from wild11.errors import CapabilityError, InconsistencyError
 from wild11.ffield import FieldSpec
-from wild11.fppoly import _add, factor, is_irreducible, multiplicity, reduced
+from wild11.fppoly import _add, _divmod, factor, is_irreducible, multiplicity, reduced
 from wild11.polynomials import poly_mul, prime_divisors
 from wild11.surface import (
     INFINITY,
@@ -173,11 +171,24 @@ def spec_with_modulus(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:
 
     FieldSpec takes only its canonical modulus.  To check the counting
     layers' cached tables in another basis too (one where Tr(u) != 0),
-    this substitutes the modulus at its one source while the spec is built."""
+    this builds the record from its fields, which skips FieldSpec's checks."""
     if not is_irreducible(tuple(modulus), p):
         raise ValueError(f"{modulus} is not a monic irreducible over F_{p}")
-    with mock.patch.object(ffield, "_canonical_modulus", lambda p, r: tuple(modulus)):
-        return FieldSpec(p, r)
+    return FieldSpec._make((p, r, p**r, tuple(modulus)))
+
+
+def monic_polys_of_degree(p: int, degree: int):
+    """Monic polynomials of one degree over F_p, in base-p order of the lower
+    coefficients: the constant term changes fastest."""
+    for lower in product(range(p), repeat=degree):
+        yield lower[::-1] + (1,)
+
+
+def irreducible_by_trial_division(f: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. deg f / 2."""
+    return all(
+        _divmod(f, g, p)[1] for d in range(1, (len(f) - 1) // 2 + 1) for g in monic_polys_of_degree(p, d)
+    )
 
 
 def quadratic_character(spec: FieldSpec, x: tuple[int, ...]) -> int:

@@ -1,18 +1,22 @@
-import itertools
 import math
 import random
 import time
 
 import pytest
 
-from wild11 import fppoly
 from wild11.equivariant import _neg_trace_table
 from wild11.errors import CapabilityError
 from wild11.ffield import FieldSpec, is_prime, trace_to_base
 from wild11.fppoly import _add, is_irreducible, reduced
 from wild11.polynomials import poly_mul
 from wild11.surface import _field_tables
-from references import divmod_monic, quadratic_character, spec_with_modulus
+from references import (
+    divmod_monic,
+    irreducible_by_trial_division,
+    monic_polys_of_degree,
+    quadratic_character,
+    spec_with_modulus,
+)
 
 
 def _elements(spec):
@@ -78,25 +82,12 @@ def test_canonical_moduli_pinned(p, r, modulus):
     assert FieldSpec(p, r).modulus == modulus
 
 
-def _monic_polys(p, degree):
-    """Monic polynomials of one degree, the constant term the fastest-changing coefficient."""
-    for lower in itertools.product(range(p), repeat=degree):
-        yield lower[::-1] + (1,)
-
-
-def _reference_is_irreducible(f, p):
-    """Trial division by every monic polynomial of degree 1 .. deg f / 2."""
-    return not any(
-        not fppoly._divmod(f, g, p)[1] for d in range(1, (len(f) - 1) // 2 + 1) for g in _monic_polys(p, d)
-    )
-
-
 @pytest.mark.parametrize(
     "p,r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (7, 4), (11, 2), (11, 3)]
 )
 def test_is_irreducible_matches_trial_division(p, r):
-    for f in _monic_polys(p, r):
-        assert is_irreducible(f, p) == _reference_is_irreducible(f, p), f
+    for f in monic_polys_of_degree(p, r):
+        assert is_irreducible(f, p) == irreducible_by_trial_division(f, p), f
 
 
 @pytest.mark.parametrize(
@@ -109,7 +100,7 @@ def test_canonical_modulus_is_first_irreducible(p, r):
     # one rule for every (p, r): the first monic irreducible in base-p order.
     # At (101, 3) every u^3 + a_0 has a root, since 3 does not divide 100, so
     # the whole first block of 101 candidates is reducible
-    first = next(f for f in _monic_polys(p, r) if _reference_is_irreducible(f, p))
+    first = next(f for f in monic_polys_of_degree(p, r) if irreducible_by_trial_division(f, p))
     assert FieldSpec(p, r).modulus == first
 
 

@@ -10,7 +10,7 @@ from wild11 import fppoly
 from wild11.fppoly import derivative, factor, is_irreducible, monic_polys, multiplicity, reduced
 from wild11.polynomials import poly_mul
 from wild11.surface import c4_delta, make_model
-from references import fp_mul
+from references import fp_mul, irreducible_by_trial_division, monic_polys_of_degree
 
 
 def _rem(a, mod, p):
@@ -190,7 +190,7 @@ def test_factor_shared_trace_and_norm_f5():
     # term) on both, so only the values N(a) after N(t) can separate them
     p = 5
     g1, g2 = (1, 1, 0, 1), (1, 2, 0, 1)
-    assert _irreducible_by_trial_division(g1, p) and _irreducible_by_trial_division(g2, p)
+    assert irreducible_by_trial_division(g1, p) and irreducible_by_trial_division(g2, p)
     f = fp_mul(p, g1, g2)
     expected = sorted(_cantor_zassenhaus_reference(f, 3, p, random.Random(3)))
     assert expected == [g1, g2]
@@ -328,17 +328,6 @@ def test_monic_polys_base_p_order():
     assert next(monic_polys(2**61 - 1, 2)) == (0, 0, 1)
 
 
-def _monic_polys(p, degree):
-    for lower in itertools.product(range(p), repeat=degree):
-        yield lower + (1,)
-
-
-def _irreducible_by_trial_division(g, p):
-    return all(
-        _rem(g, h, p) for d in range(1, (len(g) - 1) // 2 + 1) for h in _monic_polys(p, d)
-    )
-
-
 @pytest.mark.parametrize("p,max_degree", [(2, 7), (3, 6), (5, 4), (7, 3)])
 def test_factor_exhaustive_small_fields(p, max_degree):
     # every monic f of degree 1 .. max_degree, so zero derivatives (t^3 + 1
@@ -346,13 +335,13 @@ def test_factor_exhaustive_small_fields(p, max_degree):
     # over F_2 the splitting values lie in {0, 1} and only gcds separate them
     irreducible = {}
     for degree in range(1, max_degree + 1):
-        for f in _monic_polys(p, degree):
+        for f in monic_polys_of_degree(p, degree):
             pieces = factor(f, p)
             prod = (1,)
             for g, m in pieces:
                 assert g[-1] == 1 and m >= 1
                 if g not in irreducible:
-                    irreducible[g] = _irreducible_by_trial_division(g, p)
+                    irreducible[g] = irreducible_by_trial_division(g, p)
                 assert irreducible[g], (f, g)
                 for _ in range(m):
                     prod = fp_mul(p, prod, g)
@@ -451,7 +440,7 @@ def _equal_degree_product(p, d, count, rng):
     chosen = set()
     while len(chosen) < count:
         g = tuple([rng.randrange(p) for _ in range(d)]) + (1,)
-        if _irreducible_by_trial_division(g, p):
+        if irreducible_by_trial_division(g, p):
             chosen.add(g)
     return chosen, fp_mul(p, *chosen)
 

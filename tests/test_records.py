@@ -3,19 +3,23 @@
 Each record is a slotted subclass of a collections.namedtuple: fields in
 annotation order, construction by position or keyword, equality and
 hashing by the fields, a repr naming the class, read-only attributes, and
-each record's own check run on construction.
+each record's own check run on construction.  FieldSpec is built from
+(p, r) alone, so its copies and pickles rebuild through its checks.
 """
 
 import copy
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from wild11 import ffield
 from wild11.analysis import AnalysisReport
 from wild11.cyclotomic import EigenTraces
 from wild11.equivariant import CharPolyResult, FixTally
-from wild11.errors import InconsistencyError
+from wild11.errors import CapabilityError, InconsistencyError
+from wild11.ffield import FieldSpec
 from wild11.kodaira import KodairaFiber, LatticeSummary
 from wild11.surface import FiberPlace, WeierstrassModel
 
@@ -164,3 +168,37 @@ def _model(a2) -> WeierstrassModel:
 def test_record_checks_raise_as_before(build, error, message):
     with pytest.raises(error, match=f"^{message}"):
         build()
+
+
+SPECS = [FieldSpec(11), FieldSpec(11, 2), FieldSpec(2, 4)]
+SPEC_IDS = ["F_11", "F_121", "F_16"]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_field_spec_copies_and_pickles_rebuild_through_new(spec):
+    assert FieldSpec._fields == tuple(FieldSpec.__annotations__) and not hasattr(spec, "__dict__")
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert type(twin) is FieldSpec and twin == spec
+    # the copies pass (p, r) to __new__, which reruns the size check
+    pickled = pickle.dumps(spec)
+    with mock.patch.object(ffield, "Q_LIMIT", spec.q - 1):
+        for rebuild in (lambda: pickle.loads(pickled), lambda: copy.copy(spec), lambda: copy.deepcopy(spec)):
+            with pytest.raises(CapabilityError, match="exceeds the supported limit"):
+                rebuild()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_field_spec_equals_and_hashes_like_its_fields(spec):
+    fields = (spec.p, spec.r, spec.q, spec.modulus)
+    assert spec == fields and hash(spec) == hash(fields)
+    assert spec == FieldSpec(spec.p, spec.r) and hash(spec) == hash(FieldSpec(spec.p, spec.r))
+    assert len({spec, FieldSpec(spec.p, spec.r), FieldSpec(3)}) == 2
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_field_spec_attributes_are_read_only(spec):
+    for name in FieldSpec._fields:
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+    with pytest.raises(AttributeError):
+        spec.not_a_field = 1

@@ -422,6 +422,53 @@ def test_squarefree_guard_matches_place_classification(p, data):
     assert _every_fiber_irreducible(model) == _fibers_irreducible_by_places(model)
 
 
+def _finite_fibers_irreducible(model):
+    # the guard with the place at infinity forgotten, so that its squarefree
+    # test decides alone, and the classification of the finite places
+    covariants = surface_module._covariants_and_infinity
+
+    def finite_only(model):
+        c4, delta, _, on_s = covariants(model)
+        return c4, delta, None, on_s
+
+    with mock.patch.object(surface_module, "_covariants_and_infinity", finite_only):
+        guard = _every_fiber_irreducible(model)
+    places = [place for place in singular_places(model) if place.location != INFINITY]
+    return guard, all(_is_irreducible_fiber(place) for place in places)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([5, 7, 11]), st.data())
+def test_squarefree_guard_on_the_artin_schreier_line(p, data):
+    # each a_i is a polynomial in s = t^p - t of degree at most 2i/p, and a
+    # planted pi(s) divides it to a drawn power where that degree allows, so
+    # Delta(s) has factors of multiplicity 2, 3 and more, with and without
+    # pi | c4; j = 0 models (a_i = 0 below a6) have c4 = 0.  The guard reads
+    # Delta(s), of degree at most 24/p, and must agree with the places of
+    # the t-line.  At p = 5 and 7 the fiber at infinity is always reducible,
+    # so the finite places are compared on their own too
+    def poly(degree):
+        return reduced(data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1)), p)
+
+    pi = poly(1) if data.draw(st.booleans()) else (data.draw(st.integers(0, p - 1)), 1)
+
+    def coefficient(i):
+        bound, planted = 2 * i // p, (1,)
+        for _ in range(data.draw(st.integers(0, 2))):
+            if len(planted) - 1 + len(pi) - 1 <= bound:
+                planted = fp_mul(p, planted, pi)
+        return fp_mul(p, planted, poly(data.draw(st.integers(0, bound - (len(planted) - 1)))))
+
+    j_zero = data.draw(st.booleans())
+    on_s = [() if j_zero and i < 6 else coefficient(i) for i in (1, 2, 3, 4, 6)]
+    model = WeierstrassModel(p, "random", None, *(_compose(a, _artin_schreier(p), p) for a in on_s))
+    assume(c4_delta(model)[1])
+    assert surface_module._covariants_and_infinity(model)[3]
+    assert _every_fiber_irreducible(model) == _fibers_irreducible_by_places(model)
+    guard, places = _finite_fibers_irreducible(model)
+    assert guard == places
+
+
 def _model_11(a1, a4, a6):
     return WeierstrassModel(11, "random", None, a1, (), (), a4, a6)
 
@@ -469,21 +516,40 @@ def test_guard_refusal_without_reducible_place_is_inconsistent():
             surface_count(make_model("gamma", 1, 11), _fp11())
 
 
+def _recording(fn, returned):
+    """fn, with each value it returns appended to the list returned."""
+
+    def recorded(*args):
+        returned.append(fn(*args))
+        return returned[-1]
+
+    return recorded
+
+
 def test_count_at_1331_never_factors_delta():
     # every one of the 22 surfaces passes the squarefree guard, so no
     # discriminant is factored, and the oracle reads none of the tally's
     # tables; the counts are those mu predicts at q = 11^3
     q = 11**3
+    covariants, guarded = [], []
     assert not any(
         getattr(value, "__module__", None) == "wild11.equivariant" for value in vars(surface_module).values()
     )
     with mock.patch.object(
         surface_module, "singular_places", wraps=surface_module.singular_places
     ) as places, mock.patch.object(surface_module, "factor", wraps=fppoly.factor) as factored, mock.patch.object(
+        surface_module, "c4_delta", _recording(surface_module.c4_delta, covariants)
+    ), mock.patch.object(
+        surface_module, "_covariants_and_infinity", _recording(surface_module._covariants_and_infinity, guarded)
+    ), mock.patch.object(
         equivariant, "_neg_trace_table", side_effect=AssertionError
     ), mock.patch.object(equivariant, "_trace_histogram", side_effect=AssertionError):
         counts = {pair: surface_count(make_model(*pair, 11), FieldSpec(11, 3)) for pair in SURFACES}
     assert places.call_count == 0 and factored.call_count == 0
+    # the guard reads c4 and Delta on the line s = t^11 - t, where Delta has
+    # degree at most 2, never the Delta(t) of degree 22 or 24
+    assert len(guarded) == len(SURFACES) and all(on_s for *_, on_s in guarded)
+    assert len(covariants) == len(SURFACES) and max(len(delta) - 1 for _, delta in covariants) <= 2
     for (kind, param), count in counts.items():
         mu_full = cmd_analyze(kind, param, 11)["charpoly"]["mu_full"]
         assert count == 1 + q * q + _power_sum(mu_full, 3)
